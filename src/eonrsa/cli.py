@@ -211,8 +211,6 @@ def _build_parser() -> _Parser:
     add_instance_source(slv)
     slv.add_argument("--gap", type=float, default=0.1, help="final ILP relative gap")
     slv.add_argument("--tolerance", type=float, default=1e-6, help="improvement tolerance")
-    slv.add_argument("--threads", type=int, default=0, help="pricing worker threads")
-    slv.add_argument("--deterministic", action="store_true", help="fixed slot order, no parallel pricing")
     slv.add_argument("--guardband", action="store_true", help="enable the derived-request extension")
     slv.add_argument("--require-certified", action="store_true", help="exit 2 unless the bound certifies")
     slv.add_argument("--out-dir", default=".", help="output directory")
@@ -264,9 +262,6 @@ def cmd_solve(args) -> int:
     config = SolveConfig(
         final_ilp_relative_gap=args.gap,
         improvement_tolerance=args.tolerance,
-        parallel_pricing=args.threads > 1 and not args.deterministic,
-        threads=args.threads,
-        deterministic=args.deterministic,
         backend=args.backend,
         max_wall_clock_seconds=args.time_limit,
     )

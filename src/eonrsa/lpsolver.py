@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -58,6 +59,24 @@ class _VarData:
     hi: float
     kind: VarKind
     coeffs: dict[int, float]  # constraint id -> coefficient
+
+
+@dataclass
+class ModelArrays:
+    """Column-major snapshot of a model: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
+
+    Columns follow `var_ids` and rows follow `con_ids`, both ascending;
+    `integrality` is 1 for binary columns and 0 otherwise.
+    """
+
+    var_ids: list[int]
+    con_ids: list[int]
+    a: sp.csc_matrix  # m x n
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    integrality: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,12 +184,25 @@ class Model:
         if kind is VarKind.BINARY:
             var.lo, var.hi = max(var.lo, 0.0), min(var.hi, 1.0)
 
-    def set_bounds(self, vid: int, lo: float, hi: float) -> None:
-        if vid not in self._vars:
-            raise UnknownId(f"variable {vid} does not exist")
-        if not math.isfinite(lo) or hi < lo:
-            raise ValueError(f"bad bound interval [{lo}, {hi}]")
-        self._vars[vid].lo, self._vars[vid].hi = float(lo), float(hi)
+    def prune(self, sol: LpSolution, candidates: Iterable[int]) -> list[int]:
+        """Remove the candidates that sit at zero outside the basis of `sol`.
+
+        When the engine hides the basis, a column with zero reduced cost may be
+        basic at a degenerate optimum and is kept. Returns the removed ids.
+        """
+        drop = []
+        for vid in candidates:
+            if sol.values.get(vid, 0.0) > INT_TOL:
+                continue
+            if sol.basic_variables is not None:
+                if vid in sol.basic_variables:
+                    continue
+            elif sol.reduced_costs is not None and abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
+                continue
+            drop.append(vid)
+        if drop:
+            self.remove_variables(drop)
+        return drop
 
     # -- introspection ----------------------------------------------------
 
@@ -188,8 +220,12 @@ class Model:
     def constraint_ids(self) -> list[int]:
         return sorted(self._cons)
 
-    def objective_coeff(self, vid: int) -> float:
-        return self._vars[vid].obj
+    def column(self, vid: int) -> tuple[float, dict[int, float]]:
+        """Objective coefficient and {constraint id: coefficient} of a variable."""
+        if vid not in self._vars:
+            raise UnknownId(f"variable {vid} does not exist")
+        var = self._vars[vid]
+        return var.obj, dict(var.coeffs)
 
     def binary_ids(self) -> list[int]:
         return sorted(v for v, d in self._vars.items() if d.kind is VarKind.BINARY)
@@ -198,6 +234,42 @@ class Model:
         if not isinstance(other, Model):
             return NotImplemented
         return self._cons == other._cons and self._vars == other._vars
+
+    def arrays(self) -> ModelArrays:
+        """The model as one CSC matrix plus dense vectors; both engines read this."""
+        var_ids = sorted(self._vars)
+        con_ids = sorted(self._cons)
+        row_of = {cid: i for i, cid in enumerate(con_ids)}
+        data: list[float] = []
+        rows: list[int] = []
+        indptr = [0]
+        for vid in var_ids:
+            coeffs = self._vars[vid].coeffs
+            for cid in sorted(coeffs):
+                rows.append(row_of[cid])
+                data.append(coeffs[cid])
+            indptr.append(len(data))
+        a = sp.csc_matrix(
+            (
+                np.asarray(data, dtype=float),
+                np.asarray(rows, dtype=np.int32),
+                np.asarray(indptr, dtype=np.int32),
+            ),
+            shape=(len(con_ids), len(var_ids)),
+        )
+        columns = [self._vars[vid] for vid in var_ids]
+        return ModelArrays(
+            var_ids=var_ids,
+            con_ids=con_ids,
+            a=a,
+            b=np.asarray([self._cons[cid] for cid in con_ids], dtype=float),
+            c=np.asarray([v.obj for v in columns], dtype=float),
+            lo=np.asarray([v.lo for v in columns], dtype=float),
+            hi=np.asarray([v.hi for v in columns], dtype=float),
+            integrality=np.asarray(
+                [1.0 if v.kind is VarKind.BINARY else 0.0 for v in columns], dtype=float
+            ),
+        )
 
     def to_lp_format(self) -> str:
         """Debug dump in LP-file style."""
@@ -253,7 +325,7 @@ class Model:
 
 @dataclass
 class _Arrays:
-    """Column-major snapshot of a model for one solve (slack columns appended)."""
+    """A model's arrays for one simplex solve, with the slack identity appended."""
 
     var_ids: list[int]
     con_ids: list[int]
@@ -267,38 +339,24 @@ class _Arrays:
 
 
 def _build_arrays(model: Model, overrides: Optional[dict[int, tuple[float, float]]]) -> _Arrays:
-    var_ids = sorted(model._vars)
-    con_ids = sorted(model._cons)
-    n, m = len(var_ids), len(con_ids)
-    row_of = {cid: i for i, cid in enumerate(con_ids)}
-    data: list[float] = []
-    rows: list[int] = []
-    indptr = [0]
-    c = np.zeros(n + m)
-    lo = np.zeros(n + m)
-    hi = np.full(n + m, math.inf)
-    for j, vid in enumerate(var_ids):
-        var = model._vars[vid]
-        for cid in sorted(var.coeffs):
-            rows.append(row_of[cid])
-            data.append(var.coeffs[cid])
-        indptr.append(len(data))
-        c[j] = var.obj
-        if overrides and vid in overrides:
-            lo[j], hi[j] = overrides[vid]
-        else:
-            lo[j], hi[j] = var.lo, var.hi
-    a_struct = sp.csc_matrix(
+    mat = model.arrays()
+    n, m = len(mat.var_ids), len(mat.con_ids)
+    for vid, bounds in (overrides or {}).items():
+        j = bisect_left(mat.var_ids, vid)
+        mat.lo[j], mat.hi[j] = bounds
+    a, slack = mat.a, np.arange(m, dtype=np.int32)
+    a_ext = sp.csc_matrix(
         (
-            np.asarray(data, dtype=float),
-            np.asarray(rows, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int32),
+            np.concatenate([a.data, np.ones(m)]),
+            np.concatenate([a.indices, slack]),
+            np.concatenate([a.indptr, a.indptr[-1] + 1 + slack]),
         ),
-        shape=(m, n),
+        shape=(m, n + m),
     )
-    a_ext = sp.hstack([a_struct, sp.identity(m, format="csc")], format="csc")
-    b = np.asarray([model._cons[cid] for cid in con_ids], dtype=float)
-    return _Arrays(var_ids, con_ids, a_ext, b, c, lo, hi, n, m)
+    c = np.concatenate([mat.c, np.zeros(m)])
+    lo = np.concatenate([mat.lo, np.zeros(m)])
+    hi = np.concatenate([mat.hi, np.full(m, math.inf)])
+    return _Arrays(mat.var_ids, mat.con_ids, a_ext, mat.b, c, lo, hi, n, m)
 
 
 class _SimplexRun:
@@ -498,7 +556,6 @@ def _solve_lp_bundled(
     model: Model,
     use_warm_start: bool = True,
     overrides: Optional[dict[int, tuple[float, float]]] = None,
-    keep_warm: bool = True,
 ) -> LpSolution:
     for attempt in (0, 1):
         ar = _build_arrays(model, overrides)
@@ -510,7 +567,6 @@ def _solve_lp_bundled(
             try_warm=use_warm_start and attempt == 0,
             bland=attempt == 1,
             paranoid=attempt == 1,
-            keep_warm=keep_warm,
         )
         if sol.status is not SolveStatus.NUMERICAL_FAILURE:
             return sol
@@ -531,7 +587,7 @@ def _solve_unconstrained(ar: _Arrays) -> LpSolution:
     return LpSolution(SolveStatus.OPTIMAL, obj, values, {}, rc, frozenset())
 
 
-def _simplex_solve(model, ar, try_warm, bland, paranoid, keep_warm) -> LpSolution:
+def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
     sx = _SimplexRun(ar, bland=bland, paranoid=paranoid)
     state = _warm_state(model, ar) if try_warm else None
     used_warm = state is not None
@@ -598,8 +654,7 @@ def _simplex_solve(model, ar, try_warm, bland, paranoid, keep_warm) -> LpSolutio
     duals = {cid: float(y[i]) for i, cid in enumerate(ar.con_ids)}
     rc = {vid: float(d[j]) for j, vid in enumerate(ar.var_ids)}
     basic = frozenset(ar.var_ids[j] for j in basis if j < ar.n)
-    if keep_warm:
-        _store_warm(model, ar, basis, vstat, binv)
+    _store_warm(model, ar, basis, vstat, binv)
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, rc, basic)
 
 
@@ -688,32 +743,6 @@ def _solve_mip_bundled(
 # ---------------------------------------------------------------------------
 
 
-def _highs_matrices(model: Model):
-    var_ids = sorted(model._vars)
-    con_ids = sorted(model._cons)
-    row_of = {cid: i for i, cid in enumerate(con_ids)}
-    n, m = len(var_ids), len(con_ids)
-    c = np.zeros(n)
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    integrality = np.zeros(n)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for j, vid in enumerate(var_ids):
-        var = model._vars[vid]
-        c[j] = -var.obj  # scipy minimizes
-        lo[j], hi[j] = var.lo, var.hi
-        integrality[j] = 1.0 if var.kind is VarKind.BINARY else 0.0
-        for cid, coef in var.coeffs.items():
-            rows.append(row_of[cid])
-            cols.append(j)
-            data.append(coef)
-    a = sp.csr_matrix((data, (rows, cols)), shape=(m, n))
-    b = np.asarray([model._cons[cid] for cid in con_ids], dtype=float)
-    return var_ids, con_ids, c, a, b, lo, hi, integrality
-
-
 _HIGHS_STATUS = {
     0: SolveStatus.OPTIMAL,
     1: SolveStatus.NUMERICAL_FAILURE,  # iteration limit
@@ -726,13 +755,15 @@ _HIGHS_STATUS = {
 def _solve_lp_highs(model: Model) -> LpSolution:
     from scipy.optimize import linprog
 
-    var_ids, con_ids, c, a, b, lo, hi, _ = _highs_matrices(model)
+    mat = model.arrays()
+    var_ids, con_ids, a, b = mat.var_ids, mat.con_ids, mat.a, mat.b
     if len(var_ids) == 0:
         feasible = bool(np.all(b >= -FEAS_TOL))
         status = SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE
         duals = {cid: 0.0 for cid in con_ids} if feasible else {}
         return LpSolution(status, 0.0 if feasible else -math.inf, {}, duals)
-    bounds = list(zip(lo, hi))
+    c = -mat.c  # scipy minimizes
+    bounds = list(zip(mat.lo, mat.hi))
     res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
     if res.status in (2, 4):
         # HiGHS presolve may stop at "infeasible or unbounded" (reported as 2)
@@ -760,24 +791,25 @@ def _solve_mip_highs(
 ) -> MipSolution:
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    var_ids, con_ids, c, a, b, lo, hi, integrality = _highs_matrices(model)
+    mat = model.arrays()
+    var_ids = mat.var_ids
     if len(var_ids) == 0:
-        feasible = bool(np.all(b >= -FEAS_TOL))
+        feasible = bool(np.all(mat.b >= -FEAS_TOL))
         return MipSolution(
             SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
             0.0 if feasible else -math.inf,
             {},
             0.0 if feasible else math.inf,
         )
-    constraints = LinearConstraint(a, -np.inf, b) if len(con_ids) else None
+    constraints = LinearConstraint(mat.a, -np.inf, mat.b) if len(mat.con_ids) else None
     options: dict = {"mip_rel_gap": relative_gap}
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.01)
     res = milp(
-        c,
+        -mat.c,  # scipy minimizes
         constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lo, hi),
+        integrality=mat.integrality,
+        bounds=Bounds(mat.lo, mat.hi),
         options=options,
     )
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)

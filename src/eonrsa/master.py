@@ -81,9 +81,6 @@ class Configuration:
     def served_atomics(self) -> frozenset[int]:
         return frozenset(k for lp in self.lightpaths for k in lp.members)
 
-    def served_keys(self) -> frozenset[int]:
-        return frozenset(lp.request_key for lp in self.lightpaths)
-
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(cell for lp in self.lightpaths for cell in lp.cells())
 
@@ -165,9 +162,6 @@ class MasterDuals:
             mu_cell=self.mu_cell + delta,
         )
 
-    def window_sum(self, link: int, start_slot: int, width: int) -> float:
-        return float(self.mu_cell[link, start_slot - 1 : start_slot - 1 + width].sum())
-
 
 @dataclass(frozen=True)
 class ProvisioningPlan:
@@ -180,12 +174,6 @@ class ProvisioningPlan:
     @property
     def throughput_gbps(self) -> float:
         return self.throughput_slots * self.slot_rate_gbps
-
-    def distinct_lightpaths(self) -> list[Lightpath]:
-        seen: dict[tuple, Lightpath] = {}
-        for lp in self.assignments.values():
-            seen.setdefault((lp.request_key, lp.path.links, lp.start_slot), lp)
-        return list(seen.values())
 
 
 class RestrictedMaster:
@@ -233,7 +221,7 @@ class RestrictedMaster:
 
     def column_coefficients(self, vid: int) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
         """Stored coefficients of a column: (covered atomics, occupied cells)."""
-        coeffs = self.model._vars[vid].coeffs
+        _, coeffs = self.model.column(vid)
         row_to_request = {row: k for k, row in self._row_request.items()}
         row_to_cell = {row: cell for cell, row in self._row_cell.items()}
         atomics = frozenset(row_to_request[c] for c, v in coeffs.items() if v == -1.0)
@@ -266,7 +254,8 @@ class RestrictedMaster:
         and doubles as the prune-invariance check.
         """
         sol = self._solve_lp_checked()
-        self._prune(sol)
+        for vid in self.model.prune(sol, self._columns):
+            del self._columns[vid]
         sol2 = self._solve_lp_checked()
         self.prune_checks.append((sol.objective, sol2.objective))
         if abs(sol.objective - sol2.objective) > 1e-6 * (1.0 + abs(sol.objective)):
@@ -282,22 +271,6 @@ class RestrictedMaster:
             raise RuntimeError(f"master LP solve failed: {sol.status}")
         return sol
 
-    def _prune(self, sol) -> None:
-        drop = []
-        for vid in self._columns:
-            if sol.values.get(vid, 0.0) > INT_TOL:
-                continue
-            if sol.basic_variables is not None:
-                if vid in sol.basic_variables:
-                    continue
-            elif sol.reduced_costs is not None and abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
-                continue  # degenerate-optimal column; backend hides the basis
-            drop.append(vid)
-        if drop:
-            self.model.remove_variables(drop)
-            for vid in drop:
-                del self._columns[vid]
-
     def _duals_from(self, sol) -> MasterDuals:
         mu_request = {k: sol.duals[row] for k, row in self._row_request.items()}
         links = self.instance.topology.num_links
@@ -311,15 +284,12 @@ class RestrictedMaster:
     def solve_final_ilp(
         self,
         relative_gap: float,
-        use_warm_basis: bool = False,
         deadline: Optional[float] = None,
     ) -> tuple[float, list[Configuration], MipSolution]:
-        """Restrict columns to {0,1} and solve; y integrality must emerge."""
+        """Restrict columns to {0,1} and solve from a fresh start; y integrality must emerge."""
         for vid in self._columns:
             self.model.set_kind(vid, VarKind.BINARY)
-        mip = self.model.solve_mip(
-            relative_gap, use_warm_start=use_warm_basis, deadline=deadline
-        )
+        mip = self.model.solve_mip(relative_gap, use_warm_start=False, deadline=deadline)
         if mip.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE):
             raise RuntimeError(f"final ILP failed: {mip.status}")
         if not mip.values:  # timed out before any incumbent

@@ -147,7 +147,7 @@ class _InnerProblem:
             link: self.model.add_constraint({}, 1.0)
             for link in range(instance.topology.num_links)
         }
-        self._columns: dict[int, tuple[PricingRequest, Path, float]] = {}
+        self._columns: dict[int, tuple[PricingRequest, Path]] = {}
         self._present: dict[int, set[tuple[int, ...]]] = {p.key: set() for p in eligible}
         self._weights = {p.key: _link_weights(duals, None, s, p.width) for p in eligible}
 
@@ -161,7 +161,7 @@ class _InnerProblem:
         for link in path.links:
             coeffs[self._row_link[link]] = 1.0
         vid = self.model.add_variable(obj=value, lo=0.0, hi=math.inf, coeffs=coeffs)
-        self._columns[vid] = (request, path, value)
+        self._columns[vid] = (request, path)
         self._present[request.key].add(path.links)
         return vid
 
@@ -169,29 +169,14 @@ class _InnerProblem:
         sol = self.model.solve_lp(use_warm_start=True)
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing LP failed: {sol.status}")
-        self._prune(sol)
+        for vid in self.model.prune(sol, self._columns):
+            request, path = self._columns.pop(vid)
+            self._present[request.key].discard(path.links)
         nu_request = {k: sol.duals[row] for k, row in self._row_atomic.items()}
         nu_link = np.zeros(self.instance.topology.num_links)
         for link, row in self._row_link.items():
             nu_link[link] = sol.duals[row]
         return sol.objective, PricingDuals(nu_request=nu_request, nu_link=nu_link)
-
-    def _prune(self, sol) -> None:
-        drop = []
-        for vid in self._columns:
-            if sol.values.get(vid, 0.0) > 1e-6:
-                continue
-            if sol.basic_variables is not None:
-                if vid in sol.basic_variables:
-                    continue
-            elif sol.reduced_costs is not None and abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
-                continue
-            drop.append(vid)
-        if drop:
-            self.model.remove_variables(drop)
-            for vid in drop:
-                request, path, _ = self._columns.pop(vid)
-                self._present[request.key].discard(path.links)
 
     def solve_ilp(self) -> tuple[float, list[Lightpath]]:
         for vid in self._columns:
@@ -200,7 +185,7 @@ class _InnerProblem:
         if mip.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing ILP failed: {mip.status}")
         chosen = []
-        for vid, (request, path, _) in sorted(self._columns.items()):
+        for vid, (request, path) in sorted(self._columns.items()):
             if mip.values.get(vid, 0.0) > 0.5:
                 chosen.append(
                     Lightpath(
@@ -255,7 +240,7 @@ def price_slot(
     if not converged:
         rc_lp_star = math.inf  # inner CG failed to settle; slot cannot certify
 
-    if not inner._columns:
+    if not inner.model.num_variables:
         return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
 
     rc_ilp, chosen = inner.solve_ilp()

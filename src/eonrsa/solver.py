@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,21 +21,17 @@ from .pricing import PricingResult, price_slot
 
 DEFAULT_FINAL_GAP = 0.1
 
+# Inner pricing LPs are tiny; the bundled engine beats the per-call overhead
+# of an external one regardless of the master's backend.
+PRICING_BACKEND = "bundled"
+
 
 @dataclass(frozen=True)
 class SolveConfig:
     final_ilp_relative_gap: float = DEFAULT_FINAL_GAP
     improvement_tolerance: float = 1e-6
-    dual_clamp: bool = True
     max_wall_clock_seconds: float = 0.0  # 0 = unlimited
-    parallel_pricing: bool = False
-    threads: int = 0  # 0 = executor default; only used with parallel_pricing
-    deterministic: bool = True
     backend: str = "bundled"
-    # Inner pricing LPs are tiny; the bundled engine beats the per-call
-    # overhead of an external one regardless of the master's backend.
-    pricing_backend: str = "bundled"
-    final_ilp_use_warm_basis: bool = False  # fresh start before the ILP by default
     max_outer_iterations: int = 10_000
     record_dual_snapshots: bool = False
 
@@ -45,6 +40,10 @@ class SolveConfig:
             raise ValueError("final_ilp_relative_gap must lie in [0, 1)")
         if self.improvement_tolerance <= 0.0:
             raise ValueError("improvement_tolerance must be positive")
+        if not 0.0 <= self.max_wall_clock_seconds < math.inf:
+            raise ValueError("max_wall_clock_seconds must be finite and non-negative")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be at least 1")
 
 
 @dataclass
@@ -148,10 +147,20 @@ def solve(
         value, duals = rmp.solve_lp_and_prune()
         lp_trace.append(value)
         z_lp_star = value
-        snapshot = duals.clamped() if config.dual_clamp else duals
         if config.record_dual_snapshots:
             snapshots.append(duals)
-        results = _price_all_slots(instance, snapshot, slot_requests, config)
+        # price_slot clamps the duals on entry
+        results = [
+            price_slot(
+                instance,
+                s,
+                duals,
+                pricing_requests=slot_requests,
+                backend=PRICING_BACKEND,
+                tolerance=config.improvement_tolerance,
+            )
+            for s in range(1, instance.spectrum_slots + 1)
+        ]
         improving = [r for r in results if r.configuration is not None]
         if not improving:
             final_results = results
@@ -172,11 +181,7 @@ def solve(
     lp_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()
-    z_ilp, selected, mip = rmp.solve_final_ilp(
-        config.final_ilp_relative_gap,
-        use_warm_basis=config.final_ilp_use_warm_basis,
-        deadline=deadline,
-    )
+    z_ilp, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
     plan = rmp.post_process(selected)
     ilp_seconds = time.monotonic() - t1
 
@@ -212,28 +217,3 @@ def solve(
     )
     return report, plan
 
-
-def _price_all_slots(
-    instance: Instance,
-    duals: MasterDuals,
-    slot_requests: Sequence[PricingRequest],
-    config: SolveConfig,
-) -> list[PricingResult]:
-    slots = range(1, instance.spectrum_slots + 1)
-
-    def one(s: int) -> PricingResult:
-        return price_slot(
-            instance,
-            s,
-            duals,
-            pricing_requests=slot_requests,
-            backend=config.pricing_backend,
-            tolerance=config.improvement_tolerance,
-        )
-
-    if not config.parallel_pricing:
-        return [one(s) for s in slots]
-    workers = config.threads if config.threads > 0 else None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, slots))
-    return sorted(results, key=lambda r: r.slot)

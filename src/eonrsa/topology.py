@@ -11,7 +11,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvariantViolation, ParseError
 
@@ -87,9 +87,6 @@ class Topology:
     def neighbors(self, node: str) -> Sequence[tuple[int, str]]:
         """(link id, other endpoint) pairs, sorted by link id."""
         return self._adjacency[node]
-
-    def link_endpoints(self, link_id: int) -> tuple[str, str]:
-        return self.links[link_id]
 
     def node_pairs(self) -> list[tuple[str, str]]:
         """All unordered node pairs, in node-list order."""
@@ -217,8 +214,3 @@ def enumerate_simple_paths(
     extend(source, (), (source,))
     results.sort(key=lambda p: (p.hops, p.links))
     return results
-
-
-def iter_links(topology: Topology) -> Iterable[tuple[int, str, str]]:
-    for link_id, (a, b) in enumerate(topology.links):
-        yield link_id, a, b

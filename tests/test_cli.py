@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -135,7 +136,6 @@ def test_solve_deterministic_rows_match(tmp_path, capsys):
         "40",
         "--gap",
         "0",
-        "--deterministic",
         "--format",
         "csv",
     ]
@@ -143,8 +143,13 @@ def test_solve_deterministic_rows_match(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(args + ["--out-dir", str(tmp_path / "r2")]) == EXIT_OK
     second = capsys.readouterr().out
-    strip = lambda text: [",".join(line.split(",")[:8]) for line in text.splitlines()]
+    timing_columns = {"lp_sec", "ilp_sec", "total_sec"}
+    strip = lambda text: [
+        {k: v for k, v in row.items() if k not in timing_columns}
+        for row in csv.DictReader(text.splitlines())
+    ]
     assert strip(first) == strip(second)  # identical modulo timing columns
+    assert "certified" in strip(first)[0]
 
 
 def test_verify_prints_bound_sandwich(toy_instance_file, capsys):
@@ -186,7 +191,6 @@ def test_guardband_cap_refused_with_clear_error(tmp_path, capsys, two_node):
 
 
 def test_cross_process_determinism(tmp_path):
-    import csv
     import subprocess
     import sys
     from pathlib import Path
@@ -208,7 +212,6 @@ def test_cross_process_determinism(tmp_path):
         "30",
         "--gap",
         "0",
-        "--deterministic",
     ]
     # the directory that holds the imported package: src/ in a checkout,
     # site-packages in an install

@@ -78,12 +78,12 @@ def test_column_coefficient_mapping(small_instance):
         lightpaths=(_lp(0, (0,), ("a", "b"), 5, 4),),
     )
     vid = rmp.add_column(config)
-    var = rmp.model._vars[vid]
-    rows = {cid for cid, coef in var.coeffs.items() if coef == 1.0}
+    obj, coeffs = rmp.model.column(vid)
+    rows = {cid for cid, coef in coeffs.items() if coef == 1.0}
     expected_cells = {rmp._row_cell[(0, s)] for s in (5, 6, 7, 8)}
     assert rows == expected_cells
-    assert var.coeffs[rmp._row_request[0]] == -1.0
-    assert var.obj == 0.0  # objective rides on the grant variables
+    assert coeffs[rmp._row_request[0]] == -1.0
+    assert obj == 0.0  # objective rides on the grant variables
 
 
 def test_shared_link_rejected(small_instance):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -82,9 +83,9 @@ def test_certify_requires_finished_run():
         certify([_res(1, 0.5, 0.5)])
 
 
-def test_deterministic_repeats(two_node):
+def test_deterministic_repeats():
     inst = make_random_tiny_instance(17)
-    cfg = SolveConfig(final_ilp_relative_gap=0.0, deterministic=True)
+    cfg = SolveConfig(final_ilp_relative_gap=0.0)
     r1, p1 = solve(inst, cfg)
     r2, p2 = solve(inst, cfg)
     skip = {"timings", "dual_snapshots"}
@@ -95,18 +96,6 @@ def test_deterministic_repeats(two_node):
     assert {k: (lp.path.links, lp.start_slot) for k, lp in p1.assignments.items()} == {
         k: (lp.path.links, lp.start_slot) for k, lp in p2.assignments.items()
     }
-
-
-def test_parallel_pricing_matches_sequential():
-    inst = make_random_tiny_instance(23)
-    seq, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
-    par, _ = solve(
-        inst,
-        SolveConfig(final_ilp_relative_gap=0.0, parallel_pricing=True, threads=4),
-    )
-    assert seq.z_lp_star_slots == pytest.approx(par.z_lp_star_slots)
-    assert seq.z_ilp_slots == pytest.approx(par.z_ilp_slots)
-    assert seq.columns_generated == par.columns_generated
 
 
 def test_lp_trace_monotone_and_bounds_ordered():
@@ -137,7 +126,12 @@ def test_gap_config_validation():
         SolveConfig(final_ilp_relative_gap=1.5)
     with pytest.raises(ValueError):
         SolveConfig(improvement_tolerance=0.0)
-
+    for seconds in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolveConfig(max_wall_clock_seconds=seconds)
+    with pytest.raises(ValueError):
+        SolveConfig(max_outer_iterations=0)
+    SolveConfig(max_wall_clock_seconds=0.0, max_outer_iterations=1)  # 0 s = unlimited
 
 def test_unreachable_request_is_rejected_not_fatal():
     from eonrsa import Topology
