@@ -21,7 +21,7 @@ import enum
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -101,12 +101,14 @@ class MipSolution:
 class _WarmState:
     """Basis carried between LP solves of one model (bundled backend)."""
 
-    basis_keys: list  # row position -> var id, or ("slack", con_id)
-    at_upper: set  # keys of nonbasic columns sitting at their upper bound
+    basis_keys: list[int]  # row position -> var id, or -1 - con id for a slack
+    at_upper: set[int]  # keys of nonbasic columns sitting at their upper bound
     binv: np.ndarray
 
 
 _BASIC, _AT_LO, _AT_UP = 0, 1, 2
+# by status: a nonbasic column may enter iff _IMPROVING_SIGN[vstat] * d > OPT_TOL
+_IMPROVING_SIGN = np.array([0.0, 1.0, -1.0])
 
 
 class Model:
@@ -121,6 +123,7 @@ class Model:
         self._next_var = 0
         self._next_con = 0
         self._warm: Optional[_WarmState] = None
+        self._simplex_arrays: Optional[_Arrays] = None  # dropped on every edit
 
     # -- editing ---------------------------------------------------------
 
@@ -146,6 +149,7 @@ class Model:
         if kind is VarKind.BINARY:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
         self._vars[vid] = _VarData(obj=float(obj), lo=lo, hi=hi, kind=kind, coeffs=coeffs)
+        self._simplex_arrays = None
         return vid
 
     def add_constraint(self, coeffs: Mapping[int, float], rhs: float) -> int:
@@ -162,6 +166,7 @@ class Model:
             if coef != 0.0:
                 self._vars[vid].coeffs[cid] = float(coef)
         self._warm = None  # row set changed; cached basis no longer lines up
+        self._simplex_arrays = None
         return cid
 
     def remove_variables(self, ids: Iterable[int]) -> None:
@@ -169,6 +174,7 @@ class Model:
         for vid in ids:
             if vid not in self._vars:
                 raise UnknownId(f"variable {vid} does not exist")
+        self._simplex_arrays = None
         for vid in ids:
             del self._vars[vid]
             if self._warm is not None:
@@ -181,6 +187,7 @@ class Model:
             raise UnknownId(f"variable {vid} does not exist")
         var = self._vars[vid]
         var.kind = kind
+        self._simplex_arrays = None
         if kind is VarKind.BINARY:
             var.lo, var.hi = max(var.lo, 0.0), min(var.hi, 1.0)
 
@@ -330,6 +337,8 @@ class _Arrays:
     var_ids: list[int]
     con_ids: list[int]
     a_ext: sp.csc_matrix  # m x ncols
+    a_t: sp.csr_matrix  # a_ext transposed, for pricing all columns at once
+    keys: list[int]  # column position -> warm-start key (see _WarmState)
     b: np.ndarray
     c: np.ndarray
     lo: np.ndarray
@@ -339,11 +348,19 @@ class _Arrays:
 
 
 def _build_arrays(model: Model, overrides: Optional[dict[int, tuple[float, float]]]) -> _Arrays:
-    mat = model.arrays()
+    # kept on the model until its next edit: the nodes of one B&B share a build
+    if model._simplex_arrays is None:
+        model._simplex_arrays = _arrays_with_slacks(model.arrays())
+    base = model._simplex_arrays
+    lo, hi = base.lo.copy(), base.hi.copy()
+    for vid, (lo_j, hi_j) in (overrides or {}).items():
+        j = bisect_left(base.var_ids, vid)
+        lo[j], hi[j] = lo_j, hi_j
+    return replace(base, lo=lo, hi=hi)
+
+
+def _arrays_with_slacks(mat: ModelArrays) -> _Arrays:
     n, m = len(mat.var_ids), len(mat.con_ids)
-    for vid, bounds in (overrides or {}).items():
-        j = bisect_left(mat.var_ids, vid)
-        mat.lo[j], mat.hi[j] = bounds
     a, slack = mat.a, np.arange(m, dtype=np.int32)
     a_ext = sp.csc_matrix(
         (
@@ -356,7 +373,8 @@ def _build_arrays(model: Model, overrides: Optional[dict[int, tuple[float, float
     c = np.concatenate([mat.c, np.zeros(m)])
     lo = np.concatenate([mat.lo, np.zeros(m)])
     hi = np.concatenate([mat.hi, np.full(m, math.inf)])
-    return _Arrays(mat.var_ids, mat.con_ids, a_ext, mat.b, c, lo, hi, n, m)
+    keys = mat.var_ids + [-1 - cid for cid in mat.con_ids]
+    return _Arrays(mat.var_ids, mat.con_ids, a_ext, a_ext.T.tocsr(), keys, mat.b, c, lo, hi, n, m)
 
 
 class _SimplexRun:
@@ -371,6 +389,7 @@ class _SimplexRun:
         self.m = ar.m
         self.bland = bland
         self.a_ext = ar.a_ext
+        self.a_t = ar.a_t
         self.lo = ar.lo
         self.hi = ar.hi
         self.ncols = ar.a_ext.shape[1]
@@ -410,6 +429,7 @@ class _SimplexRun:
             (-np.ones(na), (rows_needing_art, np.arange(na))), shape=(self.m, na)
         )
         self.a_ext = sp.hstack([self.a_ext, art], format="csc")
+        self.a_t = self.a_ext.T.tocsr()
         self.lo = np.concatenate([self.lo, np.zeros(na)])
         self.hi = np.concatenate([self.hi, np.full(na, math.inf)])
         vstat = np.concatenate([vstat, np.full(na, _AT_LO, dtype=np.int8)])
@@ -437,9 +457,11 @@ class _SimplexRun:
 
     def run(self, c, basis, vstat, binv):
         """Pivot to optimality. Returns (status, xb, y, d, binv)."""
-        a_t = self.a_ext.T.tocsr()
+        a_t = self.a_t
         lo, hi = self.lo, self.hi
         xb = self._xb(vstat, binv)
+        # cost and bounds of the basic columns, row by row; kept up to date per pivot
+        cb, lob, hib = c[basis], lo[basis], hi[basis]
         degen_run = 0
         bland = self.bland
         it = 0
@@ -450,30 +472,26 @@ class _SimplexRun:
             if it % self.check_period == 0 and self._residual(basis, vstat, xb) > 1e-8:
                 binv = self._refactor(basis)
                 xb = self._xb(vstat, binv)
-            y = c[basis] @ binv
+            y = cb @ binv
             d = c - a_t @ y
-            cand = ((vstat == _AT_LO) & (d > OPT_TOL)) | ((vstat == _AT_UP) & (d < -OPT_TOL))
-            idx = np.flatnonzero(cand)
-            if len(idx) == 0:
+            cand = _IMPROVING_SIGN[vstat] * d > OPT_TOL
+            if not cand.any():
                 return SolveStatus.OPTIMAL, xb, y, d, binv
-            e = idx[0] if bland else idx[np.argmax(np.abs(d[idx]))]
+            # Bland: the first candidate; Dantzig: the first of the largest |d|
+            e = cand.argmax() if bland else np.where(cand, np.abs(d), -1.0).argmax()
             t = 1.0 if vstat[e] == _AT_LO else -1.0
             rows_e, data_e = self._column(e)
             w = binv[:, rows_e] @ data_e
             tw = t * w
 
-            # ratio test (vectorized); basic values move by -tw * step
-            ratios = np.full(self.m, math.inf)
-            pos = tw > PIVOT_TOL
-            if pos.any():
-                room = xb[pos] - lo[basis[pos]]
-                ratios[pos] = np.maximum(room, 0.0) / tw[pos]
-            neg = tw < -PIVOT_TOL
-            if neg.any():
-                hib = hi[basis[neg]]
-                room = hib - xb[neg]
-                r = np.where(np.isfinite(hib), np.maximum(room, 0.0) / (-tw[neg]), math.inf)
-                ratios[neg] = r
+            # ratio test (vectorized); basic values move by -tw * step, so a
+            # row with tw > 0 runs down to its lower bound and one with tw < 0
+            # up to its upper bound (never, when that is infinite)
+            abs_tw = np.abs(tw)
+            room = np.maximum(np.where(tw > 0, xb - lob, hib - xb), 0.0)
+            ratios = np.divide(
+                room, abs_tw, out=np.full(self.m, math.inf), where=abs_tw > PIVOT_TOL
+            )
             min_ratio = ratios.min() if self.m else math.inf
             flip = hi[e] - lo[e]
 
@@ -485,14 +503,16 @@ class _SimplexRun:
                 xb = xb - tw * step
                 vstat[e] = _AT_UP if vstat[e] == _AT_LO else _AT_LO
             else:
-                tie = np.flatnonzero(ratios <= min_ratio + 1e-12)
-                leave_r = int(tie[np.argmin(basis[tie])])
+                # among tied rows, the one whose basic column has the lowest index
+                tie = ratios <= min_ratio + 1e-12
+                leave_r = int(np.where(tie, basis, self.ncols).argmin())
                 step = max(ratios[leave_r], 0.0)
                 lv = basis[leave_r]
                 vstat[lv] = _AT_LO if tw[leave_r] > 0 else _AT_UP
                 xb = xb - tw * step
                 xb[leave_r] = (lo[e] if t > 0 else hi[e]) + t * step
                 basis[leave_r] = e
+                cb[leave_r], lob[leave_r], hib[leave_r] = c[e], lo[e], hi[e]
                 vstat[e] = _BASIC
                 row = binv[leave_r] / w[leave_r]
                 # rank-1 eta update in place (dger needs Fortran layout)
@@ -519,15 +539,11 @@ def _warm_state(model: Model, ar: _Arrays):
     warm = model._warm
     if warm is None or len(warm.basis_keys) != ar.m:
         return None
-    col_of: dict = {vid: j for j, vid in enumerate(ar.var_ids)}
-    for i, cid in enumerate(ar.con_ids):
-        col_of[("slack", cid)] = ar.n + i
-    basis = np.empty(ar.m, dtype=np.int64)
-    for i, key in enumerate(warm.basis_keys):
-        j = col_of.get(key)
-        if j is None:
-            return None
-        basis[i] = j
+    col_of = dict(zip(ar.keys, range(len(ar.keys))))
+    positions = [col_of.get(key) for key in warm.basis_keys]
+    if None in positions:
+        return None
+    basis = np.array(positions, dtype=np.int64)
     vstat = np.full(ar.n + ar.m, _AT_LO, dtype=np.int8)
     for key in warm.at_upper:
         j = col_of.get(key)
@@ -538,17 +554,10 @@ def _warm_state(model: Model, ar: _Arrays):
 
 
 def _store_warm(model: Model, ar: _Arrays, basis, vstat, binv) -> None:
-    keys: list = []
-    for j in basis:
-        if j < ar.n:
-            keys.append(ar.var_ids[j])
-        elif j < ar.n + ar.m:
-            keys.append(("slack", ar.con_ids[j - ar.n]))
-        else:
-            return  # an artificial is still basic; not worth caching
-    at_upper = set()
-    for j in np.flatnonzero(vstat[: ar.n + ar.m] == _AT_UP):
-        at_upper.add(ar.var_ids[j] if j < ar.n else ("slack", ar.con_ids[j - ar.n]))
+    if basis.max() >= ar.n + ar.m:
+        return  # an artificial is still basic; not worth caching
+    keys = [ar.keys[j] for j in basis.tolist()]
+    at_upper = {ar.keys[j] for j in np.flatnonzero(vstat[: ar.n + ar.m] == _AT_UP).tolist()}
     model._warm = _WarmState(basis_keys=keys, at_upper=at_upper, binv=binv.copy())
 
 
@@ -650,10 +659,10 @@ def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
     if not (primal_ok and gap_ok and dual_ok):
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, obj, {}, {})
 
-    values = {vid: float(x[j]) for j, vid in enumerate(ar.var_ids)}
-    duals = {cid: float(y[i]) for i, cid in enumerate(ar.con_ids)}
-    rc = {vid: float(d[j]) for j, vid in enumerate(ar.var_ids)}
-    basic = frozenset(ar.var_ids[j] for j in basis if j < ar.n)
+    values = dict(zip(ar.var_ids, x[: ar.n].tolist()))
+    duals = dict(zip(ar.con_ids, y.tolist()))
+    rc = dict(zip(ar.var_ids, d[: ar.n].tolist()))
+    basic = frozenset(ar.var_ids[j] for j in basis[basis < ar.n].tolist())
     _store_warm(model, ar, basis, vstat, binv)
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, rc, basic)
 
@@ -700,7 +709,8 @@ def _solve_mip_bundled(
         bound, overrides = stack.pop()
         if bound <= inc_val + 1e-9:
             continue
-        sol = _solve_lp_bundled(model, use_warm_start=True, overrides=overrides)
+        # the root node is the LP just solved; re-solving it changes nothing
+        sol = _solve_lp_bundled(model, use_warm_start=True, overrides=overrides) if overrides else root
         if sol.status is SolveStatus.INFEASIBLE:
             continue
         if sol.status is not SolveStatus.OPTIMAL:

@@ -108,13 +108,25 @@ def generate_lightpath(
     Link weight = clamped window sum of cell duals + clamped link dual; the
     path minimizes it, and the lightpath qualifies iff (mu - nu) - dist > tol.
     """
+    nu_link = pricing_duals.nu_link if pricing_duals is not None else None
+    weights = _link_weights(master_duals, nu_link, s, request.width)
+    return _lightpath_under(instance, request, master_duals, pricing_duals, weights, tolerance)
+
+
+def _lightpath_under(
+    instance: Instance,
+    request: PricingRequest,
+    master_duals: MasterDuals,
+    pricing_duals: Optional[PricingDuals],
+    weights: np.ndarray,
+    tolerance: float,
+) -> Optional[tuple[Path, float]]:
+    """generate_lightpath with the request's link weights already computed."""
     gain = sum(master_duals.mu_request.get(k, 0.0) for k in request.members)
     if pricing_duals is not None:
         gain -= sum(pricing_duals.nu_request.get(k, 0.0) for k in request.members)
     if gain <= tolerance:
         return None  # no positive weight can be beaten by a non-negative distance
-    nu_link = pricing_duals.nu_link if pricing_duals is not None else None
-    weights = _link_weights(master_duals, nu_link, s, request.width)
     found = shortest_path(instance.topology, request.source, request.dest, weights)
     if found is None:
         return None
@@ -222,11 +234,14 @@ def price_slot(
     inner = _InnerProblem(instance, s, eligible, duals, backend)
     rc_lp_star = 0.0
     converged = False
+    widths = {p.width for p in eligible}
     for _ in range(MAX_INNER_ROUNDS):
         rc_lp_star, nu = inner.solve_lp()
+        # a request's link weights depend on the request only through its width
+        weights = {w: _link_weights(duals, nu.nu_link, s, w) for w in widths}
         added = 0
         for request in sorted(eligible, key=lambda p: p.key):
-            gen = generate_lightpath(instance, request, s, duals, nu, tolerance)
+            gen = _lightpath_under(instance, request, duals, nu, weights[request.width], tolerance)
             if gen is None:
                 continue
             path, _ = gen

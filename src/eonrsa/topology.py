@@ -13,9 +13,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InvariantViolation, ParseError
 
 BUILTIN_TOPOLOGIES = ("spain21", "usa24")
+
+# Answers a topology keeps for repeated shortest_path queries before it forgets them all.
+PATH_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,8 @@ class Topology:
     nodes: tuple[str, ...]
     links: tuple[tuple[str, str], ...]
     _adjacency: dict = field(init=False, repr=False, compare=False)
+    # shortest_path answers by (source, dest, weight bytes): pricing repeats queries
+    _paths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_set = set(self.nodes)
@@ -75,6 +82,7 @@ class Topology:
         for neighbors in adjacency.values():
             neighbors.sort()
         object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_paths", {})
 
     @property
     def num_nodes(self) -> int:
@@ -126,10 +134,20 @@ def shortest_path(
         raise ValueError("source and destination must differ")
     if len(weights) != topology.num_links:
         raise ValueError(f"expected {topology.num_links} weights, got {len(weights)}")
-    for w in weights:
-        if w < 0:
-            raise ValueError("negative link weight (caller must clamp)")
+    w = np.asarray(weights, dtype=float)
+    if (w < 0).any():
+        raise ValueError("negative link weight (caller must clamp)")
+    key = (source, dest, w.tobytes())
+    if key not in topology._paths:
+        if len(topology._paths) >= PATH_MEMO_SIZE:
+            topology._paths.clear()
+        topology._paths[key] = _dijkstra(topology, source, dest, w.tolist())
+    return topology._paths[key]
 
+
+def _dijkstra(
+    topology: Topology, source: str, dest: str, weights: list[float]
+) -> Optional[tuple[Path, float]]:
     # Labels are (dist, hops, link-seq); Dijkstra finalizes each node once, so
     # the first pop per node is minimal under the full lexicographic order and
     # the resulting path is simple.
