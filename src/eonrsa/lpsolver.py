@@ -1,13 +1,15 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
-Two interchangeable engines sit behind the same ``Model`` contract:
+A ``Model`` keeps one column store, numpy CSC arrays plus objective, bound and
+kind vectors, and two interchangeable engines read it behind the same contract:
 
 * ``"bundled"`` — a bounded-variable revised simplex (explicit basis inverse,
   Dantzig pricing with a Bland anti-cycling fallback) plus a depth-first
-  branch-and-bound. Depends only on numpy/scipy.sparse, so the test suite is
-  self-contained.
+  branch-and-bound. Needs only numpy and scipy's BLAS ``dger``, so the test
+  suite is self-contained.
 * ``"highs"`` — scipy.optimize.linprog / milp (HiGHS). Faster on large
-  models; does not report basis membership.
+  models; does not report basis membership. scipy.sparse and scipy.optimize
+  are imported only when this engine runs.
 
 All models maximize, all constraints are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo) or
@@ -21,11 +23,10 @@ import enum
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.blas import dger
 
 from .errors import UnknownId
@@ -52,31 +53,36 @@ class VarKind(enum.Enum):
     BINARY = "binary"
 
 
-@dataclass
-class _VarData:
-    obj: float
-    lo: float
-    hi: float
-    kind: VarKind
-    coeffs: dict[int, float]  # constraint id -> coefficient
-
-
-@dataclass
+@dataclass(eq=False)
 class ModelArrays:
-    """Column-major snapshot of a model: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
+    """A model's column store: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
 
-    Columns follow `var_ids` and rows follow `con_ids`, both ascending;
-    `integrality` is 1 for binary columns and 0 otherwise.
+    `a` is held in CSC form: column j has the values `data[indptr[j]:indptr[j+1]]`
+    in the rows `indices[indptr[j]:indptr[j+1]]`, ascending. Columns follow
+    `var_ids`, ascending; row i is constraint id i, since constraints are never
+    removed. `binary` flags the binary columns.
     """
 
     var_ids: list[int]
-    con_ids: list[int]
-    a: sp.csc_matrix  # m x n
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     b: np.ndarray
     c: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    integrality: np.ndarray
+    binary: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.var_ids)
+
+    @property
+    def m(self) -> int:
+        return len(self.b)
+
+
+_STORE_FIELDS = ("data", "indices", "indptr", "b", "c", "lo", "hi", "binary")
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,26 @@ class Model:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; available: {BACKENDS}")
         self.backend = backend
-        self._vars: dict[int, _VarData] = {}
-        self._cons: dict[int, float] = {}  # constraint id -> rhs
+        self._store = ModelArrays(
+            var_ids=[],
+            data=np.zeros(0),
+            indices=np.zeros(0, dtype=np.intp),
+            indptr=np.zeros(1, dtype=np.intp),
+            b=np.zeros(0),
+            c=np.zeros(0),
+            lo=np.zeros(0),
+            hi=np.zeros(0),
+            binary=np.zeros(0, dtype=bool),
+        )
         self._next_var = 0
-        self._next_con = 0
         self._warm: Optional[_WarmState] = None
-        self._simplex_arrays: Optional[_Arrays] = None  # dropped on every edit
+
+    def _position(self, vid: int) -> int:
+        ids = self._store.var_ids
+        j = bisect_left(ids, vid)
+        if j == len(ids) or ids[j] != vid:
+            raise UnknownId(f"variable {vid} does not exist")
+        return j
 
     # -- editing ---------------------------------------------------------
 
@@ -140,56 +160,71 @@ class Model:
             raise ValueError("lower bound must be finite")
         if hi < lo:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
+        st = self._store
         coeffs = {cid: float(v) for cid, v in (coeffs or {}).items() if v != 0.0}
         for cid in coeffs:
-            if cid not in self._cons:
+            if cid not in range(st.m):
                 raise UnknownId(f"constraint {cid} does not exist")
+        rows = sorted(coeffs)
         vid = self._next_var
         self._next_var += 1
         if kind is VarKind.BINARY:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
-        self._vars[vid] = _VarData(obj=float(obj), lo=lo, hi=hi, kind=kind, coeffs=coeffs)
-        self._simplex_arrays = None
+        st.var_ids.append(vid)
+        st.data = np.append(st.data, [coeffs[cid] for cid in rows])
+        st.indices = np.append(st.indices, np.array(rows, dtype=np.intp))
+        st.indptr = np.append(st.indptr, st.indptr[-1] + len(rows))
+        st.c = np.append(st.c, float(obj))
+        st.lo = np.append(st.lo, lo)
+        st.hi = np.append(st.hi, hi)
+        st.binary = np.append(st.binary, kind is VarKind.BINARY)
         return vid
 
     def add_constraint(self, coeffs: Mapping[int, float], rhs: float) -> int:
         """New `sum coeffs[v] * x_v <= rhs` row over existing variables."""
         if not math.isfinite(rhs):
             raise ValueError("right-hand side must be finite")
-        for vid in coeffs:
-            if vid not in self._vars:
-                raise UnknownId(f"variable {vid} does not exist")
-        cid = self._next_con
-        self._next_con += 1
-        self._cons[cid] = float(rhs)
-        for vid, coef in coeffs.items():
-            if coef != 0.0:
-                self._vars[vid].coeffs[cid] = float(coef)
+        entries = sorted((self._position(vid), float(coef)) for vid, coef in coeffs.items())
+        entries = [(j, coef) for j, coef in entries if coef != 0.0]
+        st = self._store
+        cid = st.m
+        st.b = np.append(st.b, float(rhs))
+        if entries:
+            # the new row is the last one, so its entry ends each column it touches
+            cols = np.array([j for j, _ in entries], dtype=np.intp)
+            ends = st.indptr[cols + 1]
+            st.data = np.insert(st.data, ends, [coef for _, coef in entries])
+            st.indices = np.insert(st.indices, ends, cid)
+            grown = np.zeros(st.n + 1, dtype=np.intp)
+            grown[cols + 1] = 1
+            st.indptr = st.indptr + np.cumsum(grown)
         self._warm = None  # row set changed; cached basis no longer lines up
-        self._simplex_arrays = None
         return cid
 
     def remove_variables(self, ids: Iterable[int]) -> None:
         ids = list(ids)
+        positions = [self._position(vid) for vid in ids]
+        st = self._store
+        keep = np.ones(st.n, dtype=bool)
+        keep[positions] = False
+        lengths = np.diff(st.indptr)
+        entries = np.repeat(keep, lengths)
+        st.var_ids = [vid for vid, kept in zip(st.var_ids, keep.tolist()) if kept]
+        st.data, st.indices = st.data[entries], st.indices[entries]
+        st.indptr = np.concatenate([[0], np.cumsum(lengths[keep])]).astype(np.intp)
+        st.c, st.lo, st.hi, st.binary = st.c[keep], st.lo[keep], st.hi[keep], st.binary[keep]
         for vid in ids:
-            if vid not in self._vars:
-                raise UnknownId(f"variable {vid} does not exist")
-        self._simplex_arrays = None
-        for vid in ids:
-            del self._vars[vid]
             if self._warm is not None:
                 self._warm.at_upper.discard(vid)
                 if vid in self._warm.basis_keys:
                     self._warm = None  # removed a basic column; basis is stale
 
     def set_kind(self, vid: int, kind: VarKind) -> None:
-        if vid not in self._vars:
-            raise UnknownId(f"variable {vid} does not exist")
-        var = self._vars[vid]
-        var.kind = kind
-        self._simplex_arrays = None
+        j = self._position(vid)
+        st = self._store
+        st.binary[j] = kind is VarKind.BINARY
         if kind is VarKind.BINARY:
-            var.lo, var.hi = max(var.lo, 0.0), min(var.hi, 1.0)
+            st.lo[j], st.hi[j] = max(st.lo[j], 0.0), min(st.hi[j], 1.0)
 
     def prune(self, sol: LpSolution, candidates: Iterable[int]) -> list[int]:
         """Remove the candidates that sit at zero outside the basis of `sol`.
@@ -215,85 +250,59 @@ class Model:
 
     @property
     def num_variables(self) -> int:
-        return len(self._vars)
+        return self._store.n
 
     @property
     def num_constraints(self) -> int:
-        return len(self._cons)
+        return self._store.m
 
     def variable_ids(self) -> list[int]:
-        return sorted(self._vars)
+        return list(self._store.var_ids)
 
     def constraint_ids(self) -> list[int]:
-        return sorted(self._cons)
+        return list(range(self._store.m))
 
     def column(self, vid: int) -> tuple[float, dict[int, float]]:
         """Objective coefficient and {constraint id: coefficient} of a variable."""
-        if vid not in self._vars:
-            raise UnknownId(f"variable {vid} does not exist")
-        var = self._vars[vid]
-        return var.obj, dict(var.coeffs)
+        j = self._position(vid)
+        st = self._store
+        s, e = st.indptr[j], st.indptr[j + 1]
+        return float(st.c[j]), dict(zip(st.indices[s:e].tolist(), st.data[s:e].tolist()))
 
     def binary_ids(self) -> list[int]:
-        return sorted(v for v, d in self._vars.items() if d.kind is VarKind.BINARY)
+        st = self._store
+        return [vid for vid, binary in zip(st.var_ids, st.binary.tolist()) if binary]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        return self._cons == other._cons and self._vars == other._vars
+        a, b = self._store, other._store
+        return a.var_ids == b.var_ids and all(
+            np.array_equal(getattr(a, f), getattr(b, f)) for f in _STORE_FIELDS
+        )
 
     def arrays(self) -> ModelArrays:
-        """The model as one CSC matrix plus dense vectors; both engines read this."""
-        var_ids = sorted(self._vars)
-        con_ids = sorted(self._cons)
-        row_of = {cid: i for i, cid in enumerate(con_ids)}
-        data: list[float] = []
-        rows: list[int] = []
-        indptr = [0]
-        for vid in var_ids:
-            coeffs = self._vars[vid].coeffs
-            for cid in sorted(coeffs):
-                rows.append(row_of[cid])
-                data.append(coeffs[cid])
-            indptr.append(len(data))
-        a = sp.csc_matrix(
-            (
-                np.asarray(data, dtype=float),
-                np.asarray(rows, dtype=np.int32),
-                np.asarray(indptr, dtype=np.int32),
-            ),
-            shape=(len(con_ids), len(var_ids)),
-        )
-        columns = [self._vars[vid] for vid in var_ids]
-        return ModelArrays(
-            var_ids=var_ids,
-            con_ids=con_ids,
-            a=a,
-            b=np.asarray([self._cons[cid] for cid in con_ids], dtype=float),
-            c=np.asarray([v.obj for v in columns], dtype=float),
-            lo=np.asarray([v.lo for v in columns], dtype=float),
-            hi=np.asarray([v.hi for v in columns], dtype=float),
-            integrality=np.asarray(
-                [1.0 if v.kind is VarKind.BINARY else 0.0 for v in columns], dtype=float
-            ),
-        )
+        """The column store that both engines read; valid until the next edit."""
+        return self._store
 
     def to_lp_format(self) -> str:
         """Debug dump in LP-file style."""
-        obj_terms = [f"{v.obj} x{vid}" for vid, v in sorted(self._vars.items()) if v.obj]
+        st = self._store
+        ids, c = st.var_ids, st.c.tolist()
+        row_terms: list[list[str]] = [[] for _ in range(st.m)]
+        for j, vid in enumerate(ids):
+            s, e = st.indptr[j], st.indptr[j + 1]
+            for cid, coef in zip(st.indices[s:e].tolist(), st.data[s:e].tolist()):
+                row_terms[cid].append(f"{coef} x{vid}")
+        obj_terms = [f"{cj} x{vid}" for vid, cj in zip(ids, c) if cj]
         lines = ["Maximize", " obj: " + (" + ".join(obj_terms) if obj_terms else "0")]
         lines.append("Subject To")
-        for cid, rhs in sorted(self._cons.items()):
-            terms = [
-                f"{v.coeffs[cid]} x{vid}"
-                for vid, v in sorted(self._vars.items())
-                if cid in v.coeffs
-            ]
+        for cid, rhs in enumerate(st.b.tolist()):
+            terms = row_terms[cid]
             lines.append(f" c{cid}: " + (" + ".join(terms) if terms else "0") + f" <= {rhs}")
         lines.append("Bounds")
-        for vid, v in sorted(self._vars.items()):
-            hi = "inf" if math.isinf(v.hi) else v.hi
-            lines.append(f" {v.lo} <= x{vid} <= {hi}")
+        for vid, lo, hi in zip(ids, st.lo.tolist(), st.hi.tolist()):
+            lines.append(f" {lo} <= x{vid} <= {'inf' if math.isinf(hi) else hi}")
         binaries = self.binary_ids()
         if binaries:
             lines.append("Binaries")
@@ -330,79 +339,37 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Arrays:
-    """A model's arrays for one simplex solve, with the slack identity appended."""
-
-    var_ids: list[int]
-    con_ids: list[int]
-    a_ext: sp.csc_matrix  # m x ncols
-    a_t: sp.csr_matrix  # a_ext transposed, for pricing all columns at once
-    keys: list[int]  # column position -> warm-start key (see _WarmState)
-    b: np.ndarray
-    c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    n: int  # structural columns
-    m: int
-
-
-def _build_arrays(model: Model, overrides: Optional[dict[int, tuple[float, float]]]) -> _Arrays:
-    # kept on the model until its next edit: the nodes of one B&B share a build
-    if model._simplex_arrays is None:
-        model._simplex_arrays = _arrays_with_slacks(model.arrays())
-    base = model._simplex_arrays
-    lo, hi = base.lo.copy(), base.hi.copy()
-    for vid, (lo_j, hi_j) in (overrides or {}).items():
-        j = bisect_left(base.var_ids, vid)
-        lo[j], hi[j] = lo_j, hi_j
-    return replace(base, lo=lo, hi=hi)
-
-
-def _arrays_with_slacks(mat: ModelArrays) -> _Arrays:
-    n, m = len(mat.var_ids), len(mat.con_ids)
-    a, slack = mat.a, np.arange(m, dtype=np.int32)
-    a_ext = sp.csc_matrix(
-        (
-            np.concatenate([a.data, np.ones(m)]),
-            np.concatenate([a.indices, slack]),
-            np.concatenate([a.indptr, a.indptr[-1] + 1 + slack]),
-        ),
-        shape=(m, n + m),
-    )
-    c = np.concatenate([mat.c, np.zeros(m)])
-    lo = np.concatenate([mat.lo, np.zeros(m)])
-    hi = np.concatenate([mat.hi, np.full(m, math.inf)])
-    keys = mat.var_ids + [-1 - cid for cid in mat.con_ids]
-    return _Arrays(mat.var_ids, mat.con_ids, a_ext, a_ext.T.tocsr(), keys, mat.b, c, lo, hi, n, m)
-
-
 class _SimplexRun:
-    """One bounded-variable primal simplex execution over prepared arrays.
+    """One bounded-variable primal simplex execution over a model's column store.
 
-    Artificial columns (phase 1) are appended past the slack block; the same
-    pivot loop serves both phases.
+    The slack identity follows the structural columns, and artificial columns
+    (phase 1) follow the slacks; the same pivot loop serves both phases. Each
+    product with the matrix sums every row in column order.
     """
 
-    def __init__(self, ar: _Arrays, bland: bool = False, paranoid: bool = False):
-        self.ar = ar
-        self.m = ar.m
+    def __init__(self, mat: ModelArrays, lo, hi, bland: bool = False, paranoid: bool = False):
+        self.mat = mat
+        self.n, self.m = n, m = mat.n, mat.m
         self.bland = bland
-        self.a_ext = ar.a_ext
-        self.a_t = ar.a_t
-        self.lo = ar.lo
-        self.hi = ar.hi
-        self.ncols = ar.a_ext.shape[1]
+        slack = np.arange(m)
+        self.data = np.concatenate([mat.data, np.ones(m)])
+        self.rows = np.concatenate([mat.indices, slack])
+        self.indptr = np.concatenate([mat.indptr, mat.indptr[-1] + 1 + slack])
+        self.cols = np.concatenate([np.repeat(np.arange(n), np.diff(mat.indptr)), n + slack])
+        self.lo = np.concatenate([lo, np.zeros(m)])
+        self.hi = np.concatenate([hi, np.full(m, math.inf)])
+        self.ncols = n + m
         self.check_period = 25 if paranoid else 200
         self.max_iter = 2000 + 20 * (self.m + self.ncols)
         self.art_count = 0
 
     # -- helpers ----------------------------------------------------------
 
-    def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        a = self.a_ext
-        s, e = a.indptr[j], a.indptr[j + 1]
-        return a.indices[s:e], a.data[s:e]
+    def _ax(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, weights=self.data * x[self.cols], minlength=self.m)
+
+    def _aty(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, weights=self.data * y[self.rows], minlength=self.ncols)
 
     def _nonbasic_x(self, vstat: np.ndarray) -> np.ndarray:
         x = np.where(vstat == _AT_UP, self.hi, self.lo)
@@ -410,26 +377,33 @@ class _SimplexRun:
         return x
 
     def _xb(self, vstat: np.ndarray, binv: np.ndarray) -> np.ndarray:
-        r = self.ar.b - self.a_ext @ self._nonbasic_x(vstat)
+        r = self.mat.b - self._ax(self._nonbasic_x(vstat))
         return binv @ r
 
     def _refactor(self, basis: np.ndarray) -> np.ndarray:
-        return np.asfortranarray(np.linalg.inv(self.a_ext[:, basis].toarray()))
+        """Inverse of the basis columns, gathered into a dense matrix."""
+        row_of = np.full(self.ncols, -1)
+        row_of[basis] = np.arange(self.m)
+        k = row_of[self.cols]
+        sel = k >= 0
+        dense = np.zeros((self.m, self.m))
+        dense[self.rows[sel], k[sel]] = self.data[sel]
+        return np.asfortranarray(np.linalg.inv(dense))
 
     def _residual(self, basis, vstat, xb) -> float:
         x = self._nonbasic_x(vstat)
         x[basis] = xb
-        r = self.ar.b - self.a_ext @ x
+        r = self.mat.b - self._ax(x)
         return float(np.max(np.abs(r))) if len(r) else 0.0
 
     def add_artificials(self, basis, vstat, rows_needing_art: np.ndarray):
         """Swap artificial columns into the basis on the given rows."""
         na = len(rows_needing_art)
-        art = sp.csc_matrix(
-            (-np.ones(na), (rows_needing_art, np.arange(na))), shape=(self.m, na)
-        )
-        self.a_ext = sp.hstack([self.a_ext, art], format="csc")
-        self.a_t = self.a_ext.T.tocsr()
+        art = np.arange(na)
+        self.data = np.concatenate([self.data, -np.ones(na)])
+        self.rows = np.concatenate([self.rows, rows_needing_art])
+        self.cols = np.concatenate([self.cols, self.ncols + art])
+        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + 1 + art])
         self.lo = np.concatenate([self.lo, np.zeros(na)])
         self.hi = np.concatenate([self.hi, np.full(na, math.inf)])
         vstat = np.concatenate([vstat, np.full(na, _AT_LO, dtype=np.int8)])
@@ -457,7 +431,6 @@ class _SimplexRun:
 
     def run(self, c, basis, vstat, binv):
         """Pivot to optimality. Returns (status, xb, y, d, binv)."""
-        a_t = self.a_t
         lo, hi = self.lo, self.hi
         xb = self._xb(vstat, binv)
         # cost and bounds of the basic columns, row by row; kept up to date per pivot
@@ -473,15 +446,15 @@ class _SimplexRun:
                 binv = self._refactor(basis)
                 xb = self._xb(vstat, binv)
             y = cb @ binv
-            d = c - a_t @ y
+            d = c - self._aty(y)
             cand = _IMPROVING_SIGN[vstat] * d > OPT_TOL
             if not cand.any():
                 return SolveStatus.OPTIMAL, xb, y, d, binv
             # Bland: the first candidate; Dantzig: the first of the largest |d|
             e = cand.argmax() if bland else np.where(cand, np.abs(d), -1.0).argmax()
             t = 1.0 if vstat[e] == _AT_LO else -1.0
-            rows_e, data_e = self._column(e)
-            w = binv[:, rows_e] @ data_e
+            s_e, e_e = self.indptr[e], self.indptr[e + 1]
+            w = binv[:, self.rows[s_e:e_e]] @ self.data[s_e:e_e]
             tw = t * w
 
             # ratio test (vectorized); basic values move by -tw * step, so a
@@ -527,37 +500,42 @@ class _SimplexRun:
                 degen_run = 0
 
 
-def _cold_state(ar: _Arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ncols = ar.n + ar.m
-    basis = np.arange(ar.n, ncols, dtype=np.int64)
-    vstat = np.full(ncols, _AT_LO, dtype=np.int8)
+def _cold_state(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    basis = np.arange(n, n + m, dtype=np.int64)
+    vstat = np.full(n + m, _AT_LO, dtype=np.int8)
     vstat[basis] = _BASIC
-    return basis, vstat, np.eye(ar.m, order="F")
+    return basis, vstat, np.eye(m, order="F")
 
 
-def _warm_state(model: Model, ar: _Arrays):
+def _warm_state(model: Model, sx: _SimplexRun):
     warm = model._warm
-    if warm is None or len(warm.basis_keys) != ar.m:
+    if warm is None or len(warm.basis_keys) != sx.m:
         return None
-    col_of = dict(zip(ar.keys, range(len(ar.keys))))
-    positions = [col_of.get(key) for key in warm.basis_keys]
+    n = sx.n
+    col_of = {vid: j for j, vid in enumerate(sx.mat.var_ids)}
+    # a slack's key -1 - row sits at column n + row
+    positions = [n - 1 - key if key < 0 else col_of.get(key) for key in warm.basis_keys]
     if None in positions:
         return None
     basis = np.array(positions, dtype=np.int64)
-    vstat = np.full(ar.n + ar.m, _AT_LO, dtype=np.int8)
+    vstat = np.full(n + sx.m, _AT_LO, dtype=np.int8)
     for key in warm.at_upper:
-        j = col_of.get(key)
-        if j is not None and math.isfinite(ar.hi[j]):
+        j = n - 1 - key if key < 0 else col_of.get(key)
+        if j is not None and math.isfinite(sx.hi[j]):
             vstat[j] = _AT_UP
     vstat[basis] = _BASIC
     return basis, vstat, warm.binv.copy(order="F")
 
 
-def _store_warm(model: Model, ar: _Arrays, basis, vstat, binv) -> None:
-    if basis.max() >= ar.n + ar.m:
+def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, binv) -> None:
+    n, ids = sx.n, sx.mat.var_ids
+    if basis.max() >= n + sx.m:
         return  # an artificial is still basic; not worth caching
-    keys = [ar.keys[j] for j in basis.tolist()]
-    at_upper = {ar.keys[j] for j in np.flatnonzero(vstat[: ar.n + ar.m] == _AT_UP).tolist()}
+    keys = [ids[j] if j < n else n - 1 - j for j in basis.tolist()]
+    at_upper = {
+        ids[j] if j < n else n - 1 - j
+        for j in np.flatnonzero(vstat[: n + sx.m] == _AT_UP).tolist()
+    }
     model._warm = _WarmState(basis_keys=keys, at_upper=at_upper, binv=binv.copy())
 
 
@@ -566,42 +544,43 @@ def _solve_lp_bundled(
     use_warm_start: bool = True,
     overrides: Optional[dict[int, tuple[float, float]]] = None,
 ) -> LpSolution:
+    mat = model.arrays()
+    lo, hi = mat.lo, mat.hi
+    if overrides:
+        lo, hi = lo.copy(), hi.copy()
+        for vid, (lo_j, hi_j) in overrides.items():
+            j = bisect_left(mat.var_ids, vid)
+            lo[j], hi[j] = lo_j, hi_j
+    if mat.m == 0:
+        return _solve_unconstrained(mat, lo, hi)
     for attempt in (0, 1):
-        ar = _build_arrays(model, overrides)
-        if ar.m == 0:
-            return _solve_unconstrained(ar)
-        sol = _simplex_solve(
-            model,
-            ar,
-            try_warm=use_warm_start and attempt == 0,
-            bland=attempt == 1,
-            paranoid=attempt == 1,
-        )
+        sx = _SimplexRun(mat, lo, hi, bland=attempt == 1, paranoid=attempt == 1)
+        sol = _simplex_solve(model, sx, try_warm=use_warm_start and attempt == 0)
         if sol.status is not SolveStatus.NUMERICAL_FAILURE:
             return sol
     return sol
 
 
-def _solve_unconstrained(ar: _Arrays) -> LpSolution:
+def _solve_unconstrained(mat: ModelArrays, lo: np.ndarray, hi: np.ndarray) -> LpSolution:
     values: dict[int, float] = {}
     obj = 0.0
-    for j, vid in enumerate(ar.var_ids):
-        cj = ar.c[j]
-        if cj > 0 and not math.isfinite(ar.hi[j]):
+    for j, vid in enumerate(mat.var_ids):
+        cj = mat.c[j]
+        if cj > 0 and not math.isfinite(hi[j]):
             return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
-        x = ar.hi[j] if cj > 0 else ar.lo[j]
+        x = hi[j] if cj > 0 else lo[j]
         values[vid] = float(x)
         obj += cj * x
-    rc = {vid: float(ar.c[j]) for j, vid in enumerate(ar.var_ids)}
+    rc = {vid: float(mat.c[j]) for j, vid in enumerate(mat.var_ids)}
     return LpSolution(SolveStatus.OPTIMAL, obj, values, {}, rc, frozenset())
 
 
-def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
-    sx = _SimplexRun(ar, bland=bland, paranoid=paranoid)
-    state = _warm_state(model, ar) if try_warm else None
+def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
+    n, m = sx.n, sx.m
+    state = _warm_state(model, sx) if try_warm else None
     used_warm = state is not None
     if state is None:
-        state = _cold_state(ar)
+        state = _cold_state(n, m)
     basis, vstat, binv = state
     if used_warm:
         xb = sx._xb(vstat, binv)
@@ -610,30 +589,30 @@ def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
                 binv = sx._refactor(basis)
             except np.linalg.LinAlgError:
                 used_warm = False
-                basis, vstat, binv = _cold_state(ar)
+                basis, vstat, binv = _cold_state(n, m)
     xb = sx._xb(vstat, binv)
     feasible = bool(
         np.all(xb >= sx.lo[basis] - FEAS_TOL) and np.all(xb <= sx.hi[basis] + FEAS_TOL)
     )
     if not feasible and used_warm:
-        basis, vstat, binv = _cold_state(ar)
+        basis, vstat, binv = _cold_state(n, m)
         xb = sx._xb(vstat, binv)
         feasible = bool(np.all(xb >= sx.lo[basis] - FEAS_TOL))
 
     if not feasible:
         bad_rows = np.flatnonzero(xb < sx.lo[basis] - FEAS_TOL)
         basis, vstat = sx.add_artificials(basis, vstat, bad_rows)
-        binv = np.eye(ar.m, order="F")
+        binv = np.eye(m, order="F")
         binv[bad_rows, bad_rows] = -1.0
         status, xb1, _, _, binv = sx.run(sx.phase_one_cost(), basis, vstat, binv)
         if status is not SolveStatus.OPTIMAL:
             return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
-        infeasibility = float(np.sum(np.maximum(xb1[basis >= ar.n + ar.m], 0.0)))
+        infeasibility = float(np.sum(np.maximum(xb1[basis >= n + m], 0.0)))
         if infeasibility > FEAS_TOL:
             return LpSolution(SolveStatus.INFEASIBLE, -math.inf, {}, {})
         sx.fix_artificials_to_zero()
 
-    c = sx.extended_cost(ar.c)
+    c = sx.extended_cost(sx.mat.c)
     status, xb, y, d, binv = sx.run(c, basis, vstat, binv)
     if status is SolveStatus.UNBOUNDED:
         return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
@@ -642,7 +621,8 @@ def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
 
     x = sx._nonbasic_x(vstat)
     x[basis] = xb
-    resid = ar.b - sx.a_ext @ x
+    b = sx.mat.b
+    resid = b - sx._ax(x)
     finite_hi = np.isfinite(sx.hi)
     primal_ok = (
         bool(np.all(resid >= -FEAS_TOL))
@@ -652,18 +632,19 @@ def _simplex_solve(model, ar, try_warm, bland, paranoid) -> LpSolution:
     obj = float(c @ x)
     dpos = np.maximum(d, 0.0)
     dneg = np.minimum(d, 0.0)
-    dual_obj = float(y @ ar.b)
+    dual_obj = float(y @ b)
     dual_obj += float(dpos[finite_hi] @ sx.hi[finite_hi]) + float(dneg @ sx.lo)
     gap_ok = abs(obj - dual_obj) <= FEAS_TOL * (1.0 + abs(obj))
     dual_ok = bool(np.all(y >= -FEAS_TOL)) and bool(np.all(dpos[~finite_hi] <= 1e-7))
     if not (primal_ok and gap_ok and dual_ok):
         return LpSolution(SolveStatus.NUMERICAL_FAILURE, obj, {}, {})
 
-    values = dict(zip(ar.var_ids, x[: ar.n].tolist()))
-    duals = dict(zip(ar.con_ids, y.tolist()))
-    rc = dict(zip(ar.var_ids, d[: ar.n].tolist()))
-    basic = frozenset(ar.var_ids[j] for j in basis[basis < ar.n].tolist())
-    _store_warm(model, ar, basis, vstat, binv)
+    ids = sx.mat.var_ids
+    values = dict(zip(ids, x[:n].tolist()))
+    duals = dict(enumerate(y.tolist()))
+    rc = dict(zip(ids, d[:n].tolist()))
+    basic = frozenset(ids[j] for j in basis[basis < n].tolist())
+    _store_warm(model, sx, basis, vstat, binv)
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, rc, basic)
 
 
@@ -764,14 +745,16 @@ _HIGHS_STATUS = {
 
 def _solve_lp_highs(model: Model) -> LpSolution:
     from scipy.optimize import linprog
+    from scipy.sparse import csc_matrix
 
     mat = model.arrays()
-    var_ids, con_ids, a, b = mat.var_ids, mat.con_ids, mat.a, mat.b
-    if len(var_ids) == 0:
+    b = mat.b
+    if mat.n == 0:
         feasible = bool(np.all(b >= -FEAS_TOL))
         status = SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE
-        duals = {cid: 0.0 for cid in con_ids} if feasible else {}
+        duals = {cid: 0.0 for cid in range(mat.m)} if feasible else {}
         return LpSolution(status, 0.0 if feasible else -math.inf, {}, duals)
+    a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
     c = -mat.c  # scipy minimizes
     bounds = list(zip(mat.lo, mat.hi))
     res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
@@ -784,15 +767,12 @@ def _solve_lp_highs(model: Model) -> LpSolution:
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     if status is not SolveStatus.OPTIMAL:
         return LpSolution(status, -math.inf, {}, {})
-    values = {vid: float(res.x[j]) for j, vid in enumerate(var_ids)}
-    duals = {cid: float(-res.ineqlin.marginals[i]) for i, cid in enumerate(con_ids)}
+    values = dict(zip(mat.var_ids, res.x.tolist()))
+    duals = dict(enumerate((-res.ineqlin.marginals).tolist()))
     rc = None
     if getattr(res, "lower", None) is not None and getattr(res, "upper", None) is not None:
         # bound marginals carry the min-sense reduced costs; negate for max
-        rc = {
-            vid: float(-(res.lower.marginals[j] + res.upper.marginals[j]))
-            for j, vid in enumerate(var_ids)
-        }
+        rc = dict(zip(mat.var_ids, (-(res.lower.marginals + res.upper.marginals)).tolist()))
     return LpSolution(SolveStatus.OPTIMAL, float(-res.fun), values, duals, rc, None)
 
 
@@ -800,10 +780,10 @@ def _solve_mip_highs(
     model: Model, relative_gap: float, deadline: Optional[float] = None
 ) -> MipSolution:
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_matrix
 
     mat = model.arrays()
-    var_ids = mat.var_ids
-    if len(var_ids) == 0:
+    if mat.n == 0:
         feasible = bool(np.all(mat.b >= -FEAS_TOL))
         return MipSolution(
             SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
@@ -811,14 +791,15 @@ def _solve_mip_highs(
             {},
             0.0 if feasible else math.inf,
         )
-    constraints = LinearConstraint(mat.a, -np.inf, mat.b) if len(mat.con_ids) else None
+    a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
+    constraints = LinearConstraint(a, -np.inf, mat.b) if mat.m else None
     options: dict = {"mip_rel_gap": relative_gap}
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.01)
     res = milp(
         -mat.c,  # scipy minimizes
         constraints=constraints,
-        integrality=mat.integrality,
+        integrality=mat.binary,
         bounds=Bounds(mat.lo, mat.hi),
         options=options,
     )
@@ -827,7 +808,7 @@ def _solve_mip_highs(
         status = SolveStatus.TIME_LIMIT
     if res.x is None:
         return MipSolution(status, -math.inf, {}, math.inf)
-    values = {vid: float(res.x[j]) for j, vid in enumerate(var_ids)}
+    values = dict(zip(mat.var_ids, res.x.tolist()))
     gap = float(res.mip_gap) if res.mip_gap is not None else math.inf
     if status is SolveStatus.OPTIMAL and gap > 1e-9:
         status = SolveStatus.FEASIBLE
