@@ -162,8 +162,9 @@ class Model:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
         st = self._store
         coeffs = {cid: float(v) for cid, v in (coeffs or {}).items() if v != 0.0}
+        con_ids = range(st.m)
         for cid in coeffs:
-            if cid not in range(st.m):
+            if cid not in con_ids:
                 raise UnknownId(f"constraint {cid} does not exist")
         rows = sorted(coeffs)
         vid = self._next_var
@@ -171,13 +172,13 @@ class Model:
         if kind is VarKind.BINARY:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
         st.var_ids.append(vid)
-        st.data = np.append(st.data, [coeffs[cid] for cid in rows])
-        st.indices = np.append(st.indices, np.array(rows, dtype=np.intp))
-        st.indptr = np.append(st.indptr, st.indptr[-1] + len(rows))
-        st.c = np.append(st.c, float(obj))
-        st.lo = np.append(st.lo, lo)
-        st.hi = np.append(st.hi, hi)
-        st.binary = np.append(st.binary, kind is VarKind.BINARY)
+        st.data = np.concatenate((st.data, [coeffs[cid] for cid in rows]))
+        st.indices = np.concatenate((st.indices, np.array(rows, dtype=np.intp)))
+        st.indptr = np.concatenate((st.indptr, [st.indptr[-1] + len(rows)]))
+        st.c = np.concatenate((st.c, [obj]))
+        st.lo = np.concatenate((st.lo, [lo]))
+        st.hi = np.concatenate((st.hi, [hi]))
+        st.binary = np.concatenate((st.binary, [kind is VarKind.BINARY]))
         return vid
 
     def add_constraint(self, coeffs: Mapping[int, float], rhs: float) -> int:
@@ -188,7 +189,7 @@ class Model:
         entries = [(j, coef) for j, coef in entries if coef != 0.0]
         st = self._store
         cid = st.m
-        st.b = np.append(st.b, float(rhs))
+        st.b = np.concatenate((st.b, [rhs]))
         if entries:
             # the new row is the last one, so its entry ends each column it touches
             cols = np.array([j for j, _ in entries], dtype=np.intp)
@@ -429,10 +430,9 @@ class _SimplexRun:
 
     # -- pivot loop ---------------------------------------------------------
 
-    def run(self, c, basis, vstat, binv):
-        """Pivot to optimality. Returns (status, xb, y, d, binv)."""
+    def run(self, c, basis, vstat, binv, xb):
+        """Pivot to optimality from basic values `xb`. Returns (status, xb, y, d, binv)."""
         lo, hi = self.lo, self.hi
-        xb = self._xb(vstat, binv)
         # cost and bounds of the basic columns, row by row; kept up to date per pivot
         cb, lob, hib = c[basis], lo[basis], hi[basis]
         degen_run = 0
@@ -513,7 +513,7 @@ def _warm_state(model: Model, sx: _SimplexRun):
         return None
     n = sx.n
     col_of = {vid: j for j, vid in enumerate(sx.mat.var_ids)}
-    # a slack's key -1 - row sits at column n + row
+    # the slack of row r, key -1 - r, sits at column n + r
     positions = [n - 1 - key if key < 0 else col_of.get(key) for key in warm.basis_keys]
     if None in positions:
         return None
@@ -531,11 +531,12 @@ def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, binv) -> None:
     n, ids = sx.n, sx.mat.var_ids
     if basis.max() >= n + sx.m:
         return  # an artificial is still basic; not worth caching
-    keys = [ids[j] if j < n else n - 1 - j for j in basis.tolist()]
-    at_upper = {
-        ids[j] if j < n else n - 1 - j
-        for j in np.flatnonzero(vstat[: n + sx.m] == _AT_UP).tolist()
-    }
+
+    def key(j: int) -> int:
+        return ids[j] if j < n else n - 1 - j
+
+    keys = [key(j) for j in basis.tolist()]
+    at_upper = {key(j) for j in np.flatnonzero(vstat[: n + sx.m] == _AT_UP).tolist()}
     model._warm = _WarmState(basis_keys=keys, at_upper=at_upper, binv=binv.copy())
 
 
@@ -582,15 +583,14 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
     if state is None:
         state = _cold_state(n, m)
     basis, vstat, binv = state
-    if used_warm:
-        xb = sx._xb(vstat, binv)
-        if sx._residual(basis, vstat, xb) > 1e-8:
-            try:
-                binv = sx._refactor(basis)
-            except np.linalg.LinAlgError:
-                used_warm = False
-                basis, vstat, binv = _cold_state(n, m)
     xb = sx._xb(vstat, binv)
+    if used_warm and sx._residual(basis, vstat, xb) > 1e-8:
+        try:
+            binv = sx._refactor(basis)
+        except np.linalg.LinAlgError:
+            used_warm = False
+            basis, vstat, binv = _cold_state(n, m)
+        xb = sx._xb(vstat, binv)
     feasible = bool(
         np.all(xb >= sx.lo[basis] - FEAS_TOL) and np.all(xb <= sx.hi[basis] + FEAS_TOL)
     )
@@ -604,16 +604,19 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
         basis, vstat = sx.add_artificials(basis, vstat, bad_rows)
         binv = np.eye(m, order="F")
         binv[bad_rows, bad_rows] = -1.0
-        status, xb1, _, _, binv = sx.run(sx.phase_one_cost(), basis, vstat, binv)
+        status, xb1, _, _, binv = sx.run(
+            sx.phase_one_cost(), basis, vstat, binv, sx._xb(vstat, binv)
+        )
         if status is not SolveStatus.OPTIMAL:
             return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
         infeasibility = float(np.sum(np.maximum(xb1[basis >= n + m], 0.0)))
         if infeasibility > FEAS_TOL:
             return LpSolution(SolveStatus.INFEASIBLE, -math.inf, {}, {})
         sx.fix_artificials_to_zero()
+        xb = sx._xb(vstat, binv)
 
     c = sx.extended_cost(sx.mat.c)
-    status, xb, y, d, binv = sx.run(c, basis, vstat, binv)
+    status, xb, y, d, binv = sx.run(c, basis, vstat, binv, xb)
     if status is SolveStatus.UNBOUNDED:
         return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
     if status is not SolveStatus.OPTIMAL:
@@ -773,7 +776,8 @@ def _solve_lp_highs(model: Model) -> LpSolution:
     if getattr(res, "lower", None) is not None and getattr(res, "upper", None) is not None:
         # bound marginals carry the min-sense reduced costs; negate for max
         rc = dict(zip(mat.var_ids, (-(res.lower.marginals + res.upper.marginals)).tolist()))
-    return LpSolution(SolveStatus.OPTIMAL, float(-res.fun), values, duals, rc, None)
+    # 0.0 - fun, not -fun: an optimum of 0 is reported as 0.0, never -0.0
+    return LpSolution(SolveStatus.OPTIMAL, float(0.0 - res.fun), values, duals, rc, None)
 
 
 def _solve_mip_highs(
@@ -812,4 +816,4 @@ def _solve_mip_highs(
     gap = float(res.mip_gap) if res.mip_gap is not None else math.inf
     if status is SolveStatus.OPTIMAL and gap > 1e-9:
         status = SolveStatus.FEASIBLE
-    return MipSolution(status, float(-res.fun), values, gap)
+    return MipSolution(status, float(0.0 - res.fun), values, gap)

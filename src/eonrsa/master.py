@@ -251,7 +251,11 @@ class RestrictedMaster:
         """Solve the LP, drop nonbasic zero columns, and re-verify the value.
 
         The post-prune re-solve starts from the retained basis, so it is cheap
-        and doubles as the prune-invariance check.
+        and doubles as the prune-invariance check. The duals come from the
+        solve before the prune: they stay optimal for the pruned LP, since only
+        nonbasic columns at zero go. An engine without warm start may answer
+        the re-solve with another optimal dual, under which a dropped column
+        prices out again and column generation cycles.
         """
         sol = self._solve_lp_checked()
         for vid in self.model.prune(sol, self._columns):
@@ -263,7 +267,7 @@ class RestrictedMaster:
                 f"pruning changed the LP value: {sol.objective} -> {sol2.objective}"
             )
         self._last_lp_value = sol2.objective
-        return sol2.objective, self._duals_from(sol2)
+        return sol2.objective, self._duals_from(sol)
 
     def _solve_lp_checked(self):
         sol = self.model.solve_lp(use_warm_start=True)

@@ -138,7 +138,11 @@ def _lightpath_under(
 
 
 class _InnerProblem:
-    """Pricing RMP for one slot: path columns, request rows, link rows."""
+    """Pricing RMP for one slot: path columns, request rows, link rows.
+
+    It always runs on the bundled engine: its LPs are tiny, so HiGHS's per-call
+    overhead would outweigh its speed whatever the master's backend.
+    """
 
     def __init__(
         self,
@@ -146,13 +150,12 @@ class _InnerProblem:
         s: int,
         eligible: Sequence[PricingRequest],
         duals: MasterDuals,
-        backend: str,
     ):
         self.instance = instance
         self.s = s
         self.eligible = list(eligible)
         self.duals = duals
-        self.model = Model(backend)
+        self.model = Model()
         atom_ids = sorted({k for p in eligible for k in p.members})
         self._row_atomic = {k: self.model.add_constraint({}, 1.0) for k in atom_ids}
         self._row_link = {
@@ -216,7 +219,6 @@ def price_slot(
     s: int,
     master_duals: MasterDuals,
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
-    backend: str = "bundled",
     tolerance: float = IMPROVE_TOL,
 ) -> PricingResult:
     """Inner column generation for one starting slot.
@@ -231,7 +233,7 @@ def price_slot(
     if not eligible:
         return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
 
-    inner = _InnerProblem(instance, s, eligible, duals, backend)
+    inner = _InnerProblem(instance, s, eligible, duals)
     rc_lp_star = 0.0
     converged = False
     widths = {p.width for p in eligible}

@@ -21,10 +21,6 @@ from .pricing import PricingResult, price_slot
 
 DEFAULT_FINAL_GAP = 0.1
 
-# Inner pricing LPs are tiny; the bundled engine beats the per-call overhead
-# of an external one regardless of the master's backend.
-PRICING_BACKEND = "bundled"
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -156,7 +152,6 @@ def solve(
                 s,
                 duals,
                 pricing_requests=slot_requests,
-                backend=PRICING_BACKEND,
                 tolerance=config.improvement_tolerance,
             )
             for s in range(1, instance.spectrum_slots + 1)

@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonrsa import Model, SolveStatus, UnknownId, VarKind
+from eonrsa.lpsolver import _SimplexRun
 
 BACKENDS = ("bundled", "highs")
 
@@ -264,3 +266,143 @@ def test_mip_deadline_returns_quickly():
     sol = m.solve_mip(0.0, deadline=time.monotonic() + 0.2)
     assert time.monotonic() - t0 < 5.0
     assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE, SolveStatus.TIME_LIMIT)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_zero_optimum_is_reported_as_positive_zero(backend):
+    m = Model(backend)
+    x = m.add_variable(obj=3.0, lo=0.0, hi=1.0)
+    m.add_constraint({x: 1.0}, 0.0)
+    lp = m.solve_lp()
+    assert lp.status is SolveStatus.OPTIMAL
+    assert lp.objective == 0.0 and math.copysign(1.0, lp.objective) == 1.0
+    m.set_kind(x, VarKind.BINARY)
+    mip = m.solve_mip(0.0)
+    assert mip.status is SolveStatus.OPTIMAL
+    assert mip.objective == 0.0 and math.copysign(1.0, mip.objective) == 1.0
+
+
+def _assert_store_matches(model, rhs, cols):
+    """The model's column store equals the plain dicts the test keeps beside it."""
+    mat = model.arrays()
+    assert mat.var_ids == model.variable_ids() == sorted(cols)
+    assert model.constraint_ids() == sorted(rhs)
+    assert mat.b.tolist() == [rhs[cid] for cid in sorted(rhs)]
+    assert mat.indptr[0] == 0 and mat.indptr[-1] == len(mat.data) == len(mat.indices)
+    for j, vid in enumerate(mat.var_ids):
+        col = cols[vid]
+        s, e = mat.indptr[j], mat.indptr[j + 1]
+        assert mat.indices[s:e].tolist() == sorted(col["coeffs"])
+        assert mat.data[s:e].tolist() == [col["coeffs"][cid] for cid in sorted(col["coeffs"])]
+        assert (mat.c[j], mat.lo[j], mat.hi[j]) == (col["obj"], col["lo"], col["hi"])
+        assert bool(mat.binary[j]) is col["binary"]
+        assert model.column(vid) == (col["obj"], col["coeffs"])
+    assert model.binary_ids() == [vid for vid in sorted(cols) if cols[vid]["binary"]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_store_follows_random_edits(data):
+    """Random edits keep the store equal to a dict model, and both engines agree on it."""
+    models = {backend: Model(backend) for backend in BACKENDS}
+    rhs: dict[int, float] = {}
+    cols: dict[int, dict] = {}
+    coef = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5])
+    for _ in range(data.draw(st.integers(1, 14), label="edits")):
+        op = data.draw(st.sampled_from(["variable", "constraint", "remove", "kind"]))
+        if op == "variable":
+            rows = data.draw(st.lists(st.sampled_from(sorted(rhs)), unique=True)) if rhs else []
+            coeffs = {cid: data.draw(coef) for cid in rows}
+            obj = data.draw(st.sampled_from([0.0, 1.0, 2.0, -1.0]))
+            hi = data.draw(st.sampled_from([1.0, 3.0, math.inf]))
+            binary = data.draw(st.booleans())
+            kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
+            ids = {m.add_variable(obj=obj, hi=hi, kind=kind, coeffs=coeffs) for m in models.values()}
+            (vid,) = ids
+            cols[vid] = {
+                "obj": obj,
+                "lo": 0.0,
+                "hi": min(hi, 1.0) if binary else hi,
+                "binary": binary,
+                "coeffs": {cid: a for cid, a in coeffs.items() if a != 0.0},
+            }
+        elif op == "constraint":
+            picked = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True)) if cols else []
+            coeffs = {vid: data.draw(coef) for vid in picked}
+            b = data.draw(st.sampled_from([0.0, 1.0, 2.0, 5.0]))
+            (cid,) = {m.add_constraint(coeffs, b) for m in models.values()}
+            rhs[cid] = b
+            for vid, a in coeffs.items():
+                if a != 0.0:
+                    cols[vid]["coeffs"][cid] = a
+        elif op == "remove" and cols:
+            gone = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
+            for m in models.values():
+                m.remove_variables(gone)
+            for vid in gone:
+                del cols[vid]
+        elif op == "kind" and cols:
+            vid = data.draw(st.sampled_from(sorted(cols)))
+            binary = data.draw(st.booleans())
+            for m in models.values():
+                m.set_kind(vid, VarKind.BINARY if binary else VarKind.CONTINUOUS)
+            col = cols[vid]
+            col["binary"] = binary
+            if binary:
+                col["lo"], col["hi"] = max(col["lo"], 0.0), min(col["hi"], 1.0)
+        # x = 0 is always feasible (lo = 0, rhs >= 0): each LP is optimal or unbounded
+        sols = {backend: m.solve_lp() for backend, m in models.items()}
+        for m in models.values():
+            _assert_store_matches(m, rhs, cols)
+        bundled, highs = sols["bundled"], sols["highs"]
+        assert bundled.status is highs.status
+        if bundled.status is SolveStatus.OPTIMAL:
+            assert bundled.objective == pytest.approx(highs.objective, abs=1e-6)
+
+
+def test_import_loads_neither_scipy_sparse_nor_optimize():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import eonrsa
+
+    package_root = str(Path(eonrsa.__file__).resolve().parents[1])
+    code = (
+        "import sys, eonrsa; "
+        "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_simplex_products_sum_rows_in_column_order(seed):
+    """A x and A^T y equal plain loops over the columns, structural then slack, bit for bit."""
+    rng = random.Random(seed)
+    m = Model()
+    rows = [m.add_constraint({}, rng.uniform(0, 5)) for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(0, 8)):
+        picked = rng.sample(rows, rng.randint(0, len(rows)))
+        m.add_variable(obj=1.0, coeffs={cid: rng.uniform(-3, 3) for cid in picked})
+    mat = m.arrays()
+    sx = _SimplexRun(mat, mat.lo, mat.hi)
+    x = [rng.uniform(-2, 2) for _ in range(sx.ncols)]
+    y = [rng.uniform(-2, 2) for _ in range(sx.m)]
+    columns = [m.column(vid)[1] for vid in mat.var_ids] + [{cid: 1.0} for cid in rows]
+    ax = [0.0] * sx.m
+    aty = [0.0] * sx.ncols
+    for j, coeffs in enumerate(columns):
+        for cid in sorted(coeffs):
+            ax[cid] += coeffs[cid] * x[j]
+            aty[j] += coeffs[cid] * y[cid]
+    assert sx._ax(np.array(x)).tolist() == ax
+    assert sx._aty(np.array(y)).tolist() == aty

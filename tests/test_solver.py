@@ -161,8 +161,12 @@ def test_oversized_demand_never_eligible(two_node):
 
 
 def test_highs_backend_agrees_on_lp_bound():
-    inst = make_random_tiny_instance(41)
-    a, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend="bundled"))
-    b, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend="highs"))
-    assert a.z_lp_star_slots == pytest.approx(b.z_lp_star_slots, abs=1e-5)
-    assert a.z_ilp_slots == pytest.approx(b.z_ilp_slots, abs=1e-5)
+    # instance 36 cycled on the HiGHS master while it took its duals from the
+    # post-prune re-solve; the round cap makes such a cycle fail fast
+    for seed in (41, 36):
+        inst = make_random_tiny_instance(seed)
+        config = SolveConfig(final_ilp_relative_gap=0.0, max_outer_iterations=200)
+        a, _ = solve(inst, dataclasses.replace(config, backend="bundled"))
+        b, _ = solve(inst, dataclasses.replace(config, backend="highs"))
+        assert a.z_lp_star_slots == pytest.approx(b.z_lp_star_slots, abs=1e-5)
+        assert a.z_ilp_slots == pytest.approx(b.z_ilp_slots, abs=1e-5)
