@@ -383,9 +383,9 @@ class _SimplexRun:
 
     def _refactor(self, basis: np.ndarray) -> np.ndarray:
         """Inverse of the basis columns, gathered into a dense matrix."""
-        row_of = np.full(self.ncols, -1)
-        row_of[basis] = np.arange(self.m)
-        k = row_of[self.cols]
+        position = np.full(self.ncols, -1)  # of each column in the basis, or -1
+        position[basis] = np.arange(self.m)
+        k = position[self.cols]
         sel = k >= 0
         dense = np.zeros((self.m, self.m))
         dense[self.rows[sel], k[sel]] = self.data[sel]
