@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Fingerprint solver results on the deterministic ladder, one sha256 per case.
+
+Run from the root of a checkout:
+
+    python3 scripts/fingerprint.py              # every case
+    python3 scripts/fingerprint.py tiny-3 desk  # cases whose name contains a word
+
+Each line is `<case> <sha256>`. A case's hash covers the `repr` of
+`lp_value_trace`, `prune_checks`, `columns_generated`, `outer_iterations`,
+`z_lp`, `z_ilp`, `certified` and the sorted plan assignments of every instance
+it solves, so two checkouts that print the same lines gave byte-identical
+results. The cases are:
+
+  tiny-<i>-<backend>   tests/conftest.make_random_tiny_instance(i), i in 0..39,
+                       gap 0 and at most 200 outer rounds, on both backends;
+  acceptance-8-<backend>
+                       spain21, 35 pairs, 50 slots, seed 1, default settings;
+  desk-highs, tiny-oracle
+                       the seed-1 batches of perfbench/workloads.py, solved in
+                       order with the workload's settings.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+from conftest import make_random_tiny_instance  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from eonrsa import SolveConfig, builtin_topology, generate_icton_style, solve  # noqa: E402
+
+BACKENDS = ("bundled", "highs")
+TINY_SEEDS = range(40)
+
+
+def cases():
+    """(name, thunk) pairs; each thunk returns the (instances, config) to solve."""
+    tiny = SolveConfig(final_ilp_relative_gap=0.0, max_outer_iterations=200)
+    for i in TINY_SEEDS:
+        for backend in BACKENDS:
+            yield f"tiny-{i}-{backend}", lambda i=i, b=backend: (
+                [make_random_tiny_instance(i)],
+                dataclasses.replace(tiny, backend=b),
+            )
+    for backend in BACKENDS:
+        yield f"acceptance-8-{backend}", lambda b=backend: (
+            [generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)],
+            SolveConfig(backend=b),
+        )
+    for name in ("desk-highs", "tiny-oracle"):
+        yield name, lambda w=WORKLOADS[name]: (w.instances(1), w.config)
+
+
+def fingerprint(report, plan) -> str:
+    assignments = sorted(
+        (k, lp.request_key, lp.path.links, lp.start_slot, lp.width)
+        for k, lp in plan.assignments.items()
+    )
+    return repr((
+        report.lp_value_trace,
+        report.prune_checks,
+        report.columns_generated,
+        report.outer_iterations,
+        report.z_lp_star_slots,
+        report.z_ilp_slots,
+        report.certified,
+        assignments,
+    ))
+
+
+def main(words: list[str]) -> int:
+    for name, build in cases():
+        if words and not any(word in name for word in words):
+            continue
+        instances, config = build()
+        digest = hashlib.sha256()
+        for inst in instances:
+            digest.update(fingerprint(*solve(inst, config)).encode())
+        print(f"{name} {digest.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -19,8 +19,10 @@ produced them, tiny negatives included: clamping is the caller's business.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -746,6 +748,25 @@ _HIGHS_STATUS = {
 }
 
 
+@contextlib.contextmanager
+def _native_stdout_silenced():
+    """Point fd 1 at os.devnull for the block: HiGHS's native code writes there.
+
+    C stdio is flushed before fd 1 comes back, so nothing buffered reaches it later.
+    """
+    import ctypes
+
+    saved = os.dup(1)
+    try:
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), 1)
+            yield
+    finally:
+        ctypes.CDLL(None).fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _solve_lp_highs(model: Model) -> LpSolution:
     from scipy.optimize import linprog
     from scipy.sparse import csc_matrix
@@ -760,13 +781,14 @@ def _solve_lp_highs(model: Model) -> LpSolution:
     a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
     c = -mat.c  # scipy minimizes
     bounds = list(zip(mat.lo, mat.hi))
-    res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
-    if res.status in (2, 4):
-        # HiGHS presolve may stop at "infeasible or unbounded" (reported as 2)
-        # or an unresolved status (4); the simplex without presolve tells them apart.
-        res = linprog(
-            c, A_ub=a, b_ub=b, bounds=bounds, method="highs", options={"presolve": False}
-        )
+    with _native_stdout_silenced():
+        res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+        if res.status in (2, 4):
+            # HiGHS presolve may stop at "infeasible or unbounded" (reported as 2)
+            # or an unresolved status (4); the simplex without presolve tells them apart.
+            res = linprog(
+                c, A_ub=a, b_ub=b, bounds=bounds, method="highs", options={"presolve": False}
+            )
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     if status is not SolveStatus.OPTIMAL:
         return LpSolution(status, -math.inf, {}, {})
@@ -800,13 +822,14 @@ def _solve_mip_highs(
     options: dict = {"mip_rel_gap": relative_gap}
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.01)
-    res = milp(
-        -mat.c,  # scipy minimizes
-        constraints=constraints,
-        integrality=mat.binary,
-        bounds=Bounds(mat.lo, mat.hi),
-        options=options,
-    )
+    with _native_stdout_silenced():
+        res = milp(
+            -mat.c,  # scipy minimizes
+            constraints=constraints,
+            integrality=mat.binary,
+            bounds=Bounds(mat.lo, mat.hi),
+            options=options,
+        )
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     if res.status == 1:  # iteration/time budget exhausted
         status = SolveStatus.TIME_LIMIT

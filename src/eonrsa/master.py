@@ -250,17 +250,19 @@ class RestrictedMaster:
     def solve_lp_and_prune(self) -> tuple[float, MasterDuals]:
         """Solve the LP, drop nonbasic zero columns, and re-verify the value.
 
-        The post-prune re-solve starts from the retained basis, so it is cheap
-        and doubles as the prune-invariance check. The duals come from the
+        A prune that drops a column is followed by a re-solve from the retained
+        basis, the prune-invariance check; one that drops none leaves the model
+        as it was, so the check is recorded as (v, v). The duals come from the
         solve before the prune: they stay optimal for the pruned LP, since only
         nonbasic columns at zero go. An engine without warm start may answer
         the re-solve with another optimal dual, under which a dropped column
         prices out again and column generation cycles.
         """
         sol = self._solve_lp_checked()
-        for vid in self.model.prune(sol, self._columns):
+        dropped = self.model.prune(sol, self._columns)
+        for vid in dropped:
             del self._columns[vid]
-        sol2 = self._solve_lp_checked()
+        sol2 = self._solve_lp_checked() if dropped else sol
         self.prune_checks.append((sol.objective, sol2.objective))
         if abs(sol.objective - sol2.objective) > 1e-6 * (1.0 + abs(sol.objective)):
             raise RuntimeError(

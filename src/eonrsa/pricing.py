@@ -70,6 +70,20 @@ def _eligible_pricing(
     return [p for p in pricing_requests if s + p.width - 1 <= spectrum_slots]
 
 
+def pricing_key(
+    instance: Instance, s: int, duals: MasterDuals, pricing_requests: Sequence[PricingRequest]
+) -> tuple:
+    """Everything price_slot reads at slot s except the tolerance, given clamped duals: the
+    eligible request keys, each eligible width's window sums of mu_cell, and their mu."""
+    eligible = _eligible_pricing(pricing_requests, s, instance.spectrum_slots)
+    widths = sorted({p.width for p in eligible})
+    return (
+        tuple(p.key for p in eligible),
+        tuple((w, _link_weights(duals, None, s, w).tobytes()) for w in widths),
+        tuple(duals.mu_request.get(k, 0.0) for p in eligible for k in p.members),
+    )
+
+
 def _link_weights(
     duals: MasterDuals, nu_link: Optional[np.ndarray], s: int, width: int
 ) -> np.ndarray:

@@ -5,19 +5,24 @@ duals, price every starting slot against that snapshot, add every improving
 configuration. The loop stops when no slot produces one (the pricing ILP
 values are all zero); the run is certified when additionally every slot's
 pricing LP bound is zero, making the final LP value a true upper bound.
+
+Slots with identical pricing input (`pricing_key`), in one round or across
+rounds, share one inner solve: a run keeps each result under its input and
+stamps the slot onto it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .master import MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import Configuration, MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
 from .oracle import verify_plan
-from .pricing import PricingResult, price_slot
+from .pricing import PricingResult, price_slot, pricing_key
 
 DEFAULT_FINAL_GAP = 0.1
 
@@ -117,6 +122,15 @@ def certify(results: Sequence[PricingResult], tolerance: float = 1e-6) -> bool:
     return all(res.rc_lp_star <= tolerance for res in results)
 
 
+def _stamped(res: PricingResult, s: int) -> PricingResult:
+    """The result of a slot with the same pricing key, moved to slot s."""
+    config = res.configuration
+    if config is not None and config.start_slot != s:
+        lightpaths = tuple(dataclasses.replace(lp, start_slot=s) for lp in config.lightpaths)
+        config = Configuration(start_slot=s, lightpaths=lightpaths)
+    return dataclasses.replace(res, slot=s, configuration=config)
+
+
 def solve(
     instance: Instance,
     config: SolveConfig = SolveConfig(),
@@ -135,6 +149,8 @@ def solve(
     timed_out = False
     final_results: list[PricingResult] = []
     z_lp_star = 0.0
+    tolerance = config.improvement_tolerance  # fixed per run, so not part of pricing_key
+    priced: dict[tuple, PricingResult] = {}
 
     while True:
         outer += 1
@@ -145,17 +161,15 @@ def solve(
         z_lp_star = value
         if config.record_dual_snapshots:
             snapshots.append(duals)
-        # price_slot clamps the duals on entry
-        results = [
-            price_slot(
-                instance,
-                s,
-                duals,
-                pricing_requests=slot_requests,
-                tolerance=config.improvement_tolerance,
-            )
-            for s in range(1, instance.spectrum_slots + 1)
-        ]
+        clamped = duals.clamped()
+        results = []
+        for s in range(1, instance.spectrum_slots + 1):
+            key = pricing_key(instance, s, clamped, slot_requests)
+            if key not in priced:  # price_slot clamps the duals on entry
+                priced[key] = price_slot(
+                    instance, s, duals, pricing_requests=slot_requests, tolerance=tolerance
+                )
+            results.append(_stamped(priced[key], s))
         improving = [r for r in results if r.configuration is not None]
         if not improving:
             final_results = results

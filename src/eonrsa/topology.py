@@ -19,9 +19,6 @@ from .errors import InvariantViolation, ParseError
 
 BUILTIN_TOPOLOGIES = ("spain21", "usa24")
 
-# Answers a topology keeps for repeated shortest_path queries before it forgets them all.
-PATH_MEMO_SIZE = 1024
-
 
 @dataclass(frozen=True)
 class Path:
@@ -59,8 +56,6 @@ class Topology:
     nodes: tuple[str, ...]
     links: tuple[tuple[str, str], ...]
     _adjacency: dict = field(init=False, repr=False, compare=False)
-    # shortest_path answers by (source, dest, weight bytes): pricing repeats queries
-    _paths: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_set = set(self.nodes)
@@ -82,7 +77,6 @@ class Topology:
         for neighbors in adjacency.values():
             neighbors.sort()
         object.__setattr__(self, "_adjacency", adjacency)
-        object.__setattr__(self, "_paths", {})
 
     @property
     def num_nodes(self) -> int:
@@ -137,17 +131,7 @@ def shortest_path(
     w = np.asarray(weights, dtype=float)
     if (w < 0).any():
         raise ValueError("negative link weight (caller must clamp)")
-    key = (source, dest, w.tobytes())
-    if key not in topology._paths:
-        if len(topology._paths) >= PATH_MEMO_SIZE:
-            topology._paths.clear()
-        topology._paths[key] = _dijkstra(topology, source, dest, w.tolist())
-    return topology._paths[key]
-
-
-def _dijkstra(
-    topology: Topology, source: str, dest: str, weights: list[float]
-) -> Optional[tuple[Path, float]]:
+    cost = w.tolist()  # Python floats add faster than numpy scalars
     # Labels are (dist, hops, link-seq); Dijkstra finalizes each node once, so
     # the first pop per node is minimal under the full lexicographic order and
     # the resulting path is simple.
@@ -169,7 +153,7 @@ def _dijkstra(
         for link_id, other in topology.neighbors(node):
             if other in done:
                 continue
-            heapq.heappush(heap, (dist + weights[link_id], hops + 1, seq + (link_id,), other))
+            heapq.heappush(heap, (dist + cost[link_id], hops + 1, seq + (link_id,), other))
     return None
 
 

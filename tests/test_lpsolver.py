@@ -170,6 +170,17 @@ def test_bundled_matches_highs_on_random_lps(seed):
         assert abs(va - vb) <= 1e-6 * (1.0 + abs(vb))
 
 
+def test_highs_writes_nothing_to_the_process_output(capfd):
+    # on this LP HiGHS presolve writes a return-status line to fd 1 from native code
+    A, b, c, lo, hi = _random_lp(998500)
+    m = Model("highs")
+    vids = [m.add_variable(obj=c[j], lo=lo[j], hi=hi[j]) for j in range(len(c))]
+    for i in range(len(b)):
+        m.add_constraint({vids[j]: A[i][j] for j in range(len(c))}, b[i])
+    assert m.solve_lp().status is SolveStatus.UNBOUNDED
+    assert capfd.readouterr() == ("", "")
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_mip_matches_enumeration_up_to_15_binaries(seed):

@@ -21,6 +21,7 @@ from eonrsa import (
     price_slot,
     validate_configuration,
 )
+from eonrsa.pricing import pricing_key
 from conftest import make_four_node_instance
 
 
@@ -180,6 +181,41 @@ def test_price_slot_reduced_cost_recomputation(tri_instance):
             rc = master_reduced_cost(res.configuration, duals)
             assert abs(rc - res.rc_ilp) < 1e-6
             validate_configuration(res.configuration, tri_instance.spectrum_slots)
+
+
+def test_pricing_key_sees_exactly_the_eligible_windows(tri_instance):
+    # widths 4 and 8 on 10 slots: both requests are eligible up to slot 3, the
+    # width-4 one up to slot 7, none after; a cell is read iff it lies in the
+    # window of an eligible width
+    requests = [PricingRequest.from_request(r) for r in tri_instance.requests]
+    base = _random_duals(tri_instance, 5).clamped()
+    for s in range(1, 11):
+        key = pricing_key(tri_instance, s, base, requests)
+        last = max((s + p.width - 1 for p in requests if s + p.width - 1 <= 10), default=0)
+        for link in range(3):
+            for slot in range(1, 11):
+                raised = MasterDuals(dict(base.mu_request), base.mu_cell.copy())
+                raised.mu_cell[link, slot - 1] += 1.0
+                changed = pricing_key(tri_instance, s, raised, requests) != key
+                assert changed == (s <= slot <= last), (s, link, slot)
+        for r in tri_instance.requests:
+            raised = MasterDuals(dict(base.mu_request), base.mu_cell)
+            raised.mu_request[r.id] += 1.0
+            changed = pricing_key(tri_instance, s, raised, requests) != key
+            assert changed == (s + r.demand - 1 <= 10), (s, r.id)
+
+
+def test_pricing_key_keeps_each_width_apart(tri_instance):
+    # moving a dual from slot 6 to slot 2 keeps the width-8 window sum of slot 1
+    # and changes the width-4 one
+    requests = [PricingRequest.from_request(r) for r in tri_instance.requests]
+    before = _zero_duals(tri_instance)
+    before.mu_cell[0, 5] = 1.0
+    after = _zero_duals(tri_instance)
+    after.mu_cell[0, 1] = 1.0
+    assert pricing_key(tri_instance, 1, before, requests) != pricing_key(
+        tri_instance, 1, after, requests
+    )
 
 
 def _random_duals(inst, seed):

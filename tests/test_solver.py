@@ -3,17 +3,23 @@ import math
 
 import pytest
 
+import eonrsa.solver as solver_module
 from eonrsa import (
     Instance,
+    PricingRequest,
     PricingResult,
     Request,
     SolveConfig,
+    builtin_topology,
     certify,
+    generate_icton_style,
     oracle_solve,
+    price_slot,
     report_metrics,
     solve,
     verify_plan,
 )
+from eonrsa.pricing import pricing_key
 from conftest import make_random_tiny_instance
 
 
@@ -170,3 +176,34 @@ def test_highs_backend_agrees_on_lp_bound():
         b, _ = solve(inst, dataclasses.replace(config, backend="highs"))
         assert a.z_lp_star_slots == pytest.approx(b.z_lp_star_slots, abs=1e-5)
         assert a.z_ilp_slots == pytest.approx(b.z_ilp_slots, abs=1e-5)
+
+
+def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
+    # every slot whose pricing input appeared earlier in the run reuses that
+    # result, stamped with its own slot; it must equal pricing the slot directly
+    spain = generate_icton_style(builtin_topology("spain21"), num_pairs=10, seed=1, spectrum_slots=12)
+    shared = 0
+    for inst in [make_random_tiny_instance(seed) for seed in range(12)] + [spain]:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return price_slot(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "price_slot", counted)
+        report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, record_dual_snapshots=True))
+        monkeypatch.undo()
+        requests = [PricingRequest.from_request(r) for r in inst.requests]
+        first = {}
+        for duals in report.dual_snapshots:
+            clamped = duals.clamped()
+            for s in range(1, inst.spectrum_slots + 1):
+                key = pricing_key(inst, s, clamped, requests)
+                if key not in first:
+                    first[key] = price_slot(inst, s, duals, pricing_requests=requests)
+                    continue
+                shared += 1
+                direct = price_slot(inst, s, duals, pricing_requests=requests)
+                assert solver_module._stamped(first[key], s) == direct, (inst.name, s)
+        assert len(calls) == len(first), inst.name  # one inner solve per distinct input
+    assert shared > 0
