@@ -14,7 +14,6 @@ from .errors import (
 )
 from .guardband import (
     DerivedRequest,
-    build_extended_rmp,
     derived_pricing_requests,
     enumerate_derived,
     solve_extended,
@@ -40,12 +39,9 @@ from .master import (
 )
 from .oracle import OracleLimits, OracleSolution, oracle_max_reduced_cost, oracle_solve, verify_plan
 from .pricing import (
-    PricingDuals,
     PricingResult,
-    eligible_requests,
     generate_lightpath,
     master_reduced_cost,
-    path_reduced_cost,
     price_slot,
 )
 from .solver import Metrics, SolveConfig, SolveReport, certify, report_metrics, solve

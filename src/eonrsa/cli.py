@@ -210,7 +210,6 @@ def _build_parser() -> _Parser:
     slv = sub.add_parser("solve", help="solve an instance and emit result files")
     add_instance_source(slv)
     slv.add_argument("--gap", type=float, default=0.1, help="final ILP relative gap")
-    slv.add_argument("--tolerance", type=float, default=1e-6, help="improvement tolerance")
     slv.add_argument("--guardband", action="store_true", help="enable the derived-request extension")
     slv.add_argument("--require-certified", action="store_true", help="exit 2 unless the bound certifies")
     slv.add_argument("--out-dir", default=".", help="output directory")
@@ -231,6 +230,7 @@ def _load_or_generate(args) -> Instance:
         inst = load_instance(data)
     else:
         if args.topology is None or args.load_tbps is None:
+            print(f"{args.command} requires --instance, or --topology and --load-tbps", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
         topo = builtin_topology(args.topology)
         inst = generate_inoc_style(
@@ -261,7 +261,6 @@ def cmd_solve(args) -> int:
     inst = _load_or_generate(args)
     config = SolveConfig(
         final_ilp_relative_gap=args.gap,
-        improvement_tolerance=args.tolerance,
         backend=args.backend,
         max_wall_clock_seconds=args.time_limit,
     )

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceeded
 from .instance import Instance, Request
-from .master import PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import PricingRequest, ProvisioningPlan
 from .solver import SolveConfig, SolveReport, solve
 
 DEFAULT_CAP = 12
@@ -96,25 +96,6 @@ def derived_pricing_requests(
             )
             key += 1
     return out
-
-
-def build_extended_rmp(
-    instance: Instance,
-    cap: int = DEFAULT_CAP,
-    guard_saving: bool = False,
-    backend: str = "bundled",
-) -> RestrictedMaster:
-    """Master whose pricing side sees the derived request set.
-
-    The per-atomic grant rows are unchanged; a column serving a composite
-    covers every member at once. With only singletons enabled this reduces to
-    the base master.
-    """
-    return RestrictedMaster(
-        instance,
-        pricing_requests=derived_pricing_requests(instance, cap, guard_saving),
-        backend=backend,
-    )
 
 
 def solve_extended(

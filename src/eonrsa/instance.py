@@ -187,6 +187,13 @@ def save_instance(instance: Instance) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def _whole(value, field: str) -> int:
+    """int(value) for an instance-file count; a fraction or a boolean is a ParseError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Instance:
     """Parse an instance file; `topology` overrides whatever the file declares."""
     if isinstance(data, bytes):
@@ -207,7 +214,7 @@ def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Ins
             raise ParseError("instance file declares neither topology_id nor inline topology")
 
     try:
-        spectrum = int(obj["spectrum_slots"])
+        spectrum = _whole(obj["spectrum_slots"], "spectrum_slots")
         slot_rate = float(obj.get("slot_rate_gbps", DEFAULT_SLOT_RATE_GBPS))
         raw_requests = obj["requests"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -223,7 +230,7 @@ def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Ins
                     id=i,
                     source=str(entry["src"]),
                     dest=str(entry["dst"]),
-                    demand=int(entry["demand_slots"]),
+                    demand=_whole(entry["demand_slots"], "demand_slots"),
                 )
             )
         except (KeyError, TypeError) as exc:

@@ -259,12 +259,6 @@ class Model:
     def num_constraints(self) -> int:
         return self._store.m
 
-    def variable_ids(self) -> list[int]:
-        return list(self._store.var_ids)
-
-    def constraint_ids(self) -> list[int]:
-        return list(range(self._store.m))
-
     def column(self, vid: int) -> tuple[float, dict[int, float]]:
         """Objective coefficient and {constraint id: coefficient} of a variable."""
         j = self._position(vid)
@@ -287,31 +281,6 @@ class Model:
     def arrays(self) -> ModelArrays:
         """The column store that both engines read; valid until the next edit."""
         return self._store
-
-    def to_lp_format(self) -> str:
-        """Debug dump in LP-file style."""
-        st = self._store
-        ids, c = st.var_ids, st.c.tolist()
-        row_terms: list[list[str]] = [[] for _ in range(st.m)]
-        for j, vid in enumerate(ids):
-            s, e = st.indptr[j], st.indptr[j + 1]
-            for cid, coef in zip(st.indices[s:e].tolist(), st.data[s:e].tolist()):
-                row_terms[cid].append(f"{coef} x{vid}")
-        obj_terms = [f"{cj} x{vid}" for vid, cj in zip(ids, c) if cj]
-        lines = ["Maximize", " obj: " + (" + ".join(obj_terms) if obj_terms else "0")]
-        lines.append("Subject To")
-        for cid, rhs in enumerate(st.b.tolist()):
-            terms = row_terms[cid]
-            lines.append(f" c{cid}: " + (" + ".join(terms) if terms else "0") + f" <= {rhs}")
-        lines.append("Bounds")
-        for vid, lo, hi in zip(ids, st.lo.tolist(), st.hi.tolist()):
-            lines.append(f" {lo} <= x{vid} <= {'inf' if math.isinf(hi) else hi}")
-        binaries = self.binary_ids()
-        if binaries:
-            lines.append("Binaries")
-            lines.append(" " + " ".join(f"x{vid}" for vid in binaries))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
     # -- solving ----------------------------------------------------------
 

@@ -196,7 +196,6 @@ class RestrictedMaster:
         self._row_cell: dict[tuple[int, int], int] = {}
         self._columns: dict[int, Configuration] = {}
         self.prune_checks: list[tuple[float, float]] = []
-        self._last_lp_value: Optional[float] = None
 
         for req in sorted(self.atomics.values(), key=lambda r: r.id):
             y = self.model.add_variable(obj=float(req.demand), lo=0.0, hi=1.0)
@@ -268,7 +267,6 @@ class RestrictedMaster:
             raise RuntimeError(
                 f"pruning changed the LP value: {sol.objective} -> {sol2.objective}"
             )
-        self._last_lp_value = sol2.objective
         return sol2.objective, self._duals_from(sol)
 
     def _solve_lp_checked(self):
@@ -304,12 +302,6 @@ class RestrictedMaster:
             yv = mip.values[y]
             if min(yv, 1.0 - yv) > INT_TOL:
                 raise RuntimeError(f"y for request {k} is fractional in the incumbent: {yv}")
-        if self._last_lp_value is not None:
-            scale = 1.0 + abs(self._last_lp_value)
-            if mip.objective > self._last_lp_value + 1e-6 * scale:
-                raise RuntimeError(
-                    f"ILP incumbent {mip.objective} exceeds LP bound {self._last_lp_value}"
-                )
         selected = [
             self._columns[vid]
             for vid in sorted(self._columns)

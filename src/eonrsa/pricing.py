@@ -8,8 +8,10 @@ a plain shortest-path query per request; the inner LP bound certifies the
 slot (rc_lp_star) while the inner ILP incumbent (rc_ilp) decides whether a
 new master column exists.
 
-All dual values are clamped to zero from below on entry, mirroring the
-rounding applied to engine noise before Dijkstra sees the weights.
+price_slot clamps the master duals to zero from below once, on entry, so that
+engine noise never reaches Dijkstra's weights; pricing_key reads duals clamped
+the same way. In each inner round a request's link weight is the window sum of
+the clamped cell duals plus the inner link dual, clamped where it is added.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .instance import Instance, Request
+from .instance import Instance
 from .lpsolver import Model, SolveStatus, VarKind
 from .master import Configuration, Lightpath, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
@@ -40,12 +42,6 @@ class PricingDuals:
     nu_request: dict[int, float]
     nu_link: np.ndarray
 
-    def clamped(self) -> "PricingDuals":
-        return PricingDuals(
-            nu_request={k: max(v, 0.0) for k, v in self.nu_request.items()},
-            nu_link=np.maximum(self.nu_link, 0.0),
-        )
-
 
 @dataclass(frozen=True)
 class PricingResult:
@@ -57,96 +53,46 @@ class PricingResult:
     rc_lp_star: float
 
 
-def eligible_requests(instance: Instance, s: int) -> list[Request]:
-    """Requests whose window starting at slot s fits the spectrum (1-based)."""
-    if not 1 <= s <= instance.spectrum_slots:
-        raise ValueError(f"slot {s} outside 1..{instance.spectrum_slots}")
-    return [r for r in instance.requests if s + r.demand - 1 <= instance.spectrum_slots]
-
-
 def _eligible_pricing(
     pricing_requests: Sequence[PricingRequest], s: int, spectrum_slots: int
 ) -> list[PricingRequest]:
     return [p for p in pricing_requests if s + p.width - 1 <= spectrum_slots]
 
 
+def _window_sums(
+    duals: MasterDuals, s: int, eligible: Sequence[PricingRequest]
+) -> dict[int, np.ndarray]:
+    """Per eligible width in ascending order, each link's sum of mu_cell over the window at s."""
+    widths = sorted({p.width for p in eligible})
+    return {w: duals.mu_cell[:, s - 1 : s - 1 + w].sum(axis=1) for w in widths}
+
+
 def pricing_key(
     instance: Instance, s: int, duals: MasterDuals, pricing_requests: Sequence[PricingRequest]
 ) -> tuple:
-    """Everything price_slot reads at slot s except the tolerance, given clamped duals: the
-    eligible request keys, each eligible width's window sums of mu_cell, and their mu."""
+    """Everything price_slot reads at slot s, given clamped duals: the eligible request
+    keys, each eligible width's window sums of mu_cell, and their mu."""
     eligible = _eligible_pricing(pricing_requests, s, instance.spectrum_slots)
-    widths = sorted({p.width for p in eligible})
     return (
         tuple(p.key for p in eligible),
-        tuple((w, _link_weights(duals, None, s, w).tobytes()) for w in widths),
+        tuple((w, win.tobytes()) for w, win in _window_sums(duals, s, eligible).items()),
         tuple(duals.mu_request.get(k, 0.0) for p in eligible for k in p.members),
     )
 
 
-def _link_weights(
-    duals: MasterDuals, nu_link: Optional[np.ndarray], s: int, width: int
-) -> np.ndarray:
-    w = np.maximum(duals.mu_cell[:, s - 1 : s - 1 + width], 0.0).sum(axis=1)
-    if nu_link is not None:
-        w = w + np.maximum(nu_link, 0.0)
-    return w
-
-
-def path_reduced_cost(
-    request: PricingRequest,
-    path: Path,
-    s: int,
-    master_duals: MasterDuals,
-    pricing_duals: Optional[PricingDuals] = None,
-) -> float:
-    """(mu - nu) gain of the request minus the clamped window cost of its path."""
-    gain = sum(master_duals.mu_request.get(k, 0.0) for k in request.members)
-    if pricing_duals is not None:
-        gain -= sum(pricing_duals.nu_request.get(k, 0.0) for k in request.members)
-    nu_link = pricing_duals.nu_link if pricing_duals is not None else None
-    w = _link_weights(master_duals, nu_link, s, request.width)
-    return gain - float(sum(w[link] for link in path.links))
-
-
 def generate_lightpath(
-    instance: Instance,
-    request: PricingRequest,
-    s: int,
-    master_duals: MasterDuals,
-    pricing_duals: Optional[PricingDuals] = None,
-    tolerance: float = IMPROVE_TOL,
+    instance: Instance, request: PricingRequest, gain: float, weights: np.ndarray
 ) -> Optional[tuple[Path, float]]:
-    """Best path for one request at slot s, if it improves by more than tolerance.
-
-    Link weight = clamped window sum of cell duals + clamped link dual; the
-    path minimizes it, and the lightpath qualifies iff (mu - nu) - dist > tol.
-    """
-    nu_link = pricing_duals.nu_link if pricing_duals is not None else None
-    weights = _link_weights(master_duals, nu_link, s, request.width)
-    return _lightpath_under(instance, request, master_duals, pricing_duals, weights, tolerance)
-
-
-def _lightpath_under(
-    instance: Instance,
-    request: PricingRequest,
-    master_duals: MasterDuals,
-    pricing_duals: Optional[PricingDuals],
-    weights: np.ndarray,
-    tolerance: float,
-) -> Optional[tuple[Path, float]]:
-    """generate_lightpath with the request's link weights already computed."""
-    gain = sum(master_duals.mu_request.get(k, 0.0) for k in request.members)
-    if pricing_duals is not None:
-        gain -= sum(pricing_duals.nu_request.get(k, 0.0) for k in request.members)
-    if gain <= tolerance:
+    """Cheapest path for one request under per-link weights, with its reduced cost
+    gain - dist, if that exceeds IMPROVE_TOL."""
+    if gain <= IMPROVE_TOL:
         return None  # no positive weight can be beaten by a non-negative distance
     found = shortest_path(instance.topology, request.source, request.dest, weights)
     if found is None:
         return None
     path, dist = found
     rc = gain - dist
-    if rc <= tolerance:
+    if rc <= IMPROVE_TOL:
         return None
     return path, rc
 
@@ -163,12 +109,13 @@ class _InnerProblem:
         instance: Instance,
         s: int,
         eligible: Sequence[PricingRequest],
-        duals: MasterDuals,
+        mu_gain: dict[int, float],
+        windows: dict[int, np.ndarray],
     ):
         self.instance = instance
         self.s = s
-        self.eligible = list(eligible)
-        self.duals = duals
+        self._mu_gain = mu_gain
+        self._windows = windows
         self.model = Model()
         atom_ids = sorted({k for p in eligible for k in p.members})
         self._row_atomic = {k: self.model.add_constraint({}, 1.0) for k in atom_ids}
@@ -178,14 +125,13 @@ class _InnerProblem:
         }
         self._columns: dict[int, tuple[PricingRequest, Path]] = {}
         self._present: dict[int, set[tuple[int, ...]]] = {p.key: set() for p in eligible}
-        self._weights = {p.key: _link_weights(duals, None, s, p.width) for p in eligible}
 
     def has_column(self, request: PricingRequest, path: Path) -> bool:
         return path.links in self._present[request.key]
 
     def add_path(self, request: PricingRequest, path: Path) -> int:
-        gain = sum(self.duals.mu_request.get(k, 0.0) for k in request.members)
-        value = gain - float(sum(self._weights[request.key][link] for link in path.links))
+        window = self._windows[request.width]
+        value = self._mu_gain[request.key] - float(sum(window[link] for link in path.links))
         coeffs: dict[int, float] = {self._row_atomic[k]: 1.0 for k in request.members}
         for link in path.links:
             coeffs[self._row_link[link]] = 1.0
@@ -233,7 +179,6 @@ def price_slot(
     s: int,
     master_duals: MasterDuals,
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
-    tolerance: float = IMPROVE_TOL,
 ) -> PricingResult:
     """Inner column generation for one starting slot.
 
@@ -247,17 +192,20 @@ def price_slot(
     if not eligible:
         return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
 
-    inner = _InnerProblem(instance, s, eligible, duals)
+    windows = _window_sums(duals, s, eligible)
+    mu_gain = {p.key: sum(duals.mu_request.get(k, 0.0) for k in p.members) for p in eligible}
+    inner = _InnerProblem(instance, s, eligible, mu_gain, windows)
     rc_lp_star = 0.0
     converged = False
-    widths = {p.width for p in eligible}
     for _ in range(MAX_INNER_ROUNDS):
         rc_lp_star, nu = inner.solve_lp()
         # a request's link weights depend on the request only through its width
-        weights = {w: _link_weights(duals, nu.nu_link, s, w) for w in widths}
+        nu_link = np.maximum(nu.nu_link, 0.0)
+        weights = {w: win + nu_link for w, win in windows.items()}
         added = 0
         for request in sorted(eligible, key=lambda p: p.key):
-            gen = _lightpath_under(instance, request, duals, nu, weights[request.width], tolerance)
+            gain = mu_gain[request.key] - sum(nu.nu_request.get(k, 0.0) for k in request.members)
+            gen = generate_lightpath(instance, request, gain, weights[request.width])
             if gen is None:
                 continue
             path, _ = gen
@@ -275,7 +223,7 @@ def price_slot(
         return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
 
     rc_ilp, chosen = inner.solve_ilp()
-    if rc_ilp <= tolerance or not chosen:
+    if rc_ilp <= IMPROVE_TOL or not chosen:
         return PricingResult(slot=s, configuration=None, rc_ilp=max(rc_ilp, 0.0), rc_lp_star=rc_lp_star)
     config = Configuration(start_slot=s, lightpaths=tuple(chosen))
     if rc_ilp > rc_lp_star + 1e-6 * (1.0 + abs(rc_lp_star)):

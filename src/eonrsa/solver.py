@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .instance import Instance
 from .master import Configuration, MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
 from .oracle import verify_plan
-from .pricing import PricingResult, price_slot, pricing_key
+from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
 DEFAULT_FINAL_GAP = 0.1
 
@@ -30,7 +30,6 @@ DEFAULT_FINAL_GAP = 0.1
 @dataclass(frozen=True)
 class SolveConfig:
     final_ilp_relative_gap: float = DEFAULT_FINAL_GAP
-    improvement_tolerance: float = 1e-6
     max_wall_clock_seconds: float = 0.0  # 0 = unlimited
     backend: str = "bundled"
     max_outer_iterations: int = 10_000
@@ -39,8 +38,6 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.final_ilp_relative_gap < 1.0:
             raise ValueError("final_ilp_relative_gap must lie in [0, 1)")
-        if self.improvement_tolerance <= 0.0:
-            raise ValueError("improvement_tolerance must be positive")
         if not 0.0 <= self.max_wall_clock_seconds < math.inf:
             raise ValueError("max_wall_clock_seconds must be finite and non-negative")
         if self.max_outer_iterations < 1:
@@ -98,10 +95,11 @@ def report_metrics(z_lp_star: float, z_ilp: float, offered_load: float) -> Metri
     """Quality metrics in percent (display rounds to one decimal).
 
     epsilon_lp divides the bound gap by z_LP*; epsilon_tab divides by the
-    integral value, which is the arithmetic the result tables use. Zero
-    denominators report 0; zero offered load reports a GoS of 100.
+    integral value, which is the arithmetic the result tables use. The bounds
+    may cross by solve()'s slack of 1e-6 * (1 + |z_lp_star|), which reports a
+    zero gap. Zero denominators report 0; zero offered load reports a GoS of 100.
     """
-    if z_ilp < 0 or z_lp_star < z_ilp - 1e-9:
+    if z_ilp < 0 or z_lp_star < z_ilp - 1e-6 * (1.0 + abs(z_lp_star)):
         raise ValueError(f"need z_lp_star >= z_ilp >= 0, got {z_lp_star}, {z_ilp}")
     gap = max(z_lp_star - z_ilp, 0.0)
     eps_lp = 100.0 * gap / z_lp_star if z_lp_star > 1e-12 else 0.0
@@ -110,16 +108,16 @@ def report_metrics(z_lp_star: float, z_ilp: float, offered_load: float) -> Metri
     return Metrics(eps_lp, eps_tab, gos)
 
 
-def certify(results: Sequence[PricingResult], tolerance: float = 1e-6) -> bool:
+def certify(results: Sequence[PricingResult]) -> bool:
     """True when every slot's pricing LP bound vanished in the final round.
 
     Only then does rc_ilp = 0 prove that no improving configuration exists at
     all, making the master LP value a valid upper bound.
     """
     for res in results:
-        if res.rc_ilp > tolerance:
+        if res.rc_ilp > IMPROVE_TOL:
             raise ValueError("certification requires a finished run (rc_ilp ~ 0 everywhere)")
-    return all(res.rc_lp_star <= tolerance for res in results)
+    return all(res.rc_lp_star <= IMPROVE_TOL for res in results)
 
 
 def _stamped(res: PricingResult, s: int) -> PricingResult:
@@ -149,7 +147,6 @@ def solve(
     timed_out = False
     final_results: list[PricingResult] = []
     z_lp_star = 0.0
-    tolerance = config.improvement_tolerance  # fixed per run, so not part of pricing_key
     priced: dict[tuple, PricingResult] = {}
 
     while True:
@@ -166,9 +163,7 @@ def solve(
         for s in range(1, instance.spectrum_slots + 1):
             key = pricing_key(instance, s, clamped, slot_requests)
             if key not in priced:  # price_slot clamps the duals on entry
-                priced[key] = price_slot(
-                    instance, s, duals, pricing_requests=slot_requests, tolerance=tolerance
-                )
+                priced[key] = price_slot(instance, s, duals, pricing_requests=slot_requests)
             results.append(_stamped(priced[key], s))
         improving = [r for r in results if r.configuration is not None]
         if not improving:
@@ -186,7 +181,7 @@ def solve(
             lp_trace.append(z_lp_star)
             break
 
-    certified = (not timed_out) and certify(final_results, config.improvement_tolerance)
+    certified = (not timed_out) and certify(final_results)
     lp_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()

@@ -251,6 +251,22 @@ def test_usage_error_exit_code():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_missing_instance_source_is_usage_error_with_reason(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--topology", "spain21"])
+    assert err.value.code == EXIT_USAGE
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert err_lines == [f"{command} requires --instance, or --topology and --load-tbps"]
+
+
+def test_solve_tolerance_flag_is_gone(tmp_path, toy_instance_file):
+    argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--tolerance", "1e-6"])
+    assert err.value.code == EXIT_USAGE
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

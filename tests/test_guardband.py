@@ -10,8 +10,8 @@ from eonrsa import (
     Lightpath,
     Path,
     Request,
+    RestrictedMaster,
     SolveConfig,
-    build_extended_rmp,
     derived_pricing_requests,
     enumerate_derived,
     oracle_solve,
@@ -84,7 +84,9 @@ def one_pair_instance(two_node):
 
 
 def test_extended_rmp_prices_three_requests(one_pair_instance):
-    rmp = build_extended_rmp(one_pair_instance)
+    rmp = RestrictedMaster(
+        one_pair_instance, pricing_requests=derived_pricing_requests(one_pair_instance)
+    )
     widths = sorted(p.width for p in rmp.pricing_requests.values())
     assert widths == [2, 3, 5]
     # grant rows stay per atomic

@@ -135,6 +135,28 @@ def test_zero_spectrum_is_parse_error(triangle):
         load_instance(json.dumps(raw))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spectrum_slots", 50.7),
+        ("spectrum_slots", True),
+        ("demand_slots", 4.5),
+        ("demand_slots", True),
+    ],
+)
+def test_non_integral_counts_are_parse_errors(field, value):
+    raw = {
+        "topology": {"name": "t", "nodes": ["a", "b"], "links": [["a", "b"]]},
+        "spectrum_slots": 8,
+        "requests": [{"src": "a", "dst": "b", "demand_slots": 2}],
+    }
+    target = raw if field == "spectrum_slots" else raw["requests"][0]
+    assert load_instance(json.dumps(raw)).spectrum_slots == 8  # integers load
+    target[field] = value
+    with pytest.raises(ParseError, match=field):
+        load_instance(json.dumps(raw))
+
+
 def test_request_invariants():
     with pytest.raises(ValueError):
         Request(0, "a", "a", 1)
