@@ -192,19 +192,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eonrsa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_source(p):
-        p.add_argument("--instance", help="instance JSON file")
+    def add_instance_source(p, from_file: bool = True):
+        if from_file:
+            p.add_argument("--instance", help="instance JSON file")
+        else:
+            p.set_defaults(instance=None)  # generate always draws a new instance
         p.add_argument("--topology", choices=BUILTIN_TOPOLOGIES, help="generate on this topology")
         p.add_argument("--load-tbps", type=float, help="target offered load (Tbps, generation)")
         p.add_argument("--seed", type=int, default=0, help="generation seed")
-        p.add_argument("--spectrum", type=int, help="spectrum size override (slots)")
+        p.add_argument("--spectrum", type=_positive_int, help="spectrum size override (slots)")
 
     gen = sub.add_parser("generate", help="write a seeded instance file")
-    add_instance_source(gen)
+    add_instance_source(gen, from_file=False)
     gen.add_argument("--out-dir", default=".", help="output directory")
 
     slv = sub.add_parser("solve", help="solve an instance and emit result files")
@@ -226,22 +236,17 @@ def _build_parser() -> _Parser:
 
 def _load_or_generate(args) -> Instance:
     if args.instance:
-        data = FsPath(args.instance).read_bytes()
-        inst = load_instance(data)
-    else:
-        if args.topology is None or args.load_tbps is None:
-            print(f"{args.command} requires --instance, or --topology and --load-tbps", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        topo = builtin_topology(args.topology)
-        inst = generate_inoc_style(
-            topo,
-            target_load_gbps=args.load_tbps * 1000.0,
-            seed=args.seed,
-            spectrum_slots=args.spectrum or 400,
-        )
-    if args.spectrum:
-        inst = inst.with_spectrum(args.spectrum)
-    return inst
+        inst = load_instance(FsPath(args.instance).read_bytes())
+        return inst if args.spectrum is None else inst.with_spectrum(args.spectrum)
+    if args.topology is None or args.load_tbps is None:
+        print(f"{args.command} requires --instance, or --topology and --load-tbps", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return generate_inoc_style(
+        builtin_topology(args.topology),
+        target_load_gbps=args.load_tbps * 1000.0,
+        seed=args.seed,
+        spectrum_slots=400 if args.spectrum is None else args.spectrum,
+    )
 
 
 def cmd_generate(args) -> int:

@@ -3,13 +3,13 @@
 A ``Model`` keeps one column store, numpy CSC arrays plus objective, bound and
 kind vectors, and two interchangeable engines read it behind the same contract:
 
-* ``"bundled"`` — a bounded-variable revised simplex (explicit basis inverse,
-  Dantzig pricing with a Bland anti-cycling fallback) plus a depth-first
-  branch-and-bound. Needs only numpy and scipy's BLAS ``dger``, so the test
-  suite is self-contained.
+* ``"bundled"`` — a bounded-variable revised simplex (the basis inverse held
+  through a dense inverse of the basis kernel only, Dantzig pricing with a
+  Bland anti-cycling fallback) plus a depth-first branch-and-bound. Needs
+  numpy only, so the test suite is self-contained.
 * ``"highs"`` — scipy.optimize.linprog / milp (HiGHS). Faster on large
-  models; does not report basis membership. scipy.sparse and scipy.optimize
-  are imported only when this engine runs.
+  models; does not report basis membership. scipy is imported only when
+  this engine runs.
 
 All models maximize, all constraints are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo) or
@@ -20,6 +20,7 @@ produced them, tiny negatives included: clamping is the caller's business.
 from __future__ import annotations
 
 import contextlib
+import copy
 import enum
 import math
 import os
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 from .errors import UnknownId
 
@@ -111,7 +111,7 @@ class _WarmState:
 
     basis_keys: list[int]  # row position -> var id, or -1 - con id for a slack
     at_upper: set[int]  # keys of nonbasic columns sitting at their upper bound
-    binv: np.ndarray
+    factor: _Factor
 
 
 _BASIC, _AT_LO, _AT_UP = 0, 1, 2
@@ -311,6 +311,68 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
+class _Factor:
+    """Inverse of a simplex basis B, held through the kernel of B.
+
+    Basic slack (+1) and artificial (-1) columns are signed unit columns; each
+    covers one row, the rows U. The k structural basic columns S, cut to the
+    other k rows R, form the kernel K = A[R, S]; with C = A[U, S] and signs σ,
+    B x = a solves as x_S = K⁻¹ a_R, x_U = σ (a_U - C x_S), and y B = c_B as
+    y_U = σ c_U, y_R = (c_S - y_U C) K⁻¹. Only K⁻¹ is dense, k × k. A factor names
+    basis positions and rows, never column numbers, and never changes once built.
+    """
+
+    def __init__(self, sx: _SimplexRun, basis: np.ndarray):
+        unit = basis >= sx.n
+        self.upos, self.spos = unit.nonzero()[0], (~unit).nonzero()[0]  # basis positions
+        first = sx.indptr[basis[self.upos]]
+        self.urow, self.sign = sx.rows[first], sx.data[first]
+        free = np.ones(sx.m, dtype=bool)
+        free[self.urow] = False
+        self.rrow = free.nonzero()[0]
+        k = len(self.spos)
+        if len(self.rrow) != k:
+            raise np.linalg.LinAlgError("two basic unit columns cover one row")
+        kernel_row, kernel_col = np.full(sx.m, -1), np.full(sx.ncols, -1)
+        kernel_row[self.rrow] = kernel_col[basis[self.spos]] = np.arange(k)
+        i, j = kernel_row[sx.rows], kernel_col[sx.cols]
+        at = (i >= 0) & (j >= 0)
+        kernel = np.zeros((k, k))
+        kernel[i[at], j[at]] = sx.data[at]
+        self.kinv = np.linalg.inv(kernel)
+
+    def ftran(self, sx: _SimplexRun, basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """x with B x = a."""
+        x, x_s = np.empty(sx.m), np.zeros(sx.ncols)
+        x[self.spos] = x_s[basis[self.spos]] = self.kinv @ a[self.rrow]
+        x[self.upos] = self.sign * (a - sx._ax(x_s))[self.urow]
+        return x
+
+    def btran(self, sx: _SimplexRun, basis: np.ndarray, cb: np.ndarray) -> np.ndarray:
+        """y with y B = cb."""
+        y = np.zeros(sx.m)
+        y[self.urow] = self.sign * cb[self.upos]
+        y[self.rrow] = (cb[self.spos] - sx._aty(y)[basis[self.spos]]) @ self.kinv
+        return y
+
+    def pivot(self, sx: _SimplexRun, basis: np.ndarray, r: int, e: int, w: np.ndarray) -> _Factor:
+        """The factor once column e takes position r of `basis`, in place; w = B⁻¹ a_e.
+
+        Only a structural column replacing one keeps k and R, for a rank-1 step
+        on K⁻¹; any other exchange rebuilds K.
+        """
+        leaving, basis[r] = basis[r], e
+        if e >= sx.n or leaving >= sx.n:
+            return _Factor(sx, basis)
+        j = int((self.spos == r).argmax())
+        u = w[self.spos]
+        row = self.kinv[j] / u[j]
+        twin = copy.copy(self)
+        twin.kinv = self.kinv - u[:, None] * row
+        twin.kinv[j] = row
+        return twin
+
+
 class _SimplexRun:
     """One bounded-variable primal simplex execution over a model's column store.
 
@@ -333,7 +395,6 @@ class _SimplexRun:
         self.ncols = n + m
         self.check_period = 25 if paranoid else 200
         self.max_iter = 2000 + 20 * (self.m + self.ncols)
-        self.art_count = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -348,19 +409,8 @@ class _SimplexRun:
         x[vstat == _BASIC] = 0.0
         return x
 
-    def _xb(self, vstat: np.ndarray, binv: np.ndarray) -> np.ndarray:
-        r = self.mat.b - self._ax(self._nonbasic_x(vstat))
-        return binv @ r
-
-    def _refactor(self, basis: np.ndarray) -> np.ndarray:
-        """Inverse of the basis columns, gathered into a dense matrix."""
-        position = np.full(self.ncols, -1)  # of each column in the basis, or -1
-        position[basis] = np.arange(self.m)
-        k = position[self.cols]
-        sel = k >= 0
-        dense = np.zeros((self.m, self.m))
-        dense[self.rows[sel], k[sel]] = self.data[sel]
-        return np.asfortranarray(np.linalg.inv(dense))
+    def _xb(self, basis: np.ndarray, vstat: np.ndarray, factor: _Factor) -> np.ndarray:
+        return factor.ftran(self, basis, self.mat.b - self._ax(self._nonbasic_x(vstat)))
 
     def _residual(self, basis, vstat, xb) -> float:
         x = self._nonbasic_x(vstat)
@@ -379,53 +429,37 @@ class _SimplexRun:
         self.lo = np.concatenate([self.lo, np.zeros(na)])
         self.hi = np.concatenate([self.hi, np.full(na, math.inf)])
         vstat = np.concatenate([vstat, np.full(na, _AT_LO, dtype=np.int8)])
-        for k, i in enumerate(rows_needing_art):
-            vstat[basis[i]] = _AT_LO
-            basis[i] = self.ncols + k
-            vstat[self.ncols + k] = _BASIC
-        self.art_count = na
+        vstat[basis[rows_needing_art]] = _AT_LO  # the slacks of a cold basis leave
+        basis[rows_needing_art] = self.ncols + art
+        vstat[self.ncols + art] = _BASIC
         self.ncols += na
         return basis, vstat
 
-    def fix_artificials_to_zero(self) -> None:
-        self.lo[self.ncols - self.art_count :] = 0.0
-        self.hi[self.ncols - self.art_count :] = 0.0
-
-    def extended_cost(self, c_real: np.ndarray) -> np.ndarray:
-        return np.concatenate([c_real, np.zeros(self.ncols - len(c_real))])
-
-    def phase_one_cost(self) -> np.ndarray:
-        c1 = np.zeros(self.ncols)
-        c1[self.ncols - self.art_count :] = -1.0
-        return c1
-
     # -- pivot loop ---------------------------------------------------------
 
-    def run(self, c, basis, vstat, binv, xb):
-        """Pivot to optimality from basic values `xb`. Returns (status, xb, y, d, binv)."""
+    def run(self, c, basis, vstat, factor, xb):
+        """Pivot to optimality from basic values `xb`. Returns (status, xb, y, d, factor)."""
         lo, hi = self.lo, self.hi
         # cost and bounds of the basic columns, row by row; kept up to date per pivot
         cb, lob, hib = c[basis], lo[basis], hi[basis]
         degen_run = 0
         bland = self.bland
-        it = 0
-        while True:
-            it += 1
-            if it > self.max_iter:
-                return SolveStatus.NUMERICAL_FAILURE, xb, None, None, binv
+        for it in range(1, self.max_iter + 1):
             if it % self.check_period == 0 and self._residual(basis, vstat, xb) > 1e-8:
-                binv = self._refactor(basis)
-                xb = self._xb(vstat, binv)
-            y = cb @ binv
+                factor = _Factor(self, basis)
+                xb = self._xb(basis, vstat, factor)
+            y = factor.btran(self, basis, cb)
             d = c - self._aty(y)
             cand = _IMPROVING_SIGN[vstat] * d > OPT_TOL
             if not cand.any():
-                return SolveStatus.OPTIMAL, xb, y, d, binv
+                return SolveStatus.OPTIMAL, xb, y, d, factor
             # Bland: the first candidate; Dantzig: the first of the largest |d|
             e = cand.argmax() if bland else np.where(cand, np.abs(d), -1.0).argmax()
             t = 1.0 if vstat[e] == _AT_LO else -1.0
             s_e, e_e = self.indptr[e], self.indptr[e + 1]
-            w = binv[:, self.rows[s_e:e_e]] @ self.data[s_e:e_e]
+            a_e = np.zeros(self.m)
+            a_e[self.rows[s_e:e_e]] = self.data[s_e:e_e]
+            w = factor.ftran(self, basis, a_e)
             tw = t * w
 
             # ratio test (vectorized); basic values move by -tw * step, so a
@@ -442,7 +476,7 @@ class _SimplexRun:
             if min_ratio >= flip - 1e-12:
                 # entering variable reaches its opposite bound first
                 if not math.isfinite(flip):
-                    return SolveStatus.UNBOUNDED, xb, None, None, binv
+                    return SolveStatus.UNBOUNDED, xb, None, None, factor
                 step = flip
                 xb = xb - tw * step
                 vstat[e] = _AT_UP if vstat[e] == _AT_LO else _AT_LO
@@ -455,27 +489,20 @@ class _SimplexRun:
                 vstat[lv] = _AT_LO if tw[leave_r] > 0 else _AT_UP
                 xb = xb - tw * step
                 xb[leave_r] = (lo[e] if t > 0 else hi[e]) + t * step
-                basis[leave_r] = e
+                factor = factor.pivot(self, basis, leave_r, e, w)
                 cb[leave_r], lob[leave_r], hib[leave_r] = c[e], lo[e], hi[e]
                 vstat[e] = _BASIC
-                row = binv[leave_r] / w[leave_r]
-                # rank-1 eta update in place (dger needs Fortran layout)
-                binv = dger(-1.0, w, row, a=binv, overwrite_a=1)
-                binv[leave_r] = row
 
-            if step < 1e-12:
-                degen_run += 1
-                if degen_run > 150:
-                    bland = True
-            else:
-                degen_run = 0
+            degen_run = degen_run + 1 if step < 1e-12 else 0
+            bland = bland or degen_run > 150
+        return SolveStatus.NUMERICAL_FAILURE, xb, None, None, factor
 
 
-def _cold_state(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    basis = np.arange(n, n + m, dtype=np.int64)
-    vstat = np.full(n + m, _AT_LO, dtype=np.int8)
+def _cold_state(sx: _SimplexRun) -> tuple[np.ndarray, np.ndarray, _Factor]:
+    basis = np.arange(sx.n, sx.n + sx.m, dtype=np.int64)
+    vstat = np.full(sx.n + sx.m, _AT_LO, dtype=np.int8)
     vstat[basis] = _BASIC
-    return basis, vstat, np.eye(m, order="F")
+    return basis, vstat, _Factor(sx, basis)
 
 
 def _warm_state(model: Model, sx: _SimplexRun):
@@ -495,12 +522,13 @@ def _warm_state(model: Model, sx: _SimplexRun):
         if j is not None and math.isfinite(sx.hi[j]):
             vstat[j] = _AT_UP
     vstat[basis] = _BASIC
-    return basis, vstat, warm.binv.copy(order="F")
+    # a factor names basis positions and rows only, and these keys fix both
+    return basis, vstat, warm.factor
 
 
-def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, binv) -> None:
+def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, factor) -> None:
     n, ids = sx.n, sx.mat.var_ids
-    if basis.max() >= n + sx.m:
+    if (basis >= n + sx.m).any():
         return  # an artificial is still basic; not worth caching
 
     def key(j: int) -> int:
@@ -508,7 +536,7 @@ def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, binv) -> None:
 
     keys = [key(j) for j in basis.tolist()]
     at_upper = {key(j) for j in np.flatnonzero(vstat[: n + sx.m] == _AT_UP).tolist()}
-    model._warm = _WarmState(basis_keys=keys, at_upper=at_upper, binv=binv.copy())
+    model._warm = _WarmState(basis_keys=keys, at_upper=at_upper, factor=factor)
 
 
 def _solve_lp_bundled(
@@ -523,71 +551,51 @@ def _solve_lp_bundled(
         for vid, (lo_j, hi_j) in overrides.items():
             j = bisect_left(mat.var_ids, vid)
             lo[j], hi[j] = lo_j, hi_j
-    if mat.m == 0:
-        return _solve_unconstrained(mat, lo, hi)
     for attempt in (0, 1):
         sx = _SimplexRun(mat, lo, hi, bland=attempt == 1, paranoid=attempt == 1)
-        sol = _simplex_solve(model, sx, try_warm=use_warm_start and attempt == 0)
+        try:
+            sol = _simplex_solve(model, sx, try_warm=use_warm_start and attempt == 0)
+        except np.linalg.LinAlgError:  # a singular basis; the second attempt starts cold
+            sol = LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
         if sol.status is not SolveStatus.NUMERICAL_FAILURE:
             return sol
     return sol
-
-
-def _solve_unconstrained(mat: ModelArrays, lo: np.ndarray, hi: np.ndarray) -> LpSolution:
-    values: dict[int, float] = {}
-    obj = 0.0
-    for j, vid in enumerate(mat.var_ids):
-        cj = mat.c[j]
-        if cj > 0 and not math.isfinite(hi[j]):
-            return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
-        x = hi[j] if cj > 0 else lo[j]
-        values[vid] = float(x)
-        obj += cj * x
-    rc = {vid: float(mat.c[j]) for j, vid in enumerate(mat.var_ids)}
-    return LpSolution(SolveStatus.OPTIMAL, obj, values, {}, rc, frozenset())
 
 
 def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
     n, m = sx.n, sx.m
     state = _warm_state(model, sx) if try_warm else None
     used_warm = state is not None
-    if state is None:
-        state = _cold_state(n, m)
-    basis, vstat, binv = state
-    xb = sx._xb(vstat, binv)
+    basis, vstat, factor = state or _cold_state(sx)
+    xb = sx._xb(basis, vstat, factor)
     if used_warm and sx._residual(basis, vstat, xb) > 1e-8:
-        try:
-            binv = sx._refactor(basis)
-        except np.linalg.LinAlgError:
-            used_warm = False
-            basis, vstat, binv = _cold_state(n, m)
-        xb = sx._xb(vstat, binv)
+        factor = _Factor(sx, basis)
+        xb = sx._xb(basis, vstat, factor)
     feasible = bool(
         np.all(xb >= sx.lo[basis] - FEAS_TOL) and np.all(xb <= sx.hi[basis] + FEAS_TOL)
     )
     if not feasible and used_warm:
-        basis, vstat, binv = _cold_state(n, m)
-        xb = sx._xb(vstat, binv)
+        basis, vstat, factor = _cold_state(sx)
+        xb = sx._xb(basis, vstat, factor)
         feasible = bool(np.all(xb >= sx.lo[basis] - FEAS_TOL))
 
     if not feasible:
         bad_rows = np.flatnonzero(xb < sx.lo[basis] - FEAS_TOL)
         basis, vstat = sx.add_artificials(basis, vstat, bad_rows)
-        binv = np.eye(m, order="F")
-        binv[bad_rows, bad_rows] = -1.0
-        status, xb1, _, _, binv = sx.run(
-            sx.phase_one_cost(), basis, vstat, binv, sx._xb(vstat, binv)
-        )
+        factor = _Factor(sx, basis)
+        c1 = np.zeros(sx.ncols)
+        c1[n + m :] = -1.0  # phase 1 maximizes minus the sum of the artificials
+        status, xb1, _, _, factor = sx.run(c1, basis, vstat, factor, sx._xb(basis, vstat, factor))
         if status is not SolveStatus.OPTIMAL:
             return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
         infeasibility = float(np.sum(np.maximum(xb1[basis >= n + m], 0.0)))
         if infeasibility > FEAS_TOL:
             return LpSolution(SolveStatus.INFEASIBLE, -math.inf, {}, {})
-        sx.fix_artificials_to_zero()
-        xb = sx._xb(vstat, binv)
+        sx.lo[n + m :] = sx.hi[n + m :] = 0.0
+        xb = sx._xb(basis, vstat, factor)
 
-    c = sx.extended_cost(sx.mat.c)
-    status, xb, y, d, binv = sx.run(c, basis, vstat, binv, xb)
+    c = np.concatenate([sx.mat.c, np.zeros(sx.ncols - n)])
+    status, xb, y, d, factor = sx.run(c, basis, vstat, factor, xb)
     if status is SolveStatus.UNBOUNDED:
         return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
     if status is not SolveStatus.OPTIMAL:
@@ -604,8 +612,7 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
         and bool(np.all(x[finite_hi] <= sx.hi[finite_hi] + FEAS_TOL))
     )
     obj = float(c @ x)
-    dpos = np.maximum(d, 0.0)
-    dneg = np.minimum(d, 0.0)
+    dpos, dneg = np.maximum(d, 0.0), np.minimum(d, 0.0)
     dual_obj = float(y @ b)
     dual_obj += float(dpos[finite_hi] @ sx.hi[finite_hi]) + float(dneg @ sx.lo)
     gap_ok = abs(obj - dual_obj) <= FEAS_TOL * (1.0 + abs(obj))
@@ -618,7 +625,7 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
     duals = dict(enumerate(y.tolist()))
     rc = dict(zip(ids, d[:n].tolist()))
     basic = frozenset(ids[j] for j in basis[basis < n].tolist())
-    _store_warm(model, sx, basis, vstat, binv)
+    _store_warm(model, sx, basis, vstat, factor)
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, rc, basic)
 
 
@@ -632,8 +639,6 @@ def _solve_mip_bundled(
 ) -> MipSolution:
     binaries = model.binary_ids()
     root = _solve_lp_bundled(model, use_warm_start=True)
-    if root.status is SolveStatus.INFEASIBLE:
-        return MipSolution(SolveStatus.INFEASIBLE, -math.inf, {}, math.inf)
     if root.status is not SolveStatus.OPTIMAL:
         return MipSolution(root.status, -math.inf, {}, math.inf)
     if not binaries:
@@ -681,14 +686,9 @@ def _solve_mip_bundled(
             inc_val = sol.objective
             inc_values = dict(sol.values)
             continue
-        frac.sort(key=lambda p: (-p[0], p[1]))
-        j = frac[0][1]
-        down = dict(overrides)
-        down[j] = (0.0, 0.0)
-        up = dict(overrides)
-        up[j] = (1.0, 1.0)
-        stack.append((sol.objective, down))
-        stack.append((sol.objective, up))  # explore the "fix to 1" branch first
+        j = min(frac, key=lambda p: (-p[0], p[1]))[1]
+        stack.append((sol.objective, {**overrides, j: (0.0, 0.0)}))
+        stack.append((sol.objective, {**overrides, j: (1.0, 1.0)}))  # explore "fix to 1" first
 
     gap = gap_of(global_ub())
     if inc_val == -math.inf:

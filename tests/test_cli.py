@@ -260,6 +260,34 @@ def test_missing_instance_source_is_usage_error_with_reason(command, capsys):
     assert err_lines == [f"{command} requires --instance, or --topology and --load-tbps"]
 
 
+@pytest.mark.parametrize("command", ["generate", "solve", "verify"])
+@pytest.mark.parametrize("spectrum", ["0", "-3"])
+def test_non_positive_spectrum_is_usage_error_with_reason(
+    command, spectrum, tmp_path, toy_instance_file, capsys
+):
+    source = {
+        "generate": ["--topology", "spain21", "--load-tbps", "0.5", "--out-dir", str(tmp_path)],
+        "solve": ["--instance", str(toy_instance_file), "--out-dir", str(tmp_path)],
+        "verify": ["--instance", str(toy_instance_file)],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main([command, *source, "--spectrum", spectrum])
+    assert err.value.code == EXIT_USAGE
+    err_text = capsys.readouterr().err
+    assert "--spectrum" in err_text and "positive" in err_text
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["toy.json"]
+
+
+def test_generate_refuses_instance(tmp_path, toy_instance_file, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["generate", "--instance", str(toy_instance_file), "--topology", "spain21"]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--load-tbps", "0.5", "--out-dir", str(out_dir)])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --instance" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_solve_tolerance_flag_is_gone(tmp_path, toy_instance_file):
     argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
     with pytest.raises(SystemExit) as err:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonrsa import Model, SolveStatus, UnknownId, VarKind
-from eonrsa.lpsolver import _SimplexRun
+from eonrsa.lpsolver import _cold_state, _Factor, _SimplexRun
 
 BACKENDS = ("bundled", "highs")
 
@@ -369,10 +369,18 @@ def test_import_loads_neither_scipy_sparse_nor_optimize():
     import eonrsa
 
     package_root = str(Path(eonrsa.__file__).resolve().parents[1])
-    code = (
-        "import sys, eonrsa; "
-        "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))"
-    )
+    # after the import, a bundled solve of a fixed four-node ring loads no scipy module at all
+    code = """
+import sys, eonrsa
+print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))
+from eonrsa import Instance, Request, SolveConfig, Topology, solve
+ring = Topology("ring4", ("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")))
+requests = (Request(0, "a", "c", 2), Request(1, "b", "d", 1), Request(2, "a", "b", 3))
+instance = Instance(topology=ring, spectrum_slots=4, requests=requests, name="ring4")
+report, _ = solve(instance, SolveConfig(backend="bundled"))
+print(report.certified, report.z_lp_star_slots)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -381,7 +389,7 @@ def test_import_loads_neither_scipy_sparse_nor_optimize():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "True 6.0", "[]"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -407,3 +415,64 @@ def test_simplex_products_sum_rows_in_column_order(seed):
             aty[j] += coeffs[cid] * y[cid]
     assert sx._ax(np.array(x)).tolist() == ax
     assert sx._aty(np.array(y)).tolist() == aty
+
+
+def _dense_columns(sx, cols):
+    """The columns `cols` of [A I -I_artificial], gathered into a dense matrix."""
+    dense = np.zeros((sx.m, len(cols)))
+    for r, j in enumerate(cols):
+        s, e = sx.indptr[j], sx.indptr[j + 1]
+        dense[sx.rows[s:e], r] = sx.data[s:e]
+    return dense
+
+
+def test_kernel_factor_solves_like_the_dense_basis():
+    """FTRAN and BTRAN equal dense solves with B, through pivots of every kind and rebuilds."""
+    exchanges, mixed = set(), 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m_rows = int(rng.integers(1, 8))
+        model = Model()
+        rows = [model.add_constraint({}, 1.0) for _ in range(m_rows)]
+        for j in range(m_rows):  # diagonally dominant: columns 0..m-1 form a basis without slacks
+            coeffs = {cid: rng.uniform(-0.5, 0.5) for cid in rows if rng.random() < 0.5}
+            model.add_variable(coeffs={**coeffs, rows[j]: 4.0})
+        for _ in range(4):
+            model.add_variable(coeffs={cid: rng.uniform(-3, 3) for cid in rows if rng.random() < 0.6})
+        mat = model.arrays()
+        sx = _SimplexRun(mat, mat.lo, mat.hi)
+
+        def check(factor, basis):
+            dense = _dense_columns(sx, basis)
+            a, cb = rng.uniform(-2, 2, sx.m), rng.uniform(-2, 2, sx.m)
+            x, y = factor.ftran(sx, basis, a), factor.btran(sx, basis, cb)
+            np.testing.assert_allclose(x, np.linalg.solve(dense, a), rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(y, np.linalg.solve(dense.T, cb), rtol=1e-10, atol=1e-10)
+
+        no_slacks = np.arange(m_rows)
+        check(_Factor(sx, no_slacks), no_slacks)
+        basis, vstat, factor = _cold_state(sx)
+        check(factor, basis)  # all slacks
+        art_rows = np.flatnonzero(rng.random(m_rows) < 0.5)
+        basis, vstat = sx.add_artificials(basis, vstat, art_rows)
+        factor = _Factor(sx, basis)
+        check(factor, basis)
+        for _ in range(4 * m_rows):
+            e = int(rng.integers(sx.ncols))
+            if e in basis:
+                continue
+            w = factor.ftran(sx, basis, _dense_columns(sx, [e])[:, 0])
+            # a large pivot keeps B well conditioned
+            picks = np.flatnonzero(np.abs(w) >= max(0.5 * np.abs(w).max(), 0.1))
+            if not len(picks):
+                continue
+            r = int(rng.choice(picks))
+            kind = {True: "unit", False: "structural"}
+            exchanges.add((kind[bool(basis[r] >= sx.n)], kind[e >= sx.n]))
+            factor = factor.pivot(sx, basis, r, e, w)
+            check(factor, basis)
+            slack = (basis >= sx.n) & (basis < sx.n + sx.m)
+            mixed += (basis < sx.n).any() and slack.any() and (basis >= sx.n + sx.m).any()
+        check(_Factor(sx, basis), basis)
+    assert exchanges == {(out, into) for out in ("unit", "structural") for into in ("unit", "structural")}
+    assert mixed  # some bases held structurals, slacks and artificials at once
