@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -199,6 +200,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eonrsa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -209,7 +217,9 @@ def _build_parser() -> _Parser:
         else:
             p.set_defaults(instance=None)  # generate always draws a new instance
         p.add_argument("--topology", choices=BUILTIN_TOPOLOGIES, help="generate on this topology")
-        p.add_argument("--load-tbps", type=float, help="target offered load (Tbps, generation)")
+        p.add_argument(
+            "--load-tbps", type=_positive_float, help="target offered load (Tbps, generation)"
+        )
         p.add_argument("--seed", type=int, default=0, help="generation seed")
         p.add_argument("--spectrum", type=_positive_int, help="spectrum size override (slots)")
 

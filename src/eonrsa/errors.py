@@ -18,7 +18,7 @@ class UnknownNode(EonRsaError):
 
 
 class UnknownId(EonRsaError):
-    """An LP model edit references a variable or constraint id that does not exist."""
+    """An LP model edit references a variable id or a row that does not exist."""
 
 
 class InvalidConfiguration(EonRsaError):

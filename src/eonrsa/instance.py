@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -51,8 +52,8 @@ class Instance:
     def __post_init__(self) -> None:
         if self.spectrum_slots < 1:
             raise ValueError("spectrum_slots must be positive")
-        if self.slot_rate_gbps <= 0:
-            raise ValueError("slot_rate_gbps must be positive")
+        if not 0 < self.slot_rate_gbps < math.inf:
+            raise ValueError("slot_rate_gbps must be positive and finite")
         nodes = set(self.topology.nodes)
         for req in self.requests:
             if req.source not in nodes or req.dest not in nodes:
@@ -112,8 +113,8 @@ def generate_inoc_style(
     requests are assigned round-robin over a seeded shuffle of all node pairs,
     stopping at the first request that reaches or exceeds the target load.
     """
-    if target_load_gbps <= 0:
-        raise ValueError("target_load_gbps must be positive")
+    if not 0 < target_load_gbps < math.inf:
+        raise ValueError("target_load_gbps must be positive and finite")
     if topology.num_nodes < 2:
         raise ValueError("topology needs at least 2 nodes")
     rng = random.Random(seed)
@@ -194,6 +195,13 @@ def _whole(value, field: str) -> int:
     return int(value)
 
 
+def _rate(value) -> float:
+    """The slot rate as a float; a boolean, or a rate not positive and finite, is a ParseError."""
+    if isinstance(value, bool) or not 0 < float(value) < math.inf:
+        raise ParseError(f"slot_rate_gbps must be positive and finite, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Instance:
     """Parse an instance file; `topology` overrides whatever the file declares."""
     if isinstance(data, bytes):
@@ -215,7 +223,7 @@ def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Ins
 
     try:
         spectrum = _whole(obj["spectrum_slots"], "spectrum_slots")
-        slot_rate = float(obj.get("slot_rate_gbps", DEFAULT_SLOT_RATE_GBPS))
+        slot_rate = _rate(obj.get("slot_rate_gbps", DEFAULT_SLOT_RATE_GBPS))
         raw_requests = obj["requests"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"instance file missing/invalid field: {exc}") from exc

@@ -1,7 +1,10 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
 A ``Model`` keeps one column store, numpy CSC arrays plus objective, bound and
-kind vectors, and two interchangeable engines read it behind the same contract:
+kind vectors, and two interchangeable engines read it behind the same contract.
+A model's rows are fixed when it is built, from their right-hand sides; only
+columns are added and removed afterwards, and duals come back as one array
+indexed by row. The engines are:
 
 * ``"bundled"`` — a bounded-variable revised simplex (the basis inverse held
   through a dense inverse of the basis kernel only, Dantzig pricing with a
@@ -11,7 +14,7 @@ kind vectors, and two interchangeable engines read it behind the same contract:
   models; does not report basis membership. scipy is imported only when
   this engine runs.
 
-All models maximize, all constraints are ``sum a_i x_i <= b`` with finite
+All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo) or
 binary. Duals of binding constraints are reported exactly as the engine
 produced them, tiny negatives included: clamping is the caller's business.
@@ -26,8 +29,8 @@ import math
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +64,8 @@ class ModelArrays:
 
     `a` is held in CSC form: column j has the values `data[indptr[j]:indptr[j+1]]`
     in the rows `indices[indptr[j]:indptr[j+1]]`, ascending. Columns follow
-    `var_ids`, ascending; row i is constraint id i, since constraints are never
-    removed. `binary` flags the binary columns.
+    `var_ids`, ascending; the rows, and so `b`, are fixed when the model is built.
+    `binary` flags the binary columns.
     """
 
     var_ids: list[int]
@@ -84,15 +87,12 @@ class ModelArrays:
         return len(self.b)
 
 
-_STORE_FIELDS = ("data", "indices", "indptr", "b", "c", "lo", "hi", "binary")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: SolveStatus
     objective: float
-    values: dict[int, float]
-    duals: dict[int, float]
+    values: dict[int, float] = field(default_factory=dict)
+    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by row
     reduced_costs: Optional[dict[int, float]] = None
     basic_variables: Optional[frozenset[int]] = None
 
@@ -109,7 +109,7 @@ class MipSolution:
 class _WarmState:
     """Basis carried between LP solves of one model (bundled backend)."""
 
-    basis_keys: list[int]  # row position -> var id, or -1 - con id for a slack
+    basis_keys: list[int]  # row position -> var id, or -1 - row for a slack
     at_upper: set[int]  # keys of nonbasic columns sitting at their upper bound
     factor: _Factor
 
@@ -120,18 +120,21 @@ _IMPROVING_SIGN = np.array([0.0, 1.0, -1.0])
 
 
 class Model:
-    """Incremental maximization model with stable variable/constraint ids."""
+    """Maximization model over the rows `sum a x <= rhs`; columns come and go by id."""
 
-    def __init__(self, backend: str = "bundled"):
+    def __init__(self, rhs: Sequence[float], backend: str = "bundled"):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; available: {BACKENDS}")
+        b = np.array(rhs, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
         self.backend = backend
         self._store = ModelArrays(
             var_ids=[],
             data=np.zeros(0),
             indices=np.zeros(0, dtype=np.intp),
             indptr=np.zeros(1, dtype=np.intp),
-            b=np.zeros(0),
+            b=b,
             c=np.zeros(0),
             lo=np.zeros(0),
             hi=np.zeros(0),
@@ -157,24 +160,24 @@ class Model:
         kind: VarKind = VarKind.CONTINUOUS,
         coeffs: Optional[Mapping[int, float]] = None,
     ) -> int:
-        """New variable; `coeffs` places it into existing constraints."""
+        """New variable; `coeffs` maps rows to its coefficients there."""
         if not math.isfinite(lo):
             raise ValueError("lower bound must be finite")
         if hi < lo:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
         st = self._store
-        coeffs = {cid: float(v) for cid, v in (coeffs or {}).items() if v != 0.0}
-        con_ids = range(st.m)
-        for cid in coeffs:
-            if cid not in con_ids:
-                raise UnknownId(f"constraint {cid} does not exist")
+        coeffs = {row: float(v) for row, v in (coeffs or {}).items() if v != 0.0}
+        row_ids = range(st.m)
+        for row in coeffs:
+            if row not in row_ids:
+                raise UnknownId(f"row {row} does not exist")
         rows = sorted(coeffs)
         vid = self._next_var
         self._next_var += 1
         if kind is VarKind.BINARY:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
         st.var_ids.append(vid)
-        st.data = np.concatenate((st.data, [coeffs[cid] for cid in rows]))
+        st.data = np.concatenate((st.data, [coeffs[row] for row in rows]))
         st.indices = np.concatenate((st.indices, np.array(rows, dtype=np.intp)))
         st.indptr = np.concatenate((st.indptr, [st.indptr[-1] + len(rows)]))
         st.c = np.concatenate((st.c, [obj]))
@@ -182,27 +185,6 @@ class Model:
         st.hi = np.concatenate((st.hi, [hi]))
         st.binary = np.concatenate((st.binary, [kind is VarKind.BINARY]))
         return vid
-
-    def add_constraint(self, coeffs: Mapping[int, float], rhs: float) -> int:
-        """New `sum coeffs[v] * x_v <= rhs` row over existing variables."""
-        if not math.isfinite(rhs):
-            raise ValueError("right-hand side must be finite")
-        entries = sorted((self._position(vid), float(coef)) for vid, coef in coeffs.items())
-        entries = [(j, coef) for j, coef in entries if coef != 0.0]
-        st = self._store
-        cid = st.m
-        st.b = np.concatenate((st.b, [rhs]))
-        if entries:
-            # the new row is the last one, so its entry ends each column it touches
-            cols = np.array([j for j, _ in entries], dtype=np.intp)
-            ends = st.indptr[cols + 1]
-            st.data = np.insert(st.data, ends, [coef for _, coef in entries])
-            st.indices = np.insert(st.indices, ends, cid)
-            grown = np.zeros(st.n + 1, dtype=np.intp)
-            grown[cols + 1] = 1
-            st.indptr = st.indptr + np.cumsum(grown)
-        self._warm = None  # row set changed; cached basis no longer lines up
-        return cid
 
     def remove_variables(self, ids: Iterable[int]) -> None:
         ids = list(ids)
@@ -260,7 +242,7 @@ class Model:
         return self._store.m
 
     def column(self, vid: int) -> tuple[float, dict[int, float]]:
-        """Objective coefficient and {constraint id: coefficient} of a variable."""
+        """Objective coefficient and {row: coefficient} of a variable."""
         j = self._position(vid)
         st = self._store
         s, e = st.indptr[j], st.indptr[j + 1]
@@ -270,25 +252,17 @@ class Model:
         st = self._store
         return [vid for vid, binary in zip(st.var_ids, st.binary.tolist()) if binary]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        a, b = self._store, other._store
-        return a.var_ids == b.var_ids and all(
-            np.array_equal(getattr(a, f), getattr(b, f)) for f in _STORE_FIELDS
-        )
-
     def arrays(self) -> ModelArrays:
         """The column store that both engines read; valid until the next edit."""
         return self._store
 
     # -- solving ----------------------------------------------------------
 
-    def solve_lp(self, use_warm_start: bool = True) -> LpSolution:
-        """LP relaxation (binaries treated as [0,1] continuous)."""
+    def solve_lp(self) -> LpSolution:
+        """LP relaxation (binaries treated as [0,1] continuous), warm from the last basis."""
         if self.backend == "highs":
             return _solve_lp_highs(self)
-        return _solve_lp_bundled(self, use_warm_start=use_warm_start)
+        return _solve_lp_bundled(self)
 
     def solve_mip(
         self,
@@ -507,7 +481,7 @@ def _cold_state(sx: _SimplexRun) -> tuple[np.ndarray, np.ndarray, _Factor]:
 
 def _warm_state(model: Model, sx: _SimplexRun):
     warm = model._warm
-    if warm is None or len(warm.basis_keys) != sx.m:
+    if warm is None:
         return None
     n = sx.n
     col_of = {vid: j for j, vid in enumerate(sx.mat.var_ids)}
@@ -540,9 +514,7 @@ def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, factor) -> None:
 
 
 def _solve_lp_bundled(
-    model: Model,
-    use_warm_start: bool = True,
-    overrides: Optional[dict[int, tuple[float, float]]] = None,
+    model: Model, overrides: Optional[dict[int, tuple[float, float]]] = None
 ) -> LpSolution:
     mat = model.arrays()
     lo, hi = mat.lo, mat.hi
@@ -554,9 +526,9 @@ def _solve_lp_bundled(
     for attempt in (0, 1):
         sx = _SimplexRun(mat, lo, hi, bland=attempt == 1, paranoid=attempt == 1)
         try:
-            sol = _simplex_solve(model, sx, try_warm=use_warm_start and attempt == 0)
+            sol = _simplex_solve(model, sx, try_warm=attempt == 0)
         except np.linalg.LinAlgError:  # a singular basis; the second attempt starts cold
-            sol = LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
+            sol = LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
         if sol.status is not SolveStatus.NUMERICAL_FAILURE:
             return sol
     return sol
@@ -587,19 +559,19 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
         c1[n + m :] = -1.0  # phase 1 maximizes minus the sum of the artificials
         status, xb1, _, _, factor = sx.run(c1, basis, vstat, factor, sx._xb(basis, vstat, factor))
         if status is not SolveStatus.OPTIMAL:
-            return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
+            return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
         infeasibility = float(np.sum(np.maximum(xb1[basis >= n + m], 0.0)))
         if infeasibility > FEAS_TOL:
-            return LpSolution(SolveStatus.INFEASIBLE, -math.inf, {}, {})
+            return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
         sx.lo[n + m :] = sx.hi[n + m :] = 0.0
         xb = sx._xb(basis, vstat, factor)
 
     c = np.concatenate([sx.mat.c, np.zeros(sx.ncols - n)])
     status, xb, y, d, factor = sx.run(c, basis, vstat, factor, xb)
     if status is SolveStatus.UNBOUNDED:
-        return LpSolution(SolveStatus.UNBOUNDED, math.inf, {}, {})
+        return LpSolution(SolveStatus.UNBOUNDED, math.inf)
     if status is not SolveStatus.OPTIMAL:
-        return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, {})
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
 
     x = sx._nonbasic_x(vstat)
     x[basis] = xb
@@ -618,15 +590,14 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
     gap_ok = abs(obj - dual_obj) <= FEAS_TOL * (1.0 + abs(obj))
     dual_ok = bool(np.all(y >= -FEAS_TOL)) and bool(np.all(dpos[~finite_hi] <= 1e-7))
     if not (primal_ok and gap_ok and dual_ok):
-        return LpSolution(SolveStatus.NUMERICAL_FAILURE, obj, {}, {})
+        return LpSolution(SolveStatus.NUMERICAL_FAILURE, obj)
 
     ids = sx.mat.var_ids
     values = dict(zip(ids, x[:n].tolist()))
-    duals = dict(enumerate(y.tolist()))
     rc = dict(zip(ids, d[:n].tolist()))
     basic = frozenset(ids[j] for j in basis[basis < n].tolist())
     _store_warm(model, sx, basis, vstat, factor)
-    return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, rc, basic)
+    return LpSolution(SolveStatus.OPTIMAL, obj, values, y, rc, basic)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +609,7 @@ def _solve_mip_bundled(
     model: Model, relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
     binaries = model.binary_ids()
-    root = _solve_lp_bundled(model, use_warm_start=True)
+    root = _solve_lp_bundled(model)
     if root.status is not SolveStatus.OPTIMAL:
         return MipSolution(root.status, -math.inf, {}, math.inf)
     if not binaries:
@@ -670,7 +641,7 @@ def _solve_mip_bundled(
         if bound <= inc_val + 1e-9:
             continue
         # the root node is the LP just solved; re-solving it changes nothing
-        sol = _solve_lp_bundled(model, use_warm_start=True, overrides=overrides) if overrides else root
+        sol = _solve_lp_bundled(model, overrides) if overrides else root
         if sol.status is SolveStatus.INFEASIBLE:
             continue
         if sol.status is not SolveStatus.OPTIMAL:
@@ -743,10 +714,9 @@ def _solve_lp_highs(model: Model) -> LpSolution:
     mat = model.arrays()
     b = mat.b
     if mat.n == 0:
-        feasible = bool(np.all(b >= -FEAS_TOL))
-        status = SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE
-        duals = {cid: 0.0 for cid in range(mat.m)} if feasible else {}
-        return LpSolution(status, 0.0 if feasible else -math.inf, {}, duals)
+        if np.all(b >= -FEAS_TOL):
+            return LpSolution(SolveStatus.OPTIMAL, 0.0, duals=np.zeros(mat.m))
+        return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
     a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
     c = -mat.c  # scipy minimizes
     bounds = list(zip(mat.lo, mat.hi))
@@ -760,9 +730,9 @@ def _solve_lp_highs(model: Model) -> LpSolution:
             )
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     if status is not SolveStatus.OPTIMAL:
-        return LpSolution(status, -math.inf, {}, {})
+        return LpSolution(status, -math.inf)
     values = dict(zip(mat.var_ids, res.x.tolist()))
-    duals = dict(enumerate((-res.ineqlin.marginals).tolist()))
+    duals = -res.ineqlin.marginals
     rc = None
     if getattr(res, "lower", None) is not None and getattr(res, "upper", None) is not None:
         # bound marginals carry the min-sense reduced costs; negate for max

@@ -3,7 +3,9 @@
 Model (maximization): a [0,1] grant variable y_k per request weighted by its
 demand, coverage rows ``y_k - sum_c a_k^c z_c <= 0``, and slot-occupancy rows
 ``sum_c b_{ls}^c z_c <= 1`` per (link, slot). Configuration columns carry no
-objective weight of their own; the objective rides entirely on y.
+objective weight of their own; the objective rides entirely on y. The request
+rows come first, by request id, then the cell rows link by link, so the cell
+duals are one reshape of the dual array.
 
 Slots are 1-based everywhere. z columns are added with bounds [0, inf): any
 real configuration occupies at least one (link, slot) cell, so the occupancy
@@ -155,13 +157,6 @@ class MasterDuals:
             mu_cell=np.maximum(self.mu_cell, 0.0),
         )
 
-    def shifted(self, delta: float) -> "MasterDuals":
-        """Uniformly perturbed copy (test hook for solver-noise robustness)."""
-        return MasterDuals(
-            mu_request={k: v + delta for k, v in self.mu_request.items()},
-            mu_cell=self.mu_cell + delta,
-        )
-
 
 @dataclass(frozen=True)
 class ProvisioningPlan:
@@ -190,21 +185,16 @@ class RestrictedMaster:
         if pricing_requests is None:
             pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
         self.pricing_requests: dict[int, PricingRequest] = {p.key: p for p in pricing_requests}
-        self.model = Model(backend)
-        self._y: dict[int, int] = {}
-        self._row_request: dict[int, int] = {}
-        self._row_cell: dict[tuple[int, int], int] = {}
+        ordered = sorted(self.atomics.values(), key=lambda r: r.id)
+        self._row_request = {req.id: row for row, req in enumerate(ordered)}
+        self._grid = (instance.topology.num_links, instance.spectrum_slots)
+        self.model = Model([0.0] * len(ordered) + [1.0] * math.prod(self._grid), backend)
+        self._y = {
+            req.id: self.model.add_variable(obj=float(req.demand), hi=1.0, coeffs={row: 1.0})
+            for row, req in enumerate(ordered)
+        }
         self._columns: dict[int, Configuration] = {}
         self.prune_checks: list[tuple[float, float]] = []
-
-        for req in sorted(self.atomics.values(), key=lambda r: r.id):
-            y = self.model.add_variable(obj=float(req.demand), lo=0.0, hi=1.0)
-            self._y[req.id] = y
-            self._row_request[req.id] = self.model.add_constraint({y: 1.0}, 0.0)
-        links = instance.topology.num_links
-        for link in range(links):
-            for s in range(1, instance.spectrum_slots + 1):
-                self._row_cell[(link, s)] = self.model.add_constraint({}, 1.0)
 
     # -- columns -----------------------------------------------------------
 
@@ -221,11 +211,10 @@ class RestrictedMaster:
     def column_coefficients(self, vid: int) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
         """Stored coefficients of a column: (covered atomics, occupied cells)."""
         _, coeffs = self.model.column(vid)
-        row_to_request = {row: k for k, row in self._row_request.items()}
-        row_to_cell = {row: cell for cell, row in self._row_cell.items()}
-        atomics = frozenset(row_to_request[c] for c, v in coeffs.items() if v == -1.0)
-        cells = frozenset(row_to_cell[c] for c, v in coeffs.items() if v == 1.0)
-        return atomics, cells
+        ids, slots = list(self._row_request), self._grid[1]
+        atomics = frozenset(ids[row] for row, v in coeffs.items() if v == -1.0)
+        cells = [divmod(row - len(ids), slots) for row, v in coeffs.items() if v == 1.0]
+        return atomics, frozenset((link, s + 1) for link, s in cells)
 
     def add_column(self, config: Configuration) -> int:
         validate_configuration(config, self.instance.spectrum_slots, self.pricing_requests)
@@ -235,11 +224,11 @@ class RestrictedMaster:
         coeffs: dict[int, float] = {}
         for k in config.served_atomics():
             coeffs[self._row_request[k]] = -1.0
-        for cell in config.occupied_cells():
-            row = self._row_cell.get(cell)
-            if row is None:
-                raise InvalidConfiguration(f"cell {cell} outside the master grid")
-            coeffs[row] = 1.0
+        links, slots = self._grid
+        for link, s in config.occupied_cells():
+            if not (0 <= link < links and 1 <= s <= slots):
+                raise InvalidConfiguration(f"cell {(link, s)} outside the master grid")
+            coeffs[len(self._row_request) + link * slots + s - 1] = 1.0
         vid = self.model.add_variable(obj=0.0, lo=0.0, hi=math.inf, coeffs=coeffs)
         self._columns[vid] = config
         return vid
@@ -270,18 +259,17 @@ class RestrictedMaster:
         return sol2.objective, self._duals_from(sol)
 
     def _solve_lp_checked(self):
-        sol = self.model.solve_lp(use_warm_start=True)
+        sol = self.model.solve_lp()
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"master LP solve failed: {sol.status}")
         return sol
 
     def _duals_from(self, sol) -> MasterDuals:
-        mu_request = {k: sol.duals[row] for k, row in self._row_request.items()}
-        links = self.instance.topology.num_links
-        mu_cell = np.zeros((links, self.instance.spectrum_slots))
-        for (link, s), row in self._row_cell.items():
-            mu_cell[link, s - 1] = sol.duals[row]
-        return MasterDuals(mu_request=mu_request, mu_cell=mu_cell)
+        requests = len(self._row_request)
+        return MasterDuals(
+            mu_request=dict(zip(self._row_request, sol.duals[:requests].tolist())),
+            mu_cell=sol.duals[requests:].reshape(self._grid),
+        )
 
     # -- final ILP ------------------------------------------------------------
 

@@ -98,7 +98,7 @@ def generate_lightpath(
 
 
 class _InnerProblem:
-    """Pricing RMP for one slot: path columns, request rows, link rows.
+    """Pricing RMP for one slot: path columns, atomic request rows (by id), then link rows.
 
     It always runs on the bundled engine: its LPs are tiny, so HiGHS's per-call
     overhead would outweigh its speed whatever the master's backend.
@@ -112,17 +112,12 @@ class _InnerProblem:
         mu_gain: dict[int, float],
         windows: dict[int, np.ndarray],
     ):
-        self.instance = instance
         self.s = s
         self._mu_gain = mu_gain
         self._windows = windows
-        self.model = Model()
         atom_ids = sorted({k for p in eligible for k in p.members})
-        self._row_atomic = {k: self.model.add_constraint({}, 1.0) for k in atom_ids}
-        self._row_link = {
-            link: self.model.add_constraint({}, 1.0)
-            for link in range(instance.topology.num_links)
-        }
+        self._row_atomic = {k: row for row, k in enumerate(atom_ids)}
+        self.model = Model([1.0] * (len(atom_ids) + instance.topology.num_links))
         self._columns: dict[int, tuple[PricingRequest, Path]] = {}
         self._present: dict[int, set[tuple[int, ...]]] = {p.key: set() for p in eligible}
 
@@ -134,24 +129,22 @@ class _InnerProblem:
         value = self._mu_gain[request.key] - float(sum(window[link] for link in path.links))
         coeffs: dict[int, float] = {self._row_atomic[k]: 1.0 for k in request.members}
         for link in path.links:
-            coeffs[self._row_link[link]] = 1.0
+            coeffs[len(self._row_atomic) + link] = 1.0
         vid = self.model.add_variable(obj=value, lo=0.0, hi=math.inf, coeffs=coeffs)
         self._columns[vid] = (request, path)
         self._present[request.key].add(path.links)
         return vid
 
     def solve_lp(self) -> tuple[float, PricingDuals]:
-        sol = self.model.solve_lp(use_warm_start=True)
+        sol = self.model.solve_lp()
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing LP failed: {sol.status}")
         for vid in self.model.prune(sol, self._columns):
             request, path = self._columns.pop(vid)
             self._present[request.key].discard(path.links)
-        nu_request = {k: sol.duals[row] for k, row in self._row_atomic.items()}
-        nu_link = np.zeros(self.instance.topology.num_links)
-        for link, row in self._row_link.items():
-            nu_link[link] = sol.duals[row]
-        return sol.objective, PricingDuals(nu_request=nu_request, nu_link=nu_link)
+        atomics = len(self._row_atomic)
+        nu_request = dict(zip(self._row_atomic, sol.duals[:atomics].tolist()))
+        return sol.objective, PricingDuals(nu_request=nu_request, nu_link=sol.duals[atomics:])
 
     def solve_ilp(self) -> tuple[float, list[Lightpath]]:
         for vid in self._columns:

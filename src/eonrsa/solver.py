@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .master import Configuration, MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import Configuration, PricingRequest, ProvisioningPlan, RestrictedMaster
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
@@ -33,7 +33,6 @@ class SolveConfig:
     max_wall_clock_seconds: float = 0.0  # 0 = unlimited
     backend: str = "bundled"
     max_outer_iterations: int = 10_000
-    record_dual_snapshots: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.final_ilp_relative_gap < 1.0:
@@ -70,7 +69,6 @@ class SolveReport:
     timings: dict[str, float]
     lp_value_trace: list[float] = field(default_factory=list)
     prune_checks: list[tuple[float, float]] = field(default_factory=list)
-    dual_snapshots: list[MasterDuals] = field(default_factory=list, repr=False)
 
     @property
     def offered_load_tbps(self) -> float:
@@ -141,7 +139,6 @@ def solve(
     slot_requests = list(rmp.pricing_requests.values())
 
     lp_trace: list[float] = []
-    snapshots: list[MasterDuals] = []
     columns_generated = 0
     outer = 0
     timed_out = False
@@ -156,8 +153,6 @@ def solve(
         value, duals = rmp.solve_lp_and_prune()
         lp_trace.append(value)
         z_lp_star = value
-        if config.record_dual_snapshots:
-            snapshots.append(duals)
         clamped = duals.clamped()
         results = []
         for s in range(1, instance.spectrum_slots + 1):
@@ -217,7 +212,6 @@ def solve(
         },
         lp_value_trace=lp_trace,
         prune_checks=list(rmp.prune_checks),
-        dual_snapshots=snapshots,
     )
     return report, plan
 

@@ -1,8 +1,9 @@
+import contextlib
 import random
 
 import pytest
 
-from eonrsa import Instance, Request, Topology
+from eonrsa import Instance, Request, RestrictedMaster, Topology
 
 
 def make_random_tiny_instance(
@@ -62,6 +63,22 @@ def make_four_node_instance(seed: int) -> Instance:
         Request(i, *rng.sample(nodes, 2), demand=rng.randint(1, 3)) for i in range(k)
     )
     return Instance(topology=topo, spectrum_slots=spectrum, requests=requests, name=f"quad{seed}")
+
+
+@contextlib.contextmanager
+def recorded_master_duals():
+    """Yields a list that collects the duals of every master LP solve inside the block."""
+    snapshots = []
+    original = RestrictedMaster.solve_lp_and_prune
+
+    def recording(rmp):
+        value, duals = original(rmp)
+        snapshots.append(duals)
+        return value, duals
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RestrictedMaster, "solve_lp_and_prune", recording)
+        yield snapshots
 
 
 @pytest.fixture

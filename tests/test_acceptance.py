@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from eonrsa import (
+    MasterDuals,
     Request,
     SolveConfig,
     aggregate_per_node_pair,
@@ -27,25 +28,26 @@ from eonrsa import (
     solve,
     verify_plan,
 )
-from conftest import make_four_node_instance, make_random_tiny_instance
+from conftest import make_four_node_instance, make_random_tiny_instance, recorded_master_duals
 
 N_TINY = 200
-N_SNAPSHOT_RUNS = 40  # batch prefix that also records dual snapshots
+N_SNAPSHOT_RUNS = 40  # batch prefix whose recorded master duals criterion 7 re-prices
 TOL = 1e-6
 
 
 @pytest.fixture(scope="module")
 def tiny_batch():
-    runs = []
-    config = SolveConfig(final_ilp_relative_gap=0.0, record_dual_snapshots=True)
-    plain = SolveConfig(final_ilp_relative_gap=0.0)
+    runs, snapshots = [], []
+    config = SolveConfig(final_ilp_relative_gap=0.0)
     t0 = time.monotonic()
     for seed in range(N_TINY):
         inst = make_random_tiny_instance(seed)
-        report, plan = solve(inst, config if seed < N_SNAPSHOT_RUNS else plain)
+        with recorded_master_duals() as duals:
+            report, plan = solve(inst, config)
         runs.append((inst, report, plan))
+        snapshots.append(duals)
     elapsed = time.monotonic() - t0
-    return runs, elapsed
+    return runs, elapsed, snapshots
 
 
 def test_criterion_1_metric_arithmetic_goldens():
@@ -67,7 +69,7 @@ def test_criterion_1_metric_arithmetic_goldens():
 
 
 def test_criterion_2_oracle_sandwich(tiny_batch):
-    runs, elapsed = tiny_batch
+    runs, elapsed, _ = tiny_batch
     assert len(runs) >= 200
     certified = eps_zero = 0
     t0 = time.monotonic()
@@ -127,7 +129,7 @@ def test_criterion_3_pricing_exactness_on_small_slices():
 
 
 def test_criterion_4_plan_feasibility_scanner(tiny_batch):
-    runs, _ = tiny_batch
+    runs, _, _ = tiny_batch
     for inst, report, plan in runs:
         verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
         assert plan.throughput_slots == pytest.approx(report.z_ilp_slots, abs=TOL)
@@ -135,7 +137,7 @@ def test_criterion_4_plan_feasibility_scanner(tiny_batch):
 
 
 def test_criterion_5_cg_monotonicity(tiny_batch):
-    runs, _ = tiny_batch
+    runs, _, _ = tiny_batch
     prune_pairs = 0
     for _inst, report, _plan in runs:
         trace = report.lp_value_trace
@@ -174,14 +176,22 @@ def _priced_configurations(inst, duals):
     return out
 
 
-def test_criterion_7_dual_clamp_robustness(tiny_batch):
-    from eonrsa import MasterDuals, master_reduced_cost
+def _shifted(duals, delta):
+    """A copy of `duals` with every value moved by `delta`, the shape of additive solver noise."""
+    return MasterDuals(
+        mu_request={k: v + delta for k, v in duals.mu_request.items()},
+        mu_cell=duals.mu_cell + delta,
+    )
 
-    runs, _ = tiny_batch
+
+def test_criterion_7_dual_clamp_robustness(tiny_batch):
+    from eonrsa import master_reduced_cost
+
+    runs, _, recorded = tiny_batch
     snapshots = 0
     tie_flips = 0
-    for inst, report, _plan in runs[:N_SNAPSHOT_RUNS]:
-        for duals in report.dual_snapshots:
+    for (inst, _report, _plan), run_duals in zip(runs[:N_SNAPSHOT_RUNS], recorded):
+        for duals in run_duals:
             snapshots += 1
             reference = _priced_configurations(inst, duals)
             ref_sigs = {s: c.signature() for s, c in reference.items()}
@@ -200,7 +210,7 @@ def test_criterion_7_dual_clamp_robustness(tiny_batch):
             # uniform additive -1e-9 on every dual: a change is only legal
             # between configurations that were reduced-cost-tied before the
             # shift (the shift strictly orders formerly-equal optima)
-            shifted = _priced_configurations(inst, duals.shifted(-1e-9))
+            shifted = _priced_configurations(inst, _shifted(duals, -1e-9))
             assert set(shifted) == set(reference)
             for s, noisy_config in shifted.items():
                 if noisy_config.signature() == ref_sigs[s]:

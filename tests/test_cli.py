@@ -278,6 +278,18 @@ def test_non_positive_spectrum_is_usage_error_with_reason(
     assert sorted(path.name for path in tmp_path.iterdir()) == ["toy.json"]
 
 
+@pytest.mark.parametrize("command", ["generate", "solve"])
+@pytest.mark.parametrize("load", ["nan", "0", "-1"])
+def test_load_not_positive_and_finite_is_usage_error_with_reason(command, load, tmp_path, capsys):
+    argv = [command, "--topology", "spain21", "--load-tbps", load, "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    err_text = capsys.readouterr().err
+    assert "--load-tbps" in err_text and "positive" in err_text
+    assert not any(tmp_path.iterdir())
+
+
 def test_generate_refuses_instance(tmp_path, toy_instance_file, capsys):
     out_dir = tmp_path / "out"
     argv = ["generate", "--instance", str(toy_instance_file), "--topology", "spain21"]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 
@@ -155,6 +156,29 @@ def test_non_integral_counts_are_parse_errors(field, value):
     target[field] = value
     with pytest.raises(ParseError, match=field):
         load_instance(json.dumps(raw))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-25"])
+def test_slot_rate_must_be_positive_and_finite(value):
+    raw = (
+        '{"topology": {"name": "t", "nodes": ["a", "b"], "links": [["a", "b"]]}, '
+        f'"spectrum_slots": 8, "slot_rate_gbps": {value}, "requests": []}}'
+    )
+    with pytest.raises(ParseError, match="slot_rate_gbps"):
+        load_instance(raw)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_instance_rate_must_be_positive_and_finite(triangle, rate):
+    with pytest.raises(ValueError, match="slot_rate_gbps"):
+        Instance(topology=triangle, spectrum_slots=4, requests=(), slot_rate_gbps=rate)
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_generator_target_must_be_finite(target):
+    # an infinite target used to append requests forever; NaN gave zero requests, then a crash
+    with pytest.raises(ValueError, match="target_load_gbps"):
+        generate_inoc_style(builtin_topology("spain21"), target, seed=1)
 
 
 def test_request_invariants():

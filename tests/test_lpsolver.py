@@ -15,74 +15,71 @@ BACKENDS = ("bundled", "highs")
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_single_variable_lp(backend):
-    m = Model(backend)
-    x = m.add_variable(obj=1.0, lo=0.0, hi=10.0)
-    c = m.add_constraint({x: 1.0}, 1.0)
+    m = Model([1.0], backend)
+    x = m.add_variable(obj=1.0, lo=0.0, hi=10.0, coeffs={0: 1.0})
     sol = m.solve_lp()
     assert sol.status is SolveStatus.OPTIMAL
     assert abs(sol.objective - 1.0) < 1e-6
     assert abs(sol.values[x] - 1.0) < 1e-6
-    assert abs(sol.duals[c] - 1.0) < 1e-6
+    assert isinstance(sol.duals, np.ndarray) and sol.duals.shape == (1,)
+    assert abs(sol.duals[0] - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_analytic_vertex(backend):
-    m = Model(backend)
-    x = m.add_variable(obj=2.0)
-    y = m.add_variable(obj=1.0)
-    c = m.add_constraint({x: 1.0, y: 1.0}, 1.0)
+    m = Model([1.0], backend)
+    x = m.add_variable(obj=2.0, coeffs={0: 1.0})
+    y = m.add_variable(obj=1.0, coeffs={0: 1.0})
     sol = m.solve_lp()
     assert abs(sol.objective - 2.0) < 1e-6
     assert abs(sol.values[x] - 1.0) < 1e-6 and abs(sol.values[y]) < 1e-6
-    assert abs(sol.duals[c] - 2.0) < 1e-6
+    assert abs(sol.duals[0] - 2.0) < 1e-6
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible_lp(backend):
-    m = Model(backend)
-    x = m.add_variable(obj=1.0, lo=0.0, hi=10.0)
-    m.add_constraint({x: 1.0}, 1.0)
-    m.add_constraint({x: -1.0}, -2.0)
+    m = Model([1.0, -2.0], backend)
+    m.add_variable(obj=1.0, lo=0.0, hi=10.0, coeffs={0: 1.0, 1: -1.0})
     assert m.solve_lp().status is SolveStatus.INFEASIBLE
 
 
 def test_add_then_remove_is_identity():
-    base = Model()
-    x = base.add_variable(obj=1.0, lo=0.0, hi=1.0)
-    base.add_constraint({x: 1.0}, 1.0)
-    edited = Model()
-    x2 = edited.add_variable(obj=1.0, lo=0.0, hi=1.0)
-    edited.add_constraint({x2: 1.0}, 1.0)
-    z = edited.add_variable(obj=3.0, kind=VarKind.BINARY)
+    base = Model([1.0])
+    base.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
+    edited = Model([1.0])
+    edited.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
+    z = edited.add_variable(obj=3.0, kind=VarKind.BINARY, coeffs={0: 2.0})
     edited.remove_variables([z])
-    assert edited == base
+    a, b = edited.arrays(), base.arrays()
+    assert a.var_ids == b.var_ids
+    for name in ("data", "indices", "indptr", "b", "c", "lo", "hi", "binary"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_remove_unknown_id():
-    m = Model()
+    m = Model([])
     with pytest.raises(UnknownId):
         m.remove_variables([17])
 
 
-def test_constraint_over_missing_variable():
-    m = Model()
-    with pytest.raises(UnknownId):
-        m.add_constraint({4: 1.0}, 1.0)
-
-
 def test_column_into_missing_constraint():
-    m = Model()
+    m = Model([1.0])
     with pytest.raises(UnknownId):
         m.add_variable(obj=1.0, coeffs={9: 1.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_right_hand_side_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Model([1.0, bad])
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_knapsack_mip(backend):
-    m = Model(backend)
-    a = m.add_variable(obj=3.0, kind=VarKind.BINARY)
-    b = m.add_variable(obj=2.0, kind=VarKind.BINARY)
-    c = m.add_variable(obj=2.0, kind=VarKind.BINARY)
-    m.add_constraint({a: 2.0, b: 2.0, c: 2.0}, 4.0)
+    m = Model([4.0], backend)
+    a = m.add_variable(obj=3.0, kind=VarKind.BINARY, coeffs={0: 2.0})
+    b = m.add_variable(obj=2.0, kind=VarKind.BINARY, coeffs={0: 2.0})
+    c = m.add_variable(obj=2.0, kind=VarKind.BINARY, coeffs={0: 2.0})
     sol = m.solve_mip(0.0)
     assert sol.status is SolveStatus.OPTIMAL
     assert abs(sol.objective - 5.0) < 1e-6
@@ -95,18 +92,17 @@ def test_knapsack_mip(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_two_binary_cover(backend):
-    m = Model(backend)
-    z1 = m.add_variable(obj=1.0, kind=VarKind.BINARY)
-    z2 = m.add_variable(obj=1.0, kind=VarKind.BINARY)
-    m.add_constraint({z1: 1.0, z2: 1.0}, 1.0)
+    m = Model([1.0], backend)
+    for _ in range(2):
+        m.add_variable(obj=1.0, kind=VarKind.BINARY, coeffs={0: 1.0})
     sol = m.solve_mip(0.0)
     assert abs(sol.objective - 1.0) < 1e-6
 
 
 def test_mip_gap_reporting():
-    m = Model()
-    zs = [m.add_variable(obj=v, kind=VarKind.BINARY) for v in (5.0, 4.0, 3.0)]
-    m.add_constraint({z: 3.0 for z in zs}, 7.0)
+    m = Model([7.0])
+    for v in (5.0, 4.0, 3.0):
+        m.add_variable(obj=v, kind=VarKind.BINARY, coeffs={0: 3.0})
     sol = m.solve_mip(0.1)
     assert sol.gap <= 0.1 + 1e-9
     assert sol.objective >= (1.0 - 0.1) * 9.0 - 1e-6
@@ -123,18 +119,25 @@ def _random_lp(seed):
     return A, b, c, lo, hi
 
 
+def _random_lp_model(seed, backend="bundled"):
+    """The model of `_random_lp(seed)`, its column j holding {i: A[i][j]}; also its data."""
+    A, b, c, lo, hi = _random_lp(seed)
+    m = Model(b, backend)
+    for j in range(len(c)):
+        m.add_variable(obj=c[j], lo=lo[j], hi=hi[j], coeffs={i: A[i][j] for i in range(len(b))})
+    return m, (A, b, c, lo, hi)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**6))
 def test_weak_duality_on_random_lps(seed):
-    A, b, c, lo, hi = _random_lp(seed)
-    m = Model()
-    vids = [m.add_variable(obj=c[j], lo=lo[j], hi=hi[j]) for j in range(len(c))]
-    cons = [m.add_constraint({vids[j]: A[i][j] for j in range(len(c))}, b[i]) for i in range(len(b))]
+    m, (A, b, c, lo, hi) = _random_lp_model(seed)
+    vids = m.arrays().var_ids
     sol = m.solve_lp()
     if sol.status is not SolveStatus.OPTIMAL:
         return
     # dual objective: y b + bound multipliers max(d,0)*hi + min(d,0)*lo
-    dual = sum(sol.duals[ci] * b[i] for i, ci in enumerate(cons))
+    dual = sum(sol.duals[i] * b[i] for i in range(len(b)))
     for j, v in enumerate(vids):
         d = sol.reduced_costs[v]
         if math.isfinite(hi[j]):
@@ -154,14 +157,9 @@ def test_weak_duality_on_random_lps(seed):
 @example(seed=194541)  # feasible and unbounded; HiGHS presolve said infeasible
 @example(seed=998500)  # feasible and unbounded; HiGHS presolve gave no verdict
 def test_bundled_matches_highs_on_random_lps(seed):
-    A, b, c, lo, hi = _random_lp(seed)
     objectives = {}
     for backend in BACKENDS:
-        m = Model(backend)
-        vids = [m.add_variable(obj=c[j], lo=lo[j], hi=hi[j]) for j in range(len(c))]
-        for i in range(len(b)):
-            m.add_constraint({vids[j]: A[i][j] for j in range(len(c))}, b[i])
-        sol = m.solve_lp()
+        sol = _random_lp_model(seed, backend)[0].solve_lp()
         objectives[backend] = (sol.status, sol.objective)
     sa, va = objectives["bundled"]
     sb, vb = objectives["highs"]
@@ -172,11 +170,7 @@ def test_bundled_matches_highs_on_random_lps(seed):
 
 def test_highs_writes_nothing_to_the_process_output(capfd):
     # on this LP HiGHS presolve writes a return-status line to fd 1 from native code
-    A, b, c, lo, hi = _random_lp(998500)
-    m = Model("highs")
-    vids = [m.add_variable(obj=c[j], lo=lo[j], hi=hi[j]) for j in range(len(c))]
-    for i in range(len(b)):
-        m.add_constraint({vids[j]: A[i][j] for j in range(len(c))}, b[i])
+    m, _ = _random_lp_model(998500, "highs")
     assert m.solve_lp().status is SolveStatus.UNBOUNDED
     assert capfd.readouterr() == ("", "")
 
@@ -189,10 +183,9 @@ def test_mip_matches_enumeration_up_to_15_binaries(seed):
     A = [[round(rng.gauss(0, 1.5), 1) for _ in range(n)] for _ in range(mrows)]
     b = [round(rng.uniform(-0.5, 4), 1) for _ in range(mrows)]
     c = [round(rng.gauss(0, 3), 1) for _ in range(n)]
-    m = Model()
-    vids = [m.add_variable(obj=c[j], kind=VarKind.BINARY) for j in range(n)]
-    for i in range(mrows):
-        m.add_constraint({vids[j]: A[i][j] for j in range(n) if A[i][j] != 0.0}, b[i])
+    m = Model(b)
+    for j in range(n):
+        m.add_variable(obj=c[j], kind=VarKind.BINARY, coeffs={i: A[i][j] for i in range(mrows)})
     sol = m.solve_mip(0.0)
     best = -math.inf
     for bits in itertools.product((0, 1), repeat=n):
@@ -206,15 +199,20 @@ def test_mip_matches_enumeration_up_to_15_binaries(seed):
 
 
 def test_warm_start_toggle_stays_correct():
-    m = Model()
-    cons = [m.add_constraint({}, 1.0) for _ in range(4)]
+    """Each warm solve agrees with a cold solve of a freshly built copy of the model."""
+    m = Model([1.0] * 4)
+    columns = []
     rng = random.Random(11)
     prev = 0.0
     for _ in range(25):
-        picked = rng.sample(cons, rng.randint(1, 3))
-        m.add_variable(obj=rng.uniform(0.1, 2.0), coeffs={ci: 1.0 for ci in picked})
-        warm = m.solve_lp(use_warm_start=True)
-        cold = m.solve_lp(use_warm_start=False)
+        picked = rng.sample(range(4), rng.randint(1, 3))
+        columns.append((rng.uniform(0.1, 2.0), {row: 1.0 for row in picked}))
+        m.add_variable(obj=columns[-1][0], coeffs=columns[-1][1])
+        warm = m.solve_lp()
+        fresh = Model([1.0] * 4)
+        for obj, coeffs in columns:
+            fresh.add_variable(obj=obj, coeffs=coeffs)
+        cold = fresh.solve_lp()
         assert abs(warm.objective - cold.objective) < 1e-7
         assert warm.objective >= prev - 1e-9
         prev = warm.objective
@@ -222,23 +220,18 @@ def test_warm_start_toggle_stays_correct():
 
 def test_duals_reported_unclamped_semantics():
     # nonbinding row must carry a zero dual
-    m = Model()
-    x = m.add_variable(obj=1.0, lo=0.0, hi=1.0)
-    tight = m.add_constraint({x: 1.0}, 0.5)
-    loose = m.add_constraint({x: 1.0}, 100.0)
+    m = Model([0.5, 100.0])
+    m.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0, 1: 1.0})
     sol = m.solve_lp()
-    assert abs(sol.duals[tight] - 1.0) < 1e-6
-    assert abs(sol.duals[loose]) < 1e-9
+    assert abs(sol.duals[0] - 1.0) < 1e-6  # tight
+    assert abs(sol.duals[1]) < 1e-9  # loose
 
 
 def test_backends_agree_on_reduced_cost_signs():
     results = {}
     for backend in BACKENDS:
-        m = Model(backend)
-        x = m.add_variable(obj=2.0, lo=0.0, hi=1.0)
-        y = m.add_variable(obj=1.0, lo=0.0, hi=1.0)
-        z = m.add_variable(obj=0.5, lo=0.0, hi=1.0)
-        m.add_constraint({x: 1.0, y: 1.0, z: 1.0}, 1.0)
+        m = Model([1.0], backend)
+        x, y, z = (m.add_variable(obj=v, lo=0.0, hi=1.0, coeffs={0: 1.0}) for v in (2.0, 1.0, 0.5))
         sol = m.solve_lp()
         results[backend] = (sol.reduced_costs[x], sol.reduced_costs[y], sol.reduced_costs[z])
     for a, b in zip(results["bundled"], results["highs"]):
@@ -248,7 +241,7 @@ def test_backends_agree_on_reduced_cost_signs():
 
 
 def test_empty_model_solves_to_zero():
-    m = Model()
+    m = Model([])
     sol = m.solve_lp()
     assert sol.status is SolveStatus.OPTIMAL and sol.objective == 0.0
 
@@ -256,13 +249,14 @@ def test_empty_model_solves_to_zero():
 def test_mip_deadline_returns_quickly():
     import time
 
-    m = Model()
     rng = random.Random(5)
     n = 26
-    vids = [m.add_variable(obj=rng.uniform(0.9, 1.1), kind=VarKind.BINARY) for _ in range(n)]
-    for _ in range(12):
-        picked = rng.sample(vids, 7)
-        m.add_constraint({v: 1.0 for v in picked}, 3.0)
+    objs = [rng.uniform(0.9, 1.1) for _ in range(n)]
+    rows = [rng.sample(range(n), 7) for _ in range(12)]
+    m = Model([3.0] * len(rows))
+    for j in range(n):
+        coeffs = {i: 1.0 for i, picked in enumerate(rows) if j in picked}
+        m.add_variable(obj=objs[j], kind=VarKind.BINARY, coeffs=coeffs)
     t0 = time.monotonic()
     sol = m.solve_mip(0.0, deadline=time.monotonic() + 0.2)
     assert time.monotonic() - t0 < 5.0
@@ -271,9 +265,8 @@ def test_mip_deadline_returns_quickly():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_zero_optimum_is_reported_as_positive_zero(backend):
-    m = Model(backend)
-    x = m.add_variable(obj=3.0, lo=0.0, hi=1.0)
-    m.add_constraint({x: 1.0}, 0.0)
+    m = Model([0.0], backend)
+    x = m.add_variable(obj=3.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
     lp = m.solve_lp()
     assert lp.status is SolveStatus.OPTIMAL
     assert lp.objective == 0.0 and math.copysign(1.0, lp.objective) == 1.0
@@ -287,8 +280,8 @@ def _assert_store_matches(model, rhs, cols):
     """The model's column store equals the plain dicts the test keeps beside it."""
     mat = model.arrays()
     assert mat.var_ids == sorted(cols)
-    assert sorted(rhs) == list(range(model.num_constraints))
-    assert mat.b.tolist() == [rhs[cid] for cid in sorted(rhs)]
+    assert model.num_constraints == len(rhs)
+    assert mat.b.tolist() == rhs
     assert mat.indptr[0] == 0 and mat.indptr[-1] == len(mat.data) == len(mat.indices)
     for j, vid in enumerate(mat.var_ids):
         col = cols[vid]
@@ -305,14 +298,14 @@ def _assert_store_matches(model, rhs, cols):
 @given(st.data())
 def test_column_store_follows_random_edits(data):
     """Random edits keep the store equal to a dict model, and both engines agree on it."""
-    models = {backend: Model(backend) for backend in BACKENDS}
-    rhs: dict[int, float] = {}
+    rhs = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 5.0]), max_size=6), label="rhs")
+    models = {backend: Model(rhs, backend) for backend in BACKENDS}
     cols: dict[int, dict] = {}
     coef = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5])
     for _ in range(data.draw(st.integers(1, 14), label="edits")):
-        op = data.draw(st.sampled_from(["variable", "constraint", "remove", "kind"]))
+        op = data.draw(st.sampled_from(["variable", "remove", "kind"]))
         if op == "variable":
-            rows = data.draw(st.lists(st.sampled_from(sorted(rhs)), unique=True)) if rhs else []
+            rows = data.draw(st.lists(st.sampled_from(range(len(rhs))), unique=True)) if rhs else []
             coeffs = {cid: data.draw(coef) for cid in rows}
             obj = data.draw(st.sampled_from([0.0, 1.0, 2.0, -1.0]))
             hi = data.draw(st.sampled_from([1.0, 3.0, math.inf]))
@@ -327,15 +320,6 @@ def test_column_store_follows_random_edits(data):
                 "binary": binary,
                 "coeffs": {cid: a for cid, a in coeffs.items() if a != 0.0},
             }
-        elif op == "constraint":
-            picked = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True)) if cols else []
-            coeffs = {vid: data.draw(coef) for vid in picked}
-            b = data.draw(st.sampled_from([0.0, 1.0, 2.0, 5.0]))
-            (cid,) = {m.add_constraint(coeffs, b) for m in models.values()}
-            rhs[cid] = b
-            for vid, a in coeffs.items():
-                if a != 0.0:
-                    cols[vid]["coeffs"][cid] = a
         elif op == "remove" and cols:
             gone = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
             for m in models.values():
@@ -397,8 +381,8 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
 def test_simplex_products_sum_rows_in_column_order(seed):
     """A x and A^T y equal plain loops over the columns, structural then slack, bit for bit."""
     rng = random.Random(seed)
-    m = Model()
-    rows = [m.add_constraint({}, rng.uniform(0, 5)) for _ in range(rng.randint(1, 6))]
+    m = Model([rng.uniform(0, 5) for _ in range(rng.randint(1, 6))])
+    rows = range(m.num_constraints)
     for _ in range(rng.randint(0, 8)):
         picked = rng.sample(rows, rng.randint(0, len(rows)))
         m.add_variable(obj=1.0, coeffs={cid: rng.uniform(-3, 3) for cid in picked})
@@ -432,8 +416,8 @@ def test_kernel_factor_solves_like_the_dense_basis():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         m_rows = int(rng.integers(1, 8))
-        model = Model()
-        rows = [model.add_constraint({}, 1.0) for _ in range(m_rows)]
+        model = Model([1.0] * m_rows)
+        rows = range(m_rows)
         for j in range(m_rows):  # diagonally dominant: columns 0..m-1 form a basis without slacks
             coeffs = {cid: rng.uniform(-0.5, 0.5) for cid in rows if rng.random() < 0.5}
             model.add_variable(coeffs={**coeffs, rows[j]: 4.0})

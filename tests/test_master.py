@@ -80,10 +80,43 @@ def test_column_coefficient_mapping(small_instance):
     vid = rmp.add_column(config)
     obj, coeffs = rmp.model.column(vid)
     rows = {cid for cid, coef in coeffs.items() if coef == 1.0}
-    expected_cells = {rmp._row_cell[(0, s)] for s in (5, 6, 7, 8)}
-    assert rows == expected_cells
-    assert coeffs[rmp._row_request[0]] == -1.0
+    # the 3 request rows by id, then the cell rows link by link, 10 slots per link
+    assert rows == {3 + 0 * 10 + s - 1 for s in (5, 6, 7, 8)}
+    assert coeffs[0] == -1.0
     assert obj == 0.0  # objective rides on the grant variables
+    assert rmp.column_coefficients(vid) == (frozenset({0}), frozenset((0, s) for s in (5, 6, 7, 8)))
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_duals_are_read_at_the_master_rows(backend):
+    from conftest import make_random_tiny_instance
+    from eonrsa.pricing import price_slot
+
+    inst = make_random_tiny_instance(9)
+    rmp = RestrictedMaster(inst, backend=backend)
+    for _ in range(3):
+        _value, duals = rmp.solve_lp_and_prune()
+        for s in range(1, inst.spectrum_slots + 1):
+            if (res := price_slot(inst, s, duals)).configuration is not None:
+                rmp.add_column(res.configuration)
+    sol = rmp.model.solve_lp()
+    duals = rmp._duals_from(sol)
+    slots = inst.spectrum_slots
+    cell_row = {
+        (link, s): len(inst.requests) + link * slots + s - 1
+        for link in range(inst.topology.num_links)
+        for s in range(1, slots + 1)
+    }
+    for k, y in rmp._y.items():
+        (row,) = rmp.model.column(y)[1]  # y_k's one coefficient sits in the coverage row of k
+        assert duals.mu_request[k] == sol.duals[row]
+    for vid, config in zip(rmp.column_ids(), rmp.configurations()):
+        rows = {row for row, coef in rmp.model.column(vid)[1].items() if coef == 1.0}
+        assert rows == {cell_row[cell] for cell in config.occupied_cells()}
+    for (link, s), row in cell_row.items():
+        assert duals.mu_cell[link, s - 1] == sol.duals[row]
+    # some request and cell rows bind, so the checks read values other than zero
+    assert duals.mu_cell.any() and any(duals.mu_request.values())
 
 
 def test_shared_link_rejected(small_instance):

@@ -20,7 +20,7 @@ from eonrsa import (
     verify_plan,
 )
 from eonrsa.pricing import pricing_key
-from conftest import make_random_tiny_instance
+from conftest import make_random_tiny_instance, recorded_master_duals
 
 
 def test_single_lightpath_run(two_node):
@@ -100,7 +100,7 @@ def test_deterministic_repeats():
     cfg = SolveConfig(final_ilp_relative_gap=0.0)
     r1, p1 = solve(inst, cfg)
     r2, p2 = solve(inst, cfg)
-    skip = {"timings", "dual_snapshots"}
+    skip = {"timings"}
     for f in dataclasses.fields(r1):
         if f.name in skip:
             continue
@@ -195,11 +195,12 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
             return price_slot(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "price_slot", counted)
-        report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, record_dual_snapshots=True))
+        with recorded_master_duals() as snapshots:
+            solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
         monkeypatch.undo()
         requests = [PricingRequest.from_request(r) for r in inst.requests]
         first = {}
-        for duals in report.dual_snapshots:
+        for duals in snapshots:
             clamped = duals.clamped()
             for s in range(1, inst.spectrum_slots + 1):
                 key = pricing_key(inst, s, clamped, requests)
