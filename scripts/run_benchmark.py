@@ -28,7 +28,7 @@ from eonrsa import (  # noqa: E402
     generate_inoc_style,
     solve,
 )
-from eonrsa.cli import RunRow, rows_to_markdown  # noqa: E402
+from eonrsa.cli import report_row, rows_to_markdown  # noqa: E402
 
 CONFERENCE_LADDER = [(35, 50), (45, 60), (60, 75), (64, 85), (70, 100)]
 
@@ -77,7 +77,7 @@ def main() -> int:
     for inst in instances:
         t0 = time.monotonic()
         report, _plan = solve(inst, config)
-        rows.append(RunRow.from_report(report))
+        rows.append(report_row(report))
         print(
             f"# {inst.name}: {time.monotonic() - t0:.1f}s, "
             f"z_lp {report.z_lp_star_tbps:.2f} Tbps, z_ilp {report.z_ilp_tbps:.2f} Tbps, "

@@ -12,13 +12,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .errors import EonRsaError, LimitsExceeded
 from .guardband import solve_extended
 from .instance import Instance, generate_inoc_style, load_instance, save_instance
+from .lpsolver import BACKENDS
 from .master import ProvisioningPlan
 from .oracle import OracleLimits, oracle_solve
 from .solver import SolveConfig, SolveReport, solve
@@ -29,119 +29,41 @@ EXIT_FAILURE = 1
 EXIT_UNCERTIFIED = 2
 EXIT_USAGE = 64
 
-CSV_COLUMNS = [
-    "instance",
-    "spectrum_slots",
-    "num_requests",
-    "offered_load_tbps",
-    "z_lp_star_tbps",
-    "z_ilp_tbps",
-    "epsilon_pct",
-    "gos_pct",
-    "lp_sec",
-    "ilp_sec",
-    "total_sec",
-    "certified",
-]
-
-MD_HEADER = (
-    "| Instance | \\|S\\| | \\|D\\| | Load (Tbps) | z_LP* (Tbps) | z_ILP (Tbps) "
-    "| eps (%) | GoS (%) | LP (s) | ILP (s) | Total (s) | Certified |"
+# One entry per result-table column: CSV name, markdown header, and the text
+# of its cell for a SolveReport. Headers, rule and rows all come from here.
+COLUMNS = (
+    ("instance", "Instance", lambda r: r.instance_name or "instance"),
+    ("spectrum_slots", "\\|S\\|", lambda r: str(r.spectrum_slots)),
+    ("num_requests", "\\|D\\|", lambda r: str(r.num_requests)),
+    ("offered_load_tbps", "Load (Tbps)", lambda r: f"{r.offered_load_tbps:.1f}"),
+    ("z_lp_star_tbps", "z_LP* (Tbps)", lambda r: f"{r.z_lp_star_tbps:.1f}"),
+    ("z_ilp_tbps", "z_ILP (Tbps)", lambda r: f"{r.z_ilp_tbps:.1f}"),
+    ("epsilon_pct", "eps (%)", lambda r: f"{r.epsilon_tab * 100.0:.1f}"),
+    ("gos_pct", "GoS (%)", lambda r: f"{r.gos_percent:.1f}"),
+    ("lp_sec", "LP (s)", lambda r: f"{r.timings['lp_phase']:.1f}"),
+    ("ilp_sec", "ILP (s)", lambda r: f"{r.timings['ilp_phase']:.1f}"),
+    ("total_sec", "Total (s)", lambda r: f"{r.timings['total']:.1f}"),
+    ("certified", "Certified", lambda r: "yes" if r.certified else "no"),
 )
 
 
-@dataclass(frozen=True)
-class RunRow:
-    """One result-table row; column set and order mirror the CSV schema."""
-
-    instance: str
-    spectrum_slots: int
-    num_requests: int
-    offered_load_tbps: float
-    z_lp_star_tbps: float
-    z_ilp_tbps: float
-    epsilon_pct: float
-    gos_pct: float
-    lp_sec: float
-    ilp_sec: float
-    total_sec: float
-    certified: bool
-
-    @staticmethod
-    def from_report(report: SolveReport) -> "RunRow":
-        return RunRow(
-            instance=report.instance_name or "instance",
-            spectrum_slots=report.spectrum_slots,
-            num_requests=report.num_requests,
-            offered_load_tbps=round(report.offered_load_tbps, 1),
-            z_lp_star_tbps=round(report.z_lp_star_tbps, 1),
-            z_ilp_tbps=round(report.z_ilp_tbps, 1),
-            epsilon_pct=round(report.epsilon_tab * 100.0, 1),
-            gos_pct=round(report.gos_percent, 1),
-            lp_sec=round(report.timings["lp_phase"], 1),
-            ilp_sec=round(report.timings["ilp_phase"], 1),
-            total_sec=round(report.timings["total"], 1),
-            certified=report.certified,
-        )
-
-    def to_csv_values(self) -> list[str]:
-        return [
-            self.instance,
-            str(self.spectrum_slots),
-            str(self.num_requests),
-            f"{self.offered_load_tbps:.1f}",
-            f"{self.z_lp_star_tbps:.1f}",
-            f"{self.z_ilp_tbps:.1f}",
-            f"{self.epsilon_pct:.1f}",
-            f"{self.gos_pct:.1f}",
-            f"{self.lp_sec:.1f}",
-            f"{self.ilp_sec:.1f}",
-            f"{self.total_sec:.1f}",
-            "yes" if self.certified else "no",
-        ]
-
-    @staticmethod
-    def from_csv_values(values: Sequence[str]) -> "RunRow":
-        return RunRow(
-            instance=values[0],
-            spectrum_slots=int(values[1]),
-            num_requests=int(values[2]),
-            offered_load_tbps=float(values[3]),
-            z_lp_star_tbps=float(values[4]),
-            z_ilp_tbps=float(values[5]),
-            epsilon_pct=float(values[6]),
-            gos_pct=float(values[7]),
-            lp_sec=float(values[8]),
-            ilp_sec=float(values[9]),
-            total_sec=float(values[10]),
-            certified=values[11] == "yes",
-        )
-
-    def to_markdown(self) -> str:
-        v = self.to_csv_values()
-        return "| " + " | ".join(v) + " |"
+def report_row(report: SolveReport) -> list[str]:
+    """The cells of one result-table row, in column order."""
+    return [cell(report) for _name, _header, cell in COLUMNS]
 
 
-def rows_to_csv(rows: Sequence[RunRow]) -> str:
+def rows_to_csv(rows: Sequence[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.to_csv_values())
+    writer.writerow([name for name, _header, _cell in COLUMNS])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def rows_from_csv(text: str) -> list[RunRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {header}")
-    return [RunRow.from_csv_values(values) for values in reader if values]
-
-
-def rows_to_markdown(rows: Sequence[RunRow]) -> str:
-    lines = [MD_HEADER, "|" + "---|" * len(CSV_COLUMNS)]
-    lines.extend(row.to_markdown() for row in rows)
+def rows_to_markdown(rows: Sequence[Sequence[str]]) -> str:
+    header = [header for _name, header, _cell in COLUMNS]
+    lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|" + "---|" * len(COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -200,11 +122,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, not {value}")
-    return value
+def _float_in(accepts, reason: str):
+    """An argparse type for a float that `accepts(value)` holds for."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {reason}, not {value}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
+_positive_float = _float_in(lambda v: 0 < v < math.inf, "a positive finite number")
+_gap = _float_in(lambda v: 0 <= v < 1, "a fraction in [0, 1)")
+_time_limit = _float_in(lambda v: 0 <= v < math.inf, "finite and non-negative")
 
 
 def _build_parser() -> _Parser:
@@ -229,18 +162,18 @@ def _build_parser() -> _Parser:
 
     slv = sub.add_parser("solve", help="solve an instance and emit result files")
     add_instance_source(slv)
-    slv.add_argument("--gap", type=float, default=0.1, help="final ILP relative gap")
+    slv.add_argument("--gap", type=_gap, default=0.1, help="final ILP relative gap, in [0, 1)")
     slv.add_argument("--guardband", action="store_true", help="enable the derived-request extension")
     slv.add_argument("--require-certified", action="store_true", help="exit 2 unless the bound certifies")
     slv.add_argument("--out-dir", default=".", help="output directory")
     slv.add_argument("--format", choices=("csv", "md", "json"), default="md", help="stdout format")
-    slv.add_argument("--backend", choices=("bundled", "highs"), default="bundled")
-    slv.add_argument("--time-limit", type=float, default=0.0, help="wall-clock budget (s), 0 = none")
+    slv.add_argument("--backend", choices=BACKENDS, default="bundled")
+    slv.add_argument("--time-limit", type=_time_limit, default=0.0, help="wall-clock seconds, 0 = none")
 
     ver = sub.add_parser("verify", help="solve a tiny instance and check it against the oracle")
     add_instance_source(ver)
-    ver.add_argument("--gap", type=float, default=0.0, help="final ILP relative gap")
-    ver.add_argument("--backend", choices=("bundled", "highs"), default="bundled")
+    ver.add_argument("--gap", type=_gap, default=0.0, help="final ILP relative gap, in [0, 1)")
+    ver.add_argument("--backend", choices=BACKENDS, default="bundled")
     return parser
 
 
@@ -284,20 +217,19 @@ def cmd_solve(args) -> int:
     else:
         report, plan = solve(inst, config)
 
+    row = report_row(report)
+    echo = {  # one text per --format, also written to its output file
+        "csv": rows_to_csv([row]),
+        "md": rows_to_markdown([row]),
+        "json": json.dumps(report_to_json_obj(report), indent=2) + "\n",
+    }
     out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    row = RunRow.from_report(report)
-    (out_dir / "report.csv").write_text(rows_to_csv([row]))
-    (out_dir / "report.md").write_text(rows_to_markdown([row]))
+    (out_dir / "report.csv").write_text(echo["csv"])
+    (out_dir / "report.md").write_text(echo["md"])
     (out_dir / "plan.json").write_text(json.dumps(plan_to_json_obj(inst, plan), indent=2) + "\n")
-    (out_dir / "run.json").write_text(json.dumps(report_to_json_obj(report), indent=2) + "\n")
-
-    if args.format == "csv":
-        print(rows_to_csv([row]), end="")
-    elif args.format == "json":
-        print(json.dumps(report_to_json_obj(report), indent=2))
-    else:
-        print(rows_to_markdown([row]), end="")
+    (out_dir / "run.json").write_text(echo["json"])
+    print(echo[args.format], end="")
 
     if args.require_certified and not report.certified:
         print("bound is not certified", file=sys.stderr)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .errors import ParseError, UnknownNode
-from .topology import BUILTIN_TOPOLOGIES, Topology, builtin_topology, _topology_from_dict
+from .topology import BUILTIN_TOPOLOGIES, Topology, builtin_topology
+from .topology import _topology_from_dict, _topology_to_dict
 
 DEFAULT_SLOT_RATE_GBPS = 25.0
 
@@ -180,11 +181,7 @@ def save_instance(instance: Instance) -> bytes:
     if instance.topology.name in BUILTIN_TOPOLOGIES:
         payload["topology_id"] = instance.topology.name
     else:
-        payload["topology"] = {
-            "name": instance.topology.name,
-            "nodes": list(instance.topology.nodes),
-            "links": [list(pair) for pair in instance.topology.links],
-        }
+        payload["topology"] = _topology_to_dict(instance.topology)
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 

@@ -167,6 +167,14 @@ def _topology_from_dict(data: dict) -> Topology:
     return Topology(name=name, nodes=nodes, links=links)
 
 
+def _topology_to_dict(topology: Topology) -> dict:
+    return {
+        "name": topology.name,
+        "nodes": list(topology.nodes),
+        "links": [list(pair) for pair in topology.links],
+    }
+
+
 def load_topology(data: bytes | str) -> Topology:
     """Parse a JSON topology file: {"name", "nodes": [...], "links": [[a,b], ...]}."""
     if isinstance(data, bytes):
@@ -181,12 +189,7 @@ def load_topology(data: bytes | str) -> Topology:
 
 
 def save_topology(topology: Topology) -> bytes:
-    payload = {
-        "name": topology.name,
-        "nodes": list(topology.nodes),
-        "links": [list(pair) for pair in topology.links],
-    }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(_topology_to_dict(topology), indent=2) + "\n").encode("utf-8")
 
 
 def builtin_topology(name: str) -> Topology:

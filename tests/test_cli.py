@@ -3,16 +3,14 @@ import json
 
 import pytest
 
-from eonrsa import Instance, Request, load_instance, save_instance
+from eonrsa import Instance, ProvisioningPlan, Request, SolveReport, load_instance, save_instance
 from eonrsa.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
-    RunRow,
     main,
-    rows_from_csv,
-    rows_to_csv,
+    report_row,
     rows_to_markdown,
 )
 
@@ -313,31 +311,116 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == EXIT_USAGE
 
 
-def test_csv_round_trip():
-    row = RunRow(
-        instance="toy",
+def _report(**fields) -> SolveReport:
+    base = dict(
+        instance_name="golden",
         spectrum_slots=40,
         num_requests=12,
-        offered_load_tbps=0.5,
-        z_lp_star_tbps=0.5,
-        z_ilp_tbps=0.4,
-        epsilon_pct=25.0,
-        gos_pct=80.0,
-        lp_sec=0.1,
-        ilp_sec=0.0,
-        total_sec=0.1,
+        offered_load_gbps=250.0,
+        slot_rate_gbps=25.0,
+        z_lp_star_slots=10.0,
+        z_ilp_slots=9.0,
+        epsilon_lp=0.1,
+        epsilon_tab=0.0025,
+        gos_percent=2.25,
         certified=True,
+        timed_out=False,
+        outer_iterations=3,
+        columns_generated=7,
+        final_ilp_gap=0.0,
+        timings={"lp_phase": 0.35, "ilp_phase": 0.45, "total": 0.75},
     )
-    text = rows_to_csv([row])
-    assert rows_from_csv(text) == [row]
+    return SolveReport(**{**base, **fields})
+
+
+CSV_HEADER = (
+    "instance,spectrum_slots,num_requests,offered_load_tbps,z_lp_star_tbps,z_ilp_tbps,"
+    "epsilon_pct,gos_pct,lp_sec,ilp_sec,total_sec,certified\r\n"
+)
+MD_HEAD = (
+    "| Instance | \\|S\\| | \\|D\\| | Load (Tbps) | z_LP* (Tbps) | z_ILP (Tbps) | eps (%) "
+    "| GoS (%) | LP (s) | ILP (s) | Total (s) | Certified |\n"
+    "|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+)
+
+# Halfway cells: 0.25 Tbps, 0.25 %, 2.25 %, 0.35 s, 0.45 s, 0.75 s, 1.35 Tbps,
+# 1.25 Tbps, 16.25 %, 79.625 %, 2.25 s, 2.675 s. The expected bytes are copied
+# from CLI output, not derived from `COLUMNS`, so any change to them shows here.
+GOLDEN = {
+    "certified": (
+        _report(),
+        CSV_HEADER + "golden,40,12,0.2,0.2,0.2,0.2,2.2,0.3,0.5,0.8,yes\r\n",
+        MD_HEAD + "| golden | 40 | 12 | 0.2 | 0.2 | 0.2 | 0.2 | 2.2 | 0.3 | 0.5 | 0.8 | yes |\n",
+    ),
+    "uncertified": (
+        _report(
+            instance_name="",
+            spectrum_slots=400,
+            num_requests=3,
+            offered_load_gbps=1350.0,
+            slot_rate_gbps=12.5,
+            z_lp_star_slots=100.0,
+            z_ilp_slots=86.0,
+            epsilon_tab=0.1625,
+            gos_percent=79.625,
+            certified=False,
+            timings={"lp_phase": 2.25, "ilp_phase": 0.05, "total": 2.675},
+        ),
+        CSV_HEADER + "instance,400,3,1.4,1.2,1.1,16.2,79.6,2.2,0.1,2.7,no\r\n",
+        MD_HEAD + "| instance | 400 | 3 | 1.4 | 1.2 | 1.1 | 16.2 | 79.6 | 2.2 | 0.1 | 2.7 | no |\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_files_are_golden(case, tmp_path, toy_instance_file, monkeypatch, capsys):
+    import eonrsa.cli as cli
+
+    report, csv_text, md_text = GOLDEN[case]
+    plan = ProvisioningPlan(assignments={}, throughput_slots=0, slot_rate_gbps=25.0)
+    monkeypatch.setattr(cli, "solve", lambda instance, config: (report, plan))
+    argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
+    echoed = {}
+    for fmt in ("csv", "md", "json"):
+        assert main(argv + ["--format", fmt]) == EXIT_OK
+        echoed[fmt] = capsys.readouterr().out
+    assert (tmp_path / "report.csv").read_bytes() == csv_text.encode()
+    assert (tmp_path / "report.md").read_bytes() == md_text.encode()
+    assert echoed == {
+        "csv": csv_text,
+        "md": md_text,
+        "json": (tmp_path / "run.json").read_text(),
+    }
 
 
 def test_markdown_preserves_input_order():
     rows = [
-        RunRow("a", 1, 1, 1.0, 1.0, 1.0, 0.0, 100.0, 0.0, 0.0, 0.0, True),
-        RunRow("b", 2, 2, 2.0, 2.0, 2.0, 0.0, 100.0, 0.0, 0.0, 0.0, False),
+        report_row(_report(instance_name="a", certified=True)),
+        report_row(_report(instance_name="b", certified=False)),
     ]
     md = rows_to_markdown(rows)
     lines = md.strip().splitlines()
     assert len(lines) == 4  # header, rule, two rows
     assert lines[2].startswith("| a |") and lines[3].startswith("| b |")
+
+
+OUT_OF_RANGE = [
+    *[(command, "--gap", gap) for command in ("solve", "verify") for gap in ("nan", "1.5", "-0.1")],
+    *[("solve", "--time-limit", limit) for limit in ("nan", "-1", "inf")],
+]
+
+
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE)
+def test_out_of_range_gap_or_time_limit_is_usage_error_with_reason(
+    command, flag, value, tmp_path, toy_instance_file, capsys
+):
+    argv = [command, "--instance", str(toy_instance_file), flag, value]
+    if command == "solve":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    reason = "[0, 1)" if flag == "--gap" else "finite and non-negative"
+    err_text = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err_text and reason in err_text
+    assert not (tmp_path / "out").exists()
