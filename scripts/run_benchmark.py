@@ -28,7 +28,13 @@ from eonrsa import (  # noqa: E402
     generate_inoc_style,
     solve,
 )
-from eonrsa.cli import report_row, rows_to_markdown  # noqa: E402
+from eonrsa.cli import (  # noqa: E402
+    _gap,
+    _positive_float,
+    _positive_int,
+    report_row,
+    rows_to_markdown,
+)
 
 CONFERENCE_LADDER = [(35, 50), (45, 60), (60, 75), (64, 85), (70, 100)]
 
@@ -58,11 +64,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--topology", default="spain21", choices=("spain21", "usa24"))
     parser.add_argument("--suite", default="conference", choices=("conference", "backbone"))
-    parser.add_argument("--loads", type=float, nargs="*", default=[2.0, 4.0],
+    parser.add_argument("--loads", type=_positive_float, nargs="*", default=[2.0, 4.0],
                         help="offered loads in Tbps (backbone suite)")
-    parser.add_argument("--spectrum", type=int, default=100, help="slots (backbone suite)")
+    parser.add_argument("--spectrum", type=_positive_int, default=100, help="slots (backbone suite)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--gap", type=float, default=0.1)
+    parser.add_argument("--gap", type=_gap, default=0.1, help="final ILP relative gap, in [0, 1)")
     parser.add_argument("--backend", default="highs", choices=("bundled", "highs"))
     args = parser.parse_args()
 

@@ -27,7 +27,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .lpsolver import LpSolution, MipSolution, Model, SolveStatus, VarKind
+from .lpsolver import LpSolution, MipSolution, Model, SolveStatus
 from .master import (
     Configuration,
     Lightpath,
@@ -38,12 +38,7 @@ from .master import (
     validate_configuration,
 )
 from .oracle import OracleLimits, OracleSolution, oracle_max_reduced_cost, oracle_solve, verify_plan
-from .pricing import (
-    PricingResult,
-    generate_lightpath,
-    master_reduced_cost,
-    price_slot,
-)
+from .pricing import PricingResult, generate_lightpath, price_slot
 from .solver import Metrics, SolveConfig, SolveReport, certify, report_metrics, solve
 from .topology import (
     BUILTIN_TOPOLOGIES,

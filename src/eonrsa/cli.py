@@ -122,6 +122,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_positive_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _float_in(accepts, reason: str):
     """An argparse type for a float that `accepts(value)` holds for."""
 
@@ -145,10 +148,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_source(p, from_file: bool = True):
+        sources = "--topology and --load-tbps"  # named when the source is missing
         if from_file:
             p.add_argument("--instance", help="instance JSON file")
+            sources = "--instance, or " + sources
         else:
             p.set_defaults(instance=None)  # generate always draws a new instance
+        p.set_defaults(sources=sources)
         p.add_argument("--topology", choices=BUILTIN_TOPOLOGIES, help="generate on this topology")
         p.add_argument(
             "--load-tbps", type=_positive_float, help="target offered load (Tbps, generation)"
@@ -182,7 +188,7 @@ def _load_or_generate(args) -> Instance:
         inst = load_instance(FsPath(args.instance).read_bytes())
         return inst if args.spectrum is None else inst.with_spectrum(args.spectrum)
     if args.topology is None or args.load_tbps is None:
-        print(f"{args.command} requires --instance, or --topology and --load-tbps", file=sys.stderr)
+        print(f"{args.command} requires {args.sources}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return generate_inoc_style(
         builtin_topology(args.topology),
@@ -193,9 +199,6 @@ def _load_or_generate(args) -> Instance:
 
 
 def cmd_generate(args) -> int:
-    if args.topology is None or args.load_tbps is None:
-        print("generate requires --topology and --load-tbps", file=sys.stderr)
-        return EXIT_USAGE
     inst = _load_or_generate(args)
     out_dir = FsPath(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

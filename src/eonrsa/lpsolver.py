@@ -1,7 +1,7 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
-A ``Model`` keeps one column store, numpy CSC arrays plus objective, bound and
-kind vectors, and two interchangeable engines read it behind the same contract.
+A ``Model`` keeps one column store, numpy CSC arrays plus objective and bound
+vectors, and two interchangeable engines read it behind the same contract.
 A model's rows are fixed when it is built, from their right-hand sides; only
 columns are added and removed afterwards, and duals come back as one array
 indexed by row. The engines are:
@@ -15,9 +15,10 @@ indexed by row. The engines are:
   this engine runs.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
-right-hand side, and variables are continuous in [lo, hi] (finite lo) or
-binary. Duals of binding constraints are reported exactly as the engine
-produced them, tiny negatives included: clamping is the caller's business.
+right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
+solve names the variables it holds binary. Duals of binding constraints are
+reported exactly as the engine produced them, tiny negatives included:
+clamping is the caller's business.
 """
 
 from __future__ import annotations
@@ -53,11 +54,6 @@ class SolveStatus(enum.Enum):
     TIME_LIMIT = "time_limit"
 
 
-class VarKind(enum.Enum):
-    CONTINUOUS = "continuous"
-    BINARY = "binary"
-
-
 @dataclass(eq=False)
 class ModelArrays:
     """A model's column store: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
@@ -65,7 +61,6 @@ class ModelArrays:
     `a` is held in CSC form: column j has the values `data[indptr[j]:indptr[j+1]]`
     in the rows `indices[indptr[j]:indptr[j+1]]`, ascending. Columns follow
     `var_ids`, ascending; the rows, and so `b`, are fixed when the model is built.
-    `binary` flags the binary columns.
     """
 
     var_ids: list[int]
@@ -76,7 +71,6 @@ class ModelArrays:
     c: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    binary: np.ndarray
 
     @property
     def n(self) -> int:
@@ -138,7 +132,6 @@ class Model:
             c=np.zeros(0),
             lo=np.zeros(0),
             hi=np.zeros(0),
-            binary=np.zeros(0, dtype=bool),
         )
         self._next_var = 0
         self._warm: Optional[_WarmState] = None
@@ -157,7 +150,6 @@ class Model:
         obj: float = 0.0,
         lo: float = 0.0,
         hi: float = math.inf,
-        kind: VarKind = VarKind.CONTINUOUS,
         coeffs: Optional[Mapping[int, float]] = None,
     ) -> int:
         """New variable; `coeffs` maps rows to its coefficients there."""
@@ -174,8 +166,6 @@ class Model:
         rows = sorted(coeffs)
         vid = self._next_var
         self._next_var += 1
-        if kind is VarKind.BINARY:
-            lo, hi = max(lo, 0.0), min(hi, 1.0)
         st.var_ids.append(vid)
         st.data = np.concatenate((st.data, [coeffs[row] for row in rows]))
         st.indices = np.concatenate((st.indices, np.array(rows, dtype=np.intp)))
@@ -183,7 +173,6 @@ class Model:
         st.c = np.concatenate((st.c, [obj]))
         st.lo = np.concatenate((st.lo, [lo]))
         st.hi = np.concatenate((st.hi, [hi]))
-        st.binary = np.concatenate((st.binary, [kind is VarKind.BINARY]))
         return vid
 
     def remove_variables(self, ids: Iterable[int]) -> None:
@@ -197,19 +186,12 @@ class Model:
         st.var_ids = [vid for vid, kept in zip(st.var_ids, keep.tolist()) if kept]
         st.data, st.indices = st.data[entries], st.indices[entries]
         st.indptr = np.concatenate([[0], np.cumsum(lengths[keep])]).astype(np.intp)
-        st.c, st.lo, st.hi, st.binary = st.c[keep], st.lo[keep], st.hi[keep], st.binary[keep]
+        st.c, st.lo, st.hi = st.c[keep], st.lo[keep], st.hi[keep]
         for vid in ids:
             if self._warm is not None:
                 self._warm.at_upper.discard(vid)
                 if vid in self._warm.basis_keys:
                     self._warm = None  # removed a basic column; basis is stale
-
-    def set_kind(self, vid: int, kind: VarKind) -> None:
-        j = self._position(vid)
-        st = self._store
-        st.binary[j] = kind is VarKind.BINARY
-        if kind is VarKind.BINARY:
-            st.lo[j], st.hi[j] = max(st.lo[j], 0.0), min(st.hi[j], 1.0)
 
     def prune(self, sol: LpSolution, candidates: Iterable[int]) -> list[int]:
         """Remove the candidates that sit at zero outside the basis of `sol`.
@@ -241,17 +223,6 @@ class Model:
     def num_constraints(self) -> int:
         return self._store.m
 
-    def column(self, vid: int) -> tuple[float, dict[int, float]]:
-        """Objective coefficient and {row: coefficient} of a variable."""
-        j = self._position(vid)
-        st = self._store
-        s, e = st.indptr[j], st.indptr[j + 1]
-        return float(st.c[j]), dict(zip(st.indices[s:e].tolist(), st.data[s:e].tolist()))
-
-    def binary_ids(self) -> list[int]:
-        st = self._store
-        return [vid for vid, binary in zip(st.var_ids, st.binary.tolist()) if binary]
-
     def arrays(self) -> ModelArrays:
         """The column store that both engines read; valid until the next edit."""
         return self._store
@@ -259,25 +230,33 @@ class Model:
     # -- solving ----------------------------------------------------------
 
     def solve_lp(self) -> LpSolution:
-        """LP relaxation (binaries treated as [0,1] continuous), warm from the last basis."""
+        """The LP, warm from the last basis."""
         if self.backend == "highs":
             return _solve_lp_highs(self)
         return _solve_lp_bundled(self)
 
     def solve_mip(
         self,
-        relative_gap: float = 0.0,
+        relative_gap: float,
+        binaries: Iterable[int],
         use_warm_start: bool = True,
         deadline: Optional[float] = None,
     ) -> MipSolution:
-        """Branch-and-bound over the binary variables to the requested gap."""
+        """Branch-and-bound over `binaries` to the requested gap.
+
+        The bounds of `binaries` are cut to [0, 1] in the model, and stay so.
+        """
         if not 0.0 <= relative_gap < 1.0:
             raise ValueError("relative_gap must lie in [0, 1)")
+        binaries = sorted(binaries)
+        j = np.array([self._position(vid) for vid in binaries], dtype=np.intp)
+        st = self._store
+        st.lo[j], st.hi[j] = np.maximum(st.lo[j], 0.0), np.minimum(st.hi[j], 1.0)
         if self.backend == "highs":
-            return _solve_mip_highs(self, relative_gap, deadline)
+            return _solve_mip_highs(self, binaries, relative_gap, deadline)
         if not use_warm_start:
             self._warm = None
-        return _solve_mip_bundled(self, relative_gap, deadline)
+        return _solve_mip_bundled(self, binaries, relative_gap, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +585,8 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
 
 
 def _solve_mip_bundled(
-    model: Model, relative_gap: float, deadline: Optional[float]
+    model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
-    binaries = model.binary_ids()
     root = _solve_lp_bundled(model)
     if root.status is not SolveStatus.OPTIMAL:
         return MipSolution(root.status, -math.inf, {}, math.inf)
@@ -742,7 +720,7 @@ def _solve_lp_highs(model: Model) -> LpSolution:
 
 
 def _solve_mip_highs(
-    model: Model, relative_gap: float, deadline: Optional[float] = None
+    model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csc_matrix
@@ -765,7 +743,7 @@ def _solve_mip_highs(
         res = milp(
             -mat.c,  # scipy minimizes
             constraints=constraints,
-            integrality=mat.binary,
+            integrality=np.isin(mat.var_ids, binaries),
             bounds=Bounds(mat.lo, mat.hi),
             options=options,
         )

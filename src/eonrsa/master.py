@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConflictDetected, InvalidConfiguration
 from .instance import Instance, Request
-from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus, VarKind
+from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
 from .topology import Path
 
 
@@ -85,12 +85,6 @@ class Configuration:
 
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(cell for lp in self.lightpaths for cell in lp.cells())
-
-    def signature(self) -> tuple:
-        return (
-            self.start_slot,
-            tuple(sorted((lp.request_key, lp.path.links) for lp in self.lightpaths)),
-        )
 
 
 def validate_configuration(
@@ -202,20 +196,6 @@ class RestrictedMaster:
     def num_columns(self) -> int:
         return len(self._columns)
 
-    def column_ids(self) -> list[int]:
-        return sorted(self._columns)
-
-    def configurations(self) -> list[Configuration]:
-        return [self._columns[vid] for vid in sorted(self._columns)]
-
-    def column_coefficients(self, vid: int) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
-        """Stored coefficients of a column: (covered atomics, occupied cells)."""
-        _, coeffs = self.model.column(vid)
-        ids, slots = list(self._row_request), self._grid[1]
-        atomics = frozenset(ids[row] for row, v in coeffs.items() if v == -1.0)
-        cells = [divmod(row - len(ids), slots) for row, v in coeffs.items() if v == 1.0]
-        return atomics, frozenset((link, s + 1) for link, s in cells)
-
     def add_column(self, config: Configuration) -> int:
         validate_configuration(config, self.instance.spectrum_slots, self.pricing_requests)
         for k in config.served_atomics():
@@ -279,9 +259,9 @@ class RestrictedMaster:
         deadline: Optional[float] = None,
     ) -> tuple[float, list[Configuration], MipSolution]:
         """Restrict columns to {0,1} and solve from a fresh start; y integrality must emerge."""
-        for vid in self._columns:
-            self.model.set_kind(vid, VarKind.BINARY)
-        mip = self.model.solve_mip(relative_gap, use_warm_start=False, deadline=deadline)
+        mip = self.model.solve_mip(
+            relative_gap, self._columns, use_warm_start=False, deadline=deadline
+        )
         if mip.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE):
             raise RuntimeError(f"final ILP failed: {mip.status}")
         if not mip.values:  # timed out before any incumbent

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import Instance
-from .lpsolver import Model, SolveStatus, VarKind
+from .lpsolver import Model, SolveStatus
 from .master import Configuration, Lightpath, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
 
@@ -33,14 +33,6 @@ IMPROVE_TOL = 1e-6
 # rounds, so hitting this means something is numerically wrong. The slot is
 # then reported with an infinite LP bound, i.e. never certified.
 MAX_INNER_ROUNDS = 500
-
-
-@dataclass(eq=False)
-class PricingDuals:
-    """Inner duals: one per atomic request row, one per link row."""
-
-    nu_request: dict[int, float]
-    nu_link: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,10 +111,6 @@ class _InnerProblem:
         self._row_atomic = {k: row for row, k in enumerate(atom_ids)}
         self.model = Model([1.0] * (len(atom_ids) + instance.topology.num_links))
         self._columns: dict[int, tuple[PricingRequest, Path]] = {}
-        self._present: dict[int, set[tuple[int, ...]]] = {p.key: set() for p in eligible}
-
-    def has_column(self, request: PricingRequest, path: Path) -> bool:
-        return path.links in self._present[request.key]
 
     def add_path(self, request: PricingRequest, path: Path) -> int:
         window = self._windows[request.width]
@@ -132,24 +120,21 @@ class _InnerProblem:
             coeffs[len(self._row_atomic) + link] = 1.0
         vid = self.model.add_variable(obj=value, lo=0.0, hi=math.inf, coeffs=coeffs)
         self._columns[vid] = (request, path)
-        self._present[request.key].add(path.links)
         return vid
 
-    def solve_lp(self) -> tuple[float, PricingDuals]:
+    def solve_lp(self) -> tuple[float, dict[int, float], np.ndarray]:
+        """The LP value, then the duals of the atomic rows by request id and of the link rows."""
         sol = self.model.solve_lp()
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing LP failed: {sol.status}")
         for vid in self.model.prune(sol, self._columns):
-            request, path = self._columns.pop(vid)
-            self._present[request.key].discard(path.links)
+            del self._columns[vid]
         atomics = len(self._row_atomic)
         nu_request = dict(zip(self._row_atomic, sol.duals[:atomics].tolist()))
-        return sol.objective, PricingDuals(nu_request=nu_request, nu_link=sol.duals[atomics:])
+        return sol.objective, nu_request, sol.duals[atomics:]
 
     def solve_ilp(self) -> tuple[float, list[Lightpath]]:
-        for vid in self._columns:
-            self.model.set_kind(vid, VarKind.BINARY)
-        mip = self.model.solve_mip(0.0, use_warm_start=True)
+        mip = self.model.solve_mip(0.0, self._columns, use_warm_start=True)
         if mip.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing ILP failed: {mip.status}")
         chosen = []
@@ -191,20 +176,19 @@ def price_slot(
     rc_lp_star = 0.0
     converged = False
     for _ in range(MAX_INNER_ROUNDS):
-        rc_lp_star, nu = inner.solve_lp()
+        rc_lp_star, nu_request, nu_link = inner.solve_lp()
         # a request's link weights depend on the request only through its width
-        nu_link = np.maximum(nu.nu_link, 0.0)
+        nu_link = np.maximum(nu_link, 0.0)
         weights = {w: win + nu_link for w, win in windows.items()}
         added = 0
         for request in sorted(eligible, key=lambda p: p.key):
-            gain = mu_gain[request.key] - sum(nu.nu_request.get(k, 0.0) for k in request.members)
+            gain = mu_gain[request.key] - sum(nu_request.get(k, 0.0) for k in request.members)
             gen = generate_lightpath(instance, request, gain, weights[request.width])
             if gen is None:
                 continue
-            path, _ = gen
-            if inner.has_column(request, path):
-                continue  # defensive: never re-add a live column
-            inner.add_path(request, path)
+            # a live column's reduced cost is at most OPT_TOL, and the clamped link
+            # weights only lower it, so a path priced above IMPROVE_TOL is new
+            inner.add_path(request, gen[0])
             added += 1
         if added == 0:
             converged = True
@@ -222,12 +206,3 @@ def price_slot(
     if rc_ilp > rc_lp_star + 1e-6 * (1.0 + abs(rc_lp_star)):
         raise RuntimeError(f"pricing ILP {rc_ilp} exceeds its LP bound {rc_lp_star}")
     return PricingResult(slot=s, configuration=config, rc_ilp=rc_ilp, rc_lp_star=rc_lp_star)
-
-
-def master_reduced_cost(config: Configuration, master_duals: MasterDuals) -> float:
-    """Recompute a column's reduced cost from (mu, a, b) with clamped duals."""
-    duals = master_duals.clamped()
-    value = sum(duals.mu_request.get(k, 0.0) for k in config.served_atomics())
-    for link, slot in config.occupied_cells():
-        value -= float(duals.mu_cell[link, slot - 1])
-    return value

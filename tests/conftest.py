@@ -65,6 +65,50 @@ def make_four_node_instance(seed: int) -> Instance:
     return Instance(topology=topo, spectrum_slots=spectrum, requests=requests, name=f"quad{seed}")
 
 
+def model_column(model, vid: int) -> tuple[float, dict[int, float]]:
+    """Objective coefficient and {row: coefficient} of a model variable, read from its store."""
+    mat = model.arrays()
+    j = mat.var_ids.index(vid)
+    s, e = mat.indptr[j], mat.indptr[j + 1]
+    return float(mat.c[j]), dict(zip(mat.indices[s:e].tolist(), mat.data[s:e].tolist()))
+
+
+def column_ids(rmp: RestrictedMaster) -> list[int]:
+    """The master's configuration columns, ascending."""
+    return sorted(rmp._columns)
+
+
+def configurations(rmp: RestrictedMaster) -> list:
+    """The configuration of each column, in `column_ids` order."""
+    return [rmp._columns[vid] for vid in column_ids(rmp)]
+
+
+def column_coefficients(rmp: RestrictedMaster, vid: int):
+    """Stored coefficients of a master column: (covered atomics, occupied cells)."""
+    _, coeffs = model_column(rmp.model, vid)
+    ids, slots = list(rmp._row_request), rmp.instance.spectrum_slots
+    atomics = frozenset(ids[row] for row, v in coeffs.items() if v == -1.0)
+    cells = [divmod(row - len(ids), slots) for row, v in coeffs.items() if v == 1.0]
+    return atomics, frozenset((link, s + 1) for link, s in cells)
+
+
+def signature(config) -> tuple:
+    """A configuration's starting slot and its (request key, links) pairs, sorted."""
+    return (
+        config.start_slot,
+        tuple(sorted((lp.request_key, lp.path.links) for lp in config.lightpaths)),
+    )
+
+
+def master_reduced_cost(config, master_duals) -> float:
+    """Recompute a column's reduced cost from (mu, a, b) with clamped duals."""
+    duals = master_duals.clamped()
+    value = sum(duals.mu_request.get(k, 0.0) for k in config.served_atomics())
+    for link, slot in config.occupied_cells():
+        value -= float(duals.mu_cell[link, slot - 1])
+    return value
+
+
 @contextlib.contextmanager
 def recorded_master_duals():
     """Yields a list that collects the duals of every master LP solve inside the block."""

@@ -28,7 +28,13 @@ from eonrsa import (
     solve,
     verify_plan,
 )
-from conftest import make_four_node_instance, make_random_tiny_instance, recorded_master_duals
+from conftest import (
+    make_four_node_instance,
+    make_random_tiny_instance,
+    master_reduced_cost,
+    recorded_master_duals,
+    signature,
+)
 
 N_TINY = 200
 N_SNAPSHOT_RUNS = 40  # batch prefix whose recorded master duals criterion 7 re-prices
@@ -185,8 +191,6 @@ def _shifted(duals, delta):
 
 
 def test_criterion_7_dual_clamp_robustness(tiny_batch):
-    from eonrsa import master_reduced_cost
-
     runs, _, recorded = tiny_batch
     snapshots = 0
     tie_flips = 0
@@ -194,7 +198,7 @@ def test_criterion_7_dual_clamp_robustness(tiny_batch):
         for duals in run_duals:
             snapshots += 1
             reference = _priced_configurations(inst, duals)
-            ref_sigs = {s: c.signature() for s, c in reference.items()}
+            ref_sigs = {s: signature(c) for s, c in reference.items()}
 
             # pure engine-noise shape: negatives appear only where the true
             # dual is zero; the clamp must neutralize them exactly
@@ -205,7 +209,7 @@ def test_criterion_7_dual_clamp_robustness(tiny_batch):
                 mu_cell=np.where(duals.mu_cell == 0.0, -1e-9, duals.mu_cell),
             )
             noisy_zero = _priced_configurations(inst, zeroed)
-            assert {s: c.signature() for s, c in noisy_zero.items()} == ref_sigs
+            assert {s: signature(c) for s, c in noisy_zero.items()} == ref_sigs
 
             # uniform additive -1e-9 on every dual: a change is only legal
             # between configurations that were reduced-cost-tied before the
@@ -213,7 +217,7 @@ def test_criterion_7_dual_clamp_robustness(tiny_batch):
             shifted = _priced_configurations(inst, _shifted(duals, -1e-9))
             assert set(shifted) == set(reference)
             for s, noisy_config in shifted.items():
-                if noisy_config.signature() == ref_sigs[s]:
+                if signature(noisy_config) == ref_sigs[s]:
                     continue
                 tie_flips += 1
                 clean_rc = master_reduced_cost(reference[s], duals)

@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,10 +192,6 @@ def test_guardband_cap_refused_with_clear_error(tmp_path, capsys, two_node):
 
 
 def test_cross_process_determinism(tmp_path):
-    import subprocess
-    import sys
-    from pathlib import Path
-
     import eonrsa
 
     args = [
@@ -249,13 +248,20 @@ def test_usage_error_exit_code():
     assert err.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", ["solve", "verify"])
-def test_missing_instance_source_is_usage_error_with_reason(command, capsys):
+@pytest.mark.parametrize("command", ["generate", "solve", "verify"])
+def test_missing_instance_source_is_usage_error_with_reason(command, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = [command, "--topology", "spain21"]
     with pytest.raises(SystemExit) as err:
-        main([command, "--topology", "spain21"])
+        main(argv + (["--out-dir", str(out_dir)] if command != "verify" else []))
     assert err.value.code == EXIT_USAGE
     err_lines = capsys.readouterr().err.strip().splitlines()
-    assert err_lines == [f"{command} requires --instance, or --topology and --load-tbps"]
+    # generate has no --instance option, so its message does not name one
+    sources = "--topology and --load-tbps"
+    if command != "generate":
+        sources = "--instance, or " + sources
+    assert err_lines == [f"{command} requires {sources}"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "solve", "verify"])
@@ -274,6 +280,13 @@ def test_non_positive_spectrum_is_usage_error_with_reason(
     err_text = capsys.readouterr().err
     assert "--spectrum" in err_text and "positive" in err_text
     assert sorted(path.name for path in tmp_path.iterdir()) == ["toy.json"]
+
+
+def test_non_integer_spectrum_names_the_int_type(toy_instance_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--instance", str(toy_instance_file), "--spectrum", "abc"])
+    assert err.value.code == EXIT_USAGE
+    assert "argument --spectrum: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["generate", "solve"])
@@ -424,3 +437,14 @@ def test_out_of_range_gap_or_time_limit_is_usage_error_with_reason(
     err_text = capsys.readouterr().err
     assert f"argument {flag}: must be" in err_text and reason in err_text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--gap", "1.5"), ("--spectrum", "0"), ("--loads", "nan")])
+def test_run_benchmark_out_of_range_value_is_usage_error_with_reason(flag, value):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
+    argv = [sys.executable, str(script), "--suite", "backbone", flag, value]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2  # argparse's usage error
+    assert "Traceback" not in proc.stderr
+    assert f"argument {flag}: must be" in proc.stderr
+    assert proc.stdout == ""

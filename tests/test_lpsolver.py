@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eonrsa import Model, SolveStatus, UnknownId, VarKind
+from eonrsa import Model, SolveStatus, UnknownId
 from eonrsa.lpsolver import _cold_state, _Factor, _SimplexRun
+from conftest import model_column
 
 BACKENDS = ("bundled", "highs")
 
@@ -48,11 +49,11 @@ def test_add_then_remove_is_identity():
     base.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
     edited = Model([1.0])
     edited.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
-    z = edited.add_variable(obj=3.0, kind=VarKind.BINARY, coeffs={0: 2.0})
+    z = edited.add_variable(obj=3.0, hi=1.0, coeffs={0: 2.0})
     edited.remove_variables([z])
     a, b = edited.arrays(), base.arrays()
     assert a.var_ids == b.var_ids
-    for name in ("data", "indices", "indptr", "b", "c", "lo", "hi", "binary"):
+    for name in ("data", "indices", "indptr", "b", "c", "lo", "hi"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -77,15 +78,13 @@ def test_right_hand_side_must_be_finite(bad):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_knapsack_mip(backend):
     m = Model([4.0], backend)
-    a = m.add_variable(obj=3.0, kind=VarKind.BINARY, coeffs={0: 2.0})
-    b = m.add_variable(obj=2.0, kind=VarKind.BINARY, coeffs={0: 2.0})
-    c = m.add_variable(obj=2.0, kind=VarKind.BINARY, coeffs={0: 2.0})
-    sol = m.solve_mip(0.0)
+    a, b, c = (m.add_variable(obj=v, coeffs={0: 2.0}) for v in (3.0, 2.0, 2.0))
+    sol = m.solve_mip(0.0, [a, b, c])
     assert sol.status is SolveStatus.OPTIMAL
     assert abs(sol.objective - 5.0) < 1e-6
     assert sol.values[a] > 0.5  # a plus one of b/c
 
-    relaxed = m.solve_mip(0.5)
+    relaxed = m.solve_mip(0.5, [a, b, c])
     assert relaxed.objective >= 2.5 - 1e-9
     assert relaxed.gap <= 0.5 + 1e-9
 
@@ -93,17 +92,45 @@ def test_knapsack_mip(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_two_binary_cover(backend):
     m = Model([1.0], backend)
-    for _ in range(2):
-        m.add_variable(obj=1.0, kind=VarKind.BINARY, coeffs={0: 1.0})
-    sol = m.solve_mip(0.0)
+    ids = [m.add_variable(obj=1.0, coeffs={0: 1.0}) for _ in range(2)]
+    sol = m.solve_mip(0.0, ids)
     assert abs(sol.objective - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_listed_binary_ends_integral_and_at_most_one(backend):
+    m = Model([2.5], backend)
+    x = m.add_variable(obj=1.0, hi=math.inf, coeffs={0: 1.0})
+    assert m.solve_lp().values[x] == pytest.approx(2.5)
+    mip = m.solve_mip(0.0, [x])
+    assert mip.status is SolveStatus.OPTIMAL
+    assert mip.values[x] == pytest.approx(1.0, abs=1e-9) and mip.objective == pytest.approx(1.0)
+    assert (m.arrays().lo[0], m.arrays().hi[0]) == (0.0, 1.0)  # the bounds stay cut
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unlisted_variable_keeps_a_fractional_optimum(backend):
+    m = Model([1.5], backend)
+    x = m.add_variable(obj=2.0, hi=1.0, coeffs={0: 1.0})
+    y = m.add_variable(obj=1.0, hi=1.0, coeffs={0: 1.0})
+    mip = m.solve_mip(0.0, [x])
+    assert mip.status is SolveStatus.OPTIMAL
+    assert mip.values[x] == pytest.approx(1.0, abs=1e-9)
+    assert mip.values[y] == pytest.approx(0.5, abs=1e-9)
+    assert mip.objective == pytest.approx(2.5)
+
+
+def test_mip_over_an_unknown_variable():
+    m = Model([1.0])
+    m.add_variable(obj=1.0, coeffs={0: 1.0})
+    with pytest.raises(UnknownId):
+        m.solve_mip(0.0, [7])
 
 
 def test_mip_gap_reporting():
     m = Model([7.0])
-    for v in (5.0, 4.0, 3.0):
-        m.add_variable(obj=v, kind=VarKind.BINARY, coeffs={0: 3.0})
-    sol = m.solve_mip(0.1)
+    ids = [m.add_variable(obj=v, coeffs={0: 3.0}) for v in (5.0, 4.0, 3.0)]
+    sol = m.solve_mip(0.1, ids)
     assert sol.gap <= 0.1 + 1e-9
     assert sol.objective >= (1.0 - 0.1) * 9.0 - 1e-6
 
@@ -184,9 +211,8 @@ def test_mip_matches_enumeration_up_to_15_binaries(seed):
     b = [round(rng.uniform(-0.5, 4), 1) for _ in range(mrows)]
     c = [round(rng.gauss(0, 3), 1) for _ in range(n)]
     m = Model(b)
-    for j in range(n):
-        m.add_variable(obj=c[j], kind=VarKind.BINARY, coeffs={i: A[i][j] for i in range(mrows)})
-    sol = m.solve_mip(0.0)
+    ids = [m.add_variable(obj=c[j], coeffs={i: A[i][j] for i in range(mrows)}) for j in range(n)]
+    sol = m.solve_mip(0.0, ids)
     best = -math.inf
     for bits in itertools.product((0, 1), repeat=n):
         if all(sum(A[i][j] * bits[j] for j in range(n)) <= b[i] + 1e-9 for i in range(mrows)):
@@ -254,11 +280,12 @@ def test_mip_deadline_returns_quickly():
     objs = [rng.uniform(0.9, 1.1) for _ in range(n)]
     rows = [rng.sample(range(n), 7) for _ in range(12)]
     m = Model([3.0] * len(rows))
+    ids = []
     for j in range(n):
         coeffs = {i: 1.0 for i, picked in enumerate(rows) if j in picked}
-        m.add_variable(obj=objs[j], kind=VarKind.BINARY, coeffs=coeffs)
+        ids.append(m.add_variable(obj=objs[j], coeffs=coeffs))
     t0 = time.monotonic()
-    sol = m.solve_mip(0.0, deadline=time.monotonic() + 0.2)
+    sol = m.solve_mip(0.0, ids, deadline=time.monotonic() + 0.2)
     assert time.monotonic() - t0 < 5.0
     assert sol.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE, SolveStatus.TIME_LIMIT)
 
@@ -270,8 +297,7 @@ def test_zero_optimum_is_reported_as_positive_zero(backend):
     lp = m.solve_lp()
     assert lp.status is SolveStatus.OPTIMAL
     assert lp.objective == 0.0 and math.copysign(1.0, lp.objective) == 1.0
-    m.set_kind(x, VarKind.BINARY)
-    mip = m.solve_mip(0.0)
+    mip = m.solve_mip(0.0, [x])
     assert mip.status is SolveStatus.OPTIMAL
     assert mip.objective == 0.0 and math.copysign(1.0, mip.objective) == 1.0
 
@@ -289,9 +315,7 @@ def _assert_store_matches(model, rhs, cols):
         assert mat.indices[s:e].tolist() == sorted(col["coeffs"])
         assert mat.data[s:e].tolist() == [col["coeffs"][cid] for cid in sorted(col["coeffs"])]
         assert (mat.c[j], mat.lo[j], mat.hi[j]) == (col["obj"], col["lo"], col["hi"])
-        assert bool(mat.binary[j]) is col["binary"]
-        assert model.column(vid) == (col["obj"], col["coeffs"])
-    assert model.binary_ids() == [vid for vid in sorted(cols) if cols[vid]["binary"]]
+        assert model_column(model, vid) == (col["obj"], col["coeffs"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,21 +327,18 @@ def test_column_store_follows_random_edits(data):
     cols: dict[int, dict] = {}
     coef = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5])
     for _ in range(data.draw(st.integers(1, 14), label="edits")):
-        op = data.draw(st.sampled_from(["variable", "remove", "kind"]))
+        op = data.draw(st.sampled_from(["variable", "remove", "mip"]))
         if op == "variable":
             rows = data.draw(st.lists(st.sampled_from(range(len(rhs))), unique=True)) if rhs else []
             coeffs = {cid: data.draw(coef) for cid in rows}
             obj = data.draw(st.sampled_from([0.0, 1.0, 2.0, -1.0]))
             hi = data.draw(st.sampled_from([1.0, 3.0, math.inf]))
-            binary = data.draw(st.booleans())
-            kind = VarKind.BINARY if binary else VarKind.CONTINUOUS
-            ids = {m.add_variable(obj=obj, hi=hi, kind=kind, coeffs=coeffs) for m in models.values()}
+            ids = {m.add_variable(obj=obj, hi=hi, coeffs=coeffs) for m in models.values()}
             (vid,) = ids
             cols[vid] = {
                 "obj": obj,
                 "lo": 0.0,
-                "hi": min(hi, 1.0) if binary else hi,
-                "binary": binary,
+                "hi": hi,
                 "coeffs": {cid: a for cid, a in coeffs.items() if a != 0.0},
             }
         elif op == "remove" and cols:
@@ -326,15 +347,23 @@ def test_column_store_follows_random_edits(data):
                 m.remove_variables(gone)
             for vid in gone:
                 del cols[vid]
-        elif op == "kind" and cols:
-            vid = data.draw(st.sampled_from(sorted(cols)))
-            binary = data.draw(st.booleans())
-            for m in models.values():
-                m.set_kind(vid, VarKind.BINARY if binary else VarKind.CONTINUOUS)
-            col = cols[vid]
-            col["binary"] = binary
-            if binary:
+        elif op == "mip" and cols:
+            binaries = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
+            mips = {backend: m.solve_mip(0.0, binaries) for backend, m in models.items()}
+            for vid in binaries:  # held in [0, 1] from this solve on
+                col = cols[vid]
                 col["lo"], col["hi"] = max(col["lo"], 0.0), min(col["hi"], 1.0)
+            bundled, highs = mips["bundled"], mips["highs"]
+            assert bundled.status in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED)
+            # HiGHS calls a solve with no binaries FEASIBLE, with an infinite gap,
+            # and an unbounded MIP a numerical failure
+            found = (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+            solved = {backend: mip.status in found for backend, mip in mips.items()}
+            assert solved["bundled"] is solved["highs"]
+            if solved["bundled"]:
+                assert bundled.objective == pytest.approx(highs.objective, abs=1e-6)
+                for mip, vid in itertools.product(mips.values(), binaries):
+                    assert min(abs(mip.values[vid]), abs(mip.values[vid] - 1.0)) <= 1e-6
         # x = 0 is always feasible (lo = 0, rhs >= 0): each LP is optimal or unbounded
         sols = {backend: m.solve_lp() for backend, m in models.items()}
         for m in models.values():
@@ -390,7 +419,7 @@ def test_simplex_products_sum_rows_in_column_order(seed):
     sx = _SimplexRun(mat, mat.lo, mat.hi)
     x = [rng.uniform(-2, 2) for _ in range(sx.ncols)]
     y = [rng.uniform(-2, 2) for _ in range(sx.m)]
-    columns = [m.column(vid)[1] for vid in mat.var_ids] + [{cid: 1.0} for cid in rows]
+    columns = [model_column(m, vid)[1] for vid in mat.var_ids] + [{cid: 1.0} for cid in rows]
     ax = [0.0] * sx.m
     aty = [0.0] * sx.ncols
     for j, coeffs in enumerate(columns):

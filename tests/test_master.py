@@ -16,6 +16,7 @@ from eonrsa import (
     validate_configuration,
     verify_plan,
 )
+from conftest import column_coefficients, column_ids, configurations, model_column, signature
 
 
 def _lp(request_key, links, nodes, start, width, members=None):
@@ -78,13 +79,14 @@ def test_column_coefficient_mapping(small_instance):
         lightpaths=(_lp(0, (0,), ("a", "b"), 5, 4),),
     )
     vid = rmp.add_column(config)
-    obj, coeffs = rmp.model.column(vid)
+    obj, coeffs = model_column(rmp.model, vid)
     rows = {cid for cid, coef in coeffs.items() if coef == 1.0}
     # the 3 request rows by id, then the cell rows link by link, 10 slots per link
     assert rows == {3 + 0 * 10 + s - 1 for s in (5, 6, 7, 8)}
     assert coeffs[0] == -1.0
     assert obj == 0.0  # objective rides on the grant variables
-    assert rmp.column_coefficients(vid) == (frozenset({0}), frozenset((0, s) for s in (5, 6, 7, 8)))
+    cells = frozenset((0, s) for s in (5, 6, 7, 8))
+    assert column_coefficients(rmp, vid) == (frozenset({0}), cells)
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -108,10 +110,11 @@ def test_duals_are_read_at_the_master_rows(backend):
         for s in range(1, slots + 1)
     }
     for k, y in rmp._y.items():
-        (row,) = rmp.model.column(y)[1]  # y_k's one coefficient sits in the coverage row of k
+        # y_k's one coefficient sits in the coverage row of k
+        (row,) = model_column(rmp.model, y)[1]
         assert duals.mu_request[k] == sol.duals[row]
-    for vid, config in zip(rmp.column_ids(), rmp.configurations()):
-        rows = {row for row, coef in rmp.model.column(vid)[1].items() if coef == 1.0}
+    for vid, config in zip(column_ids(rmp), configurations(rmp)):
+        rows = {row for row, coef in model_column(rmp.model, vid)[1].items() if coef == 1.0}
         assert rows == {cell_row[cell] for cell in config.occupied_cells()}
     for (link, s), row in cell_row.items():
         assert duals.mu_cell[link, s - 1] == sol.duals[row]
@@ -305,7 +308,7 @@ def test_retained_columns_have_nonpositive_reduced_cost():
             for config in configs:
                 rmp.add_column(config)
         sol = rmp.model.solve_lp()
-        for vid in rmp.column_ids():
+        for vid in column_ids(rmp):
             assert sol.reduced_costs[vid] <= 1e-6
 
 
@@ -328,12 +331,12 @@ def test_selected_configuration_coefficients_rederive():
             rmp.add_column(config)
     _z, selected, _mip = rmp.solve_final_ilp(0.0)
     assert selected
-    by_sig = {cfg.signature(): cfg for cfg in selected}
-    for vid in rmp.column_ids():
-        config = rmp.configurations()[rmp.column_ids().index(vid)]
-        if config.signature() not in by_sig:
+    by_sig = {signature(cfg): cfg for cfg in selected}
+    for vid in column_ids(rmp):
+        config = configurations(rmp)[column_ids(rmp).index(vid)]
+        if signature(config) not in by_sig:
             continue
-        atomics, cells = rmp.column_coefficients(vid)
+        atomics, cells = column_coefficients(rmp, vid)
         assert atomics == config.served_atomics()
         assert cells == config.occupied_cells()
 

@@ -12,13 +12,12 @@ from eonrsa import (
     Request,
     enumerate_simple_paths,
     generate_lightpath,
-    master_reduced_cost,
     oracle_max_reduced_cost,
     price_slot,
     validate_configuration,
 )
 from eonrsa.pricing import pricing_key
-from conftest import make_four_node_instance
+from conftest import make_four_node_instance, master_reduced_cost
 
 
 def _zero_duals(instance) -> MasterDuals:
