@@ -35,6 +35,7 @@ from eonrsa.cli import (  # noqa: E402
     report_row,
     rows_to_markdown,
 )
+from eonrsa.solver import DEFAULT_FINAL_GAP  # noqa: E402
 
 CONFERENCE_LADDER = [(35, 50), (45, 60), (60, 75), (64, 85), (70, 100)]
 
@@ -68,7 +69,9 @@ def main() -> int:
                         help="offered loads in Tbps (backbone suite)")
     parser.add_argument("--spectrum", type=_positive_int, default=100, help="slots (backbone suite)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--gap", type=_gap, default=0.1, help="final ILP relative gap, in [0, 1)")
+    parser.add_argument(
+        "--gap", type=_gap, default=DEFAULT_FINAL_GAP, help="final ILP relative gap, in [0, 1)"
+    )
     parser.add_argument("--backend", default="highs", choices=("bundled", "highs"))
     args = parser.parse_args()
 

@@ -12,12 +12,7 @@ from .errors import (
     UnknownId,
     UnknownNode,
 )
-from .guardband import (
-    DerivedRequest,
-    derived_pricing_requests,
-    enumerate_derived,
-    solve_extended,
-)
+from .guardband import derived_pricing_requests, solve_extended
 from .instance import (
     Instance,
     Request,

@@ -21,7 +21,7 @@ from .instance import Instance, generate_inoc_style, load_instance, save_instanc
 from .lpsolver import BACKENDS
 from .master import ProvisioningPlan
 from .oracle import OracleLimits, oracle_solve
-from .solver import SolveConfig, SolveReport, solve
+from .solver import DEFAULT_FINAL_GAP, SolveConfig, SolveReport, solve
 from .topology import BUILTIN_TOPOLOGIES, builtin_topology
 
 EXIT_OK = 0
@@ -168,7 +168,9 @@ def _build_parser() -> _Parser:
 
     slv = sub.add_parser("solve", help="solve an instance and emit result files")
     add_instance_source(slv)
-    slv.add_argument("--gap", type=_gap, default=0.1, help="final ILP relative gap, in [0, 1)")
+    slv.add_argument(
+        "--gap", type=_gap, default=DEFAULT_FINAL_GAP, help="final ILP relative gap, in [0, 1)"
+    )
     slv.add_argument("--guardband", action="store_true", help="enable the derived-request extension")
     slv.add_argument("--require-certified", action="store_true", help="exit 2 unless the bound certifies")
     slv.add_argument("--out-dir", default=".", help="output directory")

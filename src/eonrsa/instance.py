@@ -6,7 +6,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ParseError, UnknownNode
 from .topology import BUILTIN_TOPOLOGIES, Topology, builtin_topology
@@ -199,8 +199,8 @@ def _rate(value) -> float:
     return float(value)
 
 
-def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Instance:
-    """Parse an instance file; `topology` overrides whatever the file declares."""
+def load_instance(data: bytes | str) -> Instance:
+    """Parse an instance file, topology included (built-in by id, or inline)."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -210,13 +210,12 @@ def load_instance(data: bytes | str, topology: Optional[Topology] = None) -> Ins
     if not isinstance(obj, dict):
         raise ParseError("instance file must be a JSON object")
 
-    if topology is None:
-        if "topology_id" in obj:
-            topology = builtin_topology(obj["topology_id"])
-        elif "topology" in obj:
-            topology = _topology_from_dict(obj["topology"])
-        else:
-            raise ParseError("instance file declares neither topology_id nor inline topology")
+    if "topology_id" in obj:
+        topology = builtin_topology(obj["topology_id"])
+    elif "topology" in obj:
+        topology = _topology_from_dict(obj["topology"])
+    else:
+        raise ParseError("instance file declares neither topology_id nor inline topology")
 
     try:
         spectrum = _whole(obj["spectrum_slots"], "spectrum_slots")

@@ -245,6 +245,7 @@ class Model:
         """Branch-and-bound over `binaries` to the requested gap.
 
         The bounds of `binaries` are cut to [0, 1] in the model, and stay so.
+        With no binaries the MIP is its LP, solved to a zero gap on both engines.
         """
         if not 0.0 <= relative_gap < 1.0:
             raise ValueError("relative_gap must lie in [0, 1)")
@@ -252,10 +253,15 @@ class Model:
         j = np.array([self._position(vid) for vid in binaries], dtype=np.intp)
         st = self._store
         st.lo[j], st.hi[j] = np.maximum(st.lo[j], 0.0), np.minimum(st.hi[j], 1.0)
-        if self.backend == "highs":
-            return _solve_mip_highs(self, binaries, relative_gap, deadline)
         if not use_warm_start:
             self._warm = None
+        if not binaries:
+            lp = _solve_lp_highs(self) if self.backend == "highs" else _solve_lp_bundled(self)
+            if lp.status is not SolveStatus.OPTIMAL:
+                return MipSolution(lp.status, -math.inf, {}, math.inf)
+            return MipSolution(SolveStatus.OPTIMAL, lp.objective, lp.values, 0.0)
+        if self.backend == "highs":
+            return _solve_mip_highs(self, binaries, relative_gap, deadline)
         return _solve_mip_bundled(self, binaries, relative_gap, deadline)
 
 
@@ -331,13 +337,14 @@ class _SimplexRun:
 
     The slack identity follows the structural columns, and artificial columns
     (phase 1) follow the slacks; the same pivot loop serves both phases. Each
-    product with the matrix sums every row in column order.
+    product with the matrix sums every row in column order. A `retry` run, after
+    a numerical failure, pivots by Bland's rule and checks residuals more often.
     """
 
-    def __init__(self, mat: ModelArrays, lo, hi, bland: bool = False, paranoid: bool = False):
+    def __init__(self, mat: ModelArrays, lo, hi, retry: bool = False):
         self.mat = mat
         self.n, self.m = n, m = mat.n, mat.m
-        self.bland = bland
+        self.bland = retry
         slack = np.arange(m)
         self.data = np.concatenate([mat.data, np.ones(m)])
         self.rows = np.concatenate([mat.indices, slack])
@@ -346,7 +353,7 @@ class _SimplexRun:
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.hi = np.concatenate([hi, np.full(m, math.inf)])
         self.ncols = n + m
-        self.check_period = 25 if paranoid else 200
+        self.check_period = 25 if retry else 200
         self.max_iter = 2000 + 20 * (self.m + self.ncols)
 
     # -- helpers ----------------------------------------------------------
@@ -503,7 +510,7 @@ def _solve_lp_bundled(
             j = bisect_left(mat.var_ids, vid)
             lo[j], hi[j] = lo_j, hi_j
     for attempt in (0, 1):
-        sx = _SimplexRun(mat, lo, hi, bland=attempt == 1, paranoid=attempt == 1)
+        sx = _SimplexRun(mat, lo, hi, retry=attempt == 1)
         try:
             sol = _simplex_solve(model, sx, try_warm=attempt == 0)
         except np.linalg.LinAlgError:  # a singular basis; the second attempt starts cold
@@ -590,8 +597,6 @@ def _solve_mip_bundled(
     root = _solve_lp_bundled(model)
     if root.status is not SolveStatus.OPTIMAL:
         return MipSolution(root.status, -math.inf, {}, math.inf)
-    if not binaries:
-        return MipSolution(SolveStatus.OPTIMAL, root.objective, root.values, 0.0)
 
     inc_val = -math.inf
     inc_values: dict[int, float] = {}
@@ -726,14 +731,6 @@ def _solve_mip_highs(
     from scipy.sparse import csc_matrix
 
     mat = model.arrays()
-    if mat.n == 0:
-        feasible = bool(np.all(mat.b >= -FEAS_TOL))
-        return MipSolution(
-            SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
-            0.0 if feasible else -math.inf,
-            {},
-            0.0 if feasible else math.inf,
-        )
     a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
     constraints = LinearConstraint(a, -np.inf, mat.b) if mat.m else None
     options: dict = {"mip_rel_gap": relative_gap}

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from eonrsa import (
+    Instance,
     MasterDuals,
     Request,
     SolveConfig,
+    Topology,
     aggregate_per_node_pair,
     builtin_topology,
-    enumerate_derived,
+    derived_pricing_requests,
     generate_icton_style,
     oracle_max_reduced_cost,
     oracle_solve,
@@ -158,10 +160,11 @@ def test_criterion_5_cg_monotonicity(tiny_batch):
 
 
 def test_criterion_6_derived_request_counts():
+    pair = Topology(name="pair", nodes=("a", "b"), links=(("a", "b"),))
     t0 = time.perf_counter()
     for n in range(1, 13):
-        atoms = [Request(i, "a", "b", 1 + i % 3) for i in range(n)]
-        derived = enumerate_derived(atoms)
+        atoms = tuple(Request(i, "a", "b", 1 + i % 3) for i in range(n))
+        derived = derived_pricing_requests(Instance(topology=pair, spectrum_slots=8, requests=atoms))
         assert len(derived) == 2**n - 1
         by_size: dict[int, int] = {}
         for d in derived:

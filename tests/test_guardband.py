@@ -12,8 +12,8 @@ from eonrsa import (
     Request,
     RestrictedMaster,
     SolveConfig,
+    Topology,
     derived_pricing_requests,
-    enumerate_derived,
     oracle_solve,
     solve,
     solve_extended,
@@ -22,26 +22,27 @@ from eonrsa import (
 )
 
 
-def _atoms(demands):
-    return [Request(i, "a", "b", d) for i, d in enumerate(demands)]
+def _derived(topology, demands):
+    """The derived requests of atomics with `demands`, all on the pair (a, b)."""
+    atoms = tuple(Request(i, "a", "b", d) for i, d in enumerate(demands))
+    return derived_pricing_requests(Instance(topology=topology, spectrum_slots=8, requests=atoms))
 
 
-def test_three_atomics_make_seven_derived():
-    derived = enumerate_derived(_atoms([2, 3, 5]))
-    assert len(derived) == 7
-    assert sorted(d.demand for d in derived) == [2, 3, 5, 5, 7, 8, 10]
+def test_three_atomics_make_seven_derived(two_node):
+    derived = _derived(two_node, [2, 3, 5])
+    # an m-member composite shares one guard band, saving m-1 slots
+    assert sorted(d.width for d in derived) == [2, 3, 4, 5, 6, 7, 8]
 
 
-def test_singleton_is_the_atomic_itself():
-    derived = enumerate_derived(_atoms([4]))
+def test_singleton_is_the_atomic_itself(two_node):
+    derived = _derived(two_node, [4])
     assert len(derived) == 1
-    assert derived[0].members == (0,) and derived[0].demand == 4
-    assert not derived[0].is_composite
+    assert derived[0].members == (0,) and derived[0].width == 4
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_counts_follow_binomials(n):
-    derived = enumerate_derived(_atoms([1 + i % 3 for i in range(n)]))
+def test_counts_follow_binomials(two_node, n):
+    derived = _derived(two_node, [1 + i % 3 for i in range(n)])
     assert len(derived) == 2**n - 1
     by_size: dict[int, int] = {}
     for d in derived:
@@ -50,27 +51,27 @@ def test_counts_follow_binomials(n):
         assert by_size[m] == comb(n, m)
 
 
-def test_members_are_distinct_subsets():
-    derived = enumerate_derived(_atoms([1, 2, 3, 4]))
+def test_members_are_distinct_subsets(two_node):
+    derived = _derived(two_node, [1, 2, 3, 4])
     subsets = {tuple(sorted(d.members)) for d in derived}
     assert len(subsets) == len(derived) == 15
 
 
-def test_cap_enforced():
+def test_pairs_sorted_and_keys_dense():
+    topo = Topology(name="path3", nodes=("a", "b", "c"), links=(("a", "b"), ("b", "c")))
+    atoms = (Request(0, "c", "b", 1), Request(1, "a", "b", 2), Request(2, "b", "c", 3))
+    derived = derived_pricing_requests(Instance(topology=topo, spectrum_slots=8, requests=atoms))
+    assert [(d.key, d.source, d.dest, d.width, d.members) for d in derived] == [
+        (0, "a", "b", 2, (1,)),
+        (1, "b", "c", 1, (0,)),
+        (2, "b", "c", 3, (0, 2)),
+        (3, "b", "c", 3, (2,)),
+    ]
+
+
+def test_cap_enforced(two_node):
     with pytest.raises(CapExceeded):
-        enumerate_derived(_atoms([1] * 13))
-    assert len(enumerate_derived(_atoms([1] * 13), cap=13)) == 2**13 - 1
-
-
-def test_mixed_pairs_rejected():
-    with pytest.raises(ValueError):
-        enumerate_derived([Request(0, "a", "b", 1), Request(1, "a", "c", 1)])
-
-
-def test_guard_saving_arithmetic():
-    derived = enumerate_derived(_atoms([2, 3, 5]), guard_saving=True)
-    # an m-member composite shares one guard band, saving m-1 slots
-    assert sorted(d.demand for d in derived) == [2, 3, 4, 5, 6, 7, 8]
+        _derived(two_node, [1] * 13)
 
 
 @pytest.fixture
@@ -88,7 +89,7 @@ def test_extended_rmp_prices_three_requests(one_pair_instance):
         one_pair_instance, pricing_requests=derived_pricing_requests(one_pair_instance)
     )
     widths = sorted(p.width for p in rmp.pricing_requests.values())
-    assert widths == [2, 3, 5]
+    assert widths == [2, 3, 4]
     # grant rows stay per atomic
     assert rmp.model.num_variables == 2
 
@@ -112,28 +113,18 @@ def test_composite_grants_both_where_base_grants_one(one_pair_instance):
     # needs only 2+3-1 = 4 slots once the guard band is shared
     base, _ = solve(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0))
     assert base.z_ilp_slots == pytest.approx(3.0)
-    ext, plan = solve_extended(
-        one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0), guard_saving=True
-    )
+    ext, plan = solve_extended(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0))
     assert ext.z_ilp_slots == pytest.approx(5.0)
     assert set(plan.assignments) == {0, 1}
     verify_plan(one_pair_instance, plan, expected_slots=5.0)
     # exhaustive check over the derived request set agrees
     exact = oracle_solve(
         one_pair_instance,
-        pricing_requests=derived_pricing_requests(one_pair_instance, guard_saving=True),
+        pricing_requests=derived_pricing_requests(one_pair_instance),
     )
     assert exact.value_slots == 5
     if ext.certified:
         assert exact.value_slots <= ext.z_lp_star_slots + 1e-6
-
-
-def test_without_saving_extension_cannot_beat_base(one_pair_instance):
-    base, _ = solve(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0))
-    ext, _ = solve_extended(
-        one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0), guard_saving=False
-    )
-    assert ext.z_ilp_slots <= base.z_ilp_slots + 1e-6
 
 
 def test_configuration_rejects_overlapping_members(two_node):

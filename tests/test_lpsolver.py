@@ -120,6 +120,17 @@ def test_unlisted_variable_keeps_a_fractional_optimum(backend):
     assert mip.objective == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mip_without_binaries_is_its_lp(backend):
+    m = Model([1.5], backend)
+    x = m.add_variable(obj=2.0, hi=1.0, coeffs={0: 1.0})
+    y = m.add_variable(obj=1.0, hi=1.0, coeffs={0: 1.0})
+    mip = m.solve_mip(0.0, [])
+    assert mip.status is SolveStatus.OPTIMAL and mip.gap == 0.0
+    assert mip.objective == pytest.approx(2.5)
+    assert mip.values[x] == pytest.approx(1.0) and mip.values[y] == pytest.approx(0.5)
+
+
 def test_mip_over_an_unknown_variable():
     m = Model([1.0])
     m.add_variable(obj=1.0, coeffs={0: 1.0})
@@ -355,8 +366,11 @@ def test_column_store_follows_random_edits(data):
                 col["lo"], col["hi"] = max(col["lo"], 0.0), min(col["hi"], 1.0)
             bundled, highs = mips["bundled"], mips["highs"]
             assert bundled.status in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED)
-            # HiGHS calls a solve with no binaries FEASIBLE, with an infinite gap,
-            # and an unbounded MIP a numerical failure
+            if not binaries:  # the MIP is its LP on both engines
+                assert bundled.status is highs.status
+                if bundled.status is SolveStatus.OPTIMAL:
+                    assert bundled.gap == highs.gap == 0.0
+            # HiGHS calls an unbounded MIP with binaries a numerical failure
             found = (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
             solved = {backend: mip.status in found for backend, mip in mips.items()}
             assert solved["bundled"] is solved["highs"]

@@ -170,6 +170,16 @@ def test_oversized_demand_never_eligible(two_node):
     assert report.certified
 
 
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_run_without_columns_reports_a_zero_ilp_gap(two_node, backend):
+    # no window fits, so the final ILP has no binaries and is solved as its LP
+    inst = Instance(topology=two_node, spectrum_slots=2, requests=(Request(0, "a", "b", 3),))
+    report, plan = solve(inst, SolveConfig(backend=backend))
+    assert report.columns_generated == 0
+    assert report.final_ilp_gap == 0.0
+    assert report.z_ilp_slots == 0.0 and plan.assignments == {}
+
+
 def test_highs_backend_agrees_on_lp_bound():
     # instance 36 cycled on the HiGHS master while it took its duals from the
     # post-prune re-solve; the round cap makes such a cycle fail fast
