@@ -30,6 +30,12 @@ def _derived(topology, demands):
 
 def test_three_atomics_make_seven_derived(two_node):
     derived = _derived(two_node, [2, 3, 5])
+    assert len(derived) == 7
+    assert sorted(len(d.members) for d in derived) == [1, 1, 1, 2, 2, 2, 3]
+
+
+def test_guard_saving_arithmetic(two_node):
+    derived = _derived(two_node, [2, 3, 5])
     # an m-member composite shares one guard band, saving m-1 slots
     assert sorted(d.width for d in derived) == [2, 3, 4, 5, 6, 7, 8]
 
