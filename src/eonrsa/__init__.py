@@ -32,7 +32,7 @@ from .master import (
     RestrictedMaster,
     validate_configuration,
 )
-from .oracle import OracleLimits, OracleSolution, oracle_max_reduced_cost, oracle_solve, verify_plan
+from .oracle import OracleSolution, oracle_max_reduced_cost, oracle_solve, verify_plan
 from .pricing import PricingResult, generate_lightpath, price_slot
 from .solver import Metrics, SolveConfig, SolveReport, certify, report_metrics, solve
 from .topology import (

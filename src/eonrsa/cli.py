@@ -20,7 +20,7 @@ from .guardband import solve_extended
 from .instance import Instance, generate_inoc_style, load_instance, save_instance
 from .lpsolver import BACKENDS
 from .master import ProvisioningPlan
-from .oracle import OracleLimits, oracle_solve
+from .oracle import oracle_solve
 from .solver import DEFAULT_FINAL_GAP, SolveConfig, SolveReport, solve
 from .topology import BUILTIN_TOPOLOGIES, builtin_topology
 
@@ -245,7 +245,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _load_or_generate(args)
     config = SolveConfig(final_ilp_relative_gap=args.gap, backend=args.backend)
-    reference = oracle_solve(inst, OracleLimits())  # raises LimitsExceeded before any work
+    reference = oracle_solve(inst)  # raises LimitsExceeded before any work
     report, _plan = solve(inst, config)
     z_ilp = report.z_ilp_slots
     z_oracle = float(reference.value_slots)

@@ -17,6 +17,8 @@ DEFAULT_SLOT_RATE_GBPS = 25.0
 # INOC-style recipe: demand granularities (slots) with their draw probabilities.
 INOC_GRANULARITIES = (4, 8, 16)
 INOC_PROPORTIONS = (0.7, 0.2, 0.1)
+# ICTON-style recipe: demand granularities (slots), drawn uniformly.
+ICTON_GRANULARITIES = tuple(range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,6 @@ def generate_inoc_style(
     target_load_gbps: float,
     seed: int,
     spectrum_slots: int = 400,
-    slot_rate_gbps: float = DEFAULT_SLOT_RATE_GBPS,
-    name: str = "",
 ) -> Instance:
     """Seeded traffic over all node pairs until the offered load reaches the target.
 
@@ -128,14 +128,13 @@ def generate_inoc_style(
         src, dst = pairs[i % len(pairs)]
         d = rng.choices(INOC_GRANULARITIES, weights=INOC_PROPORTIONS, k=1)[0]
         requests.append(Request(id=len(requests), source=src, dest=dst, demand=d))
-        load += d * slot_rate_gbps
+        load += d * DEFAULT_SLOT_RATE_GBPS
         i += 1
     return Instance(
         topology=topology,
         spectrum_slots=spectrum_slots,
         requests=tuple(requests),
-        slot_rate_gbps=slot_rate_gbps,
-        name=name or f"{topology.name}_{int(round(target_load_gbps / 1000.0))}",
+        name=f"{topology.name}_{int(round(target_load_gbps / 1000.0))}",
     )
 
 
@@ -144,25 +143,22 @@ def generate_icton_style(
     num_pairs: int,
     seed: int,
     spectrum_slots: int = 50,
-    granularities: Sequence[int] = tuple(range(1, 9)),
-    slot_rate_gbps: float = DEFAULT_SLOT_RATE_GBPS,
     name: str = "",
 ) -> Instance:
-    """One request on each of num_pairs distinct node pairs, demands uniform over granularities."""
+    """One request on each of num_pairs distinct node pairs, demands uniform over 1..8 slots."""
     pairs = topology.node_pairs()
     if num_pairs > len(pairs):
         raise ValueError(f"topology only has {len(pairs)} node pairs")
     rng = random.Random(seed)
     chosen = rng.sample(pairs, num_pairs)
     requests = tuple(
-        Request(id=i, source=a, dest=b, demand=rng.choice(list(granularities)))
+        Request(id=i, source=a, dest=b, demand=rng.choice(ICTON_GRANULARITIES))
         for i, (a, b) in enumerate(chosen)
     )
     return Instance(
         topology=topology,
         spectrum_slots=spectrum_slots,
         requests=requests,
-        slot_rate_gbps=slot_rate_gbps,
         name=name or f"{topology.name}_p{num_pairs}",
     )
 

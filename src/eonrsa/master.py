@@ -128,9 +128,10 @@ def validate_configuration(
                 raise InvalidConfiguration(
                     f"path endpoints {ends} do not match request ({req.source}, {req.dest})"
                 )
-            if lp.width != req.width:
+            if (lp.width, lp.members) != (req.width, req.members):
                 raise InvalidConfiguration(
-                    f"window width {lp.width} != request width {req.width}"
+                    f"lightpath width {lp.width} and members {lp.members} != request "
+                    f"{req.key}'s {req.width} and {req.members}"
                 )
 
 

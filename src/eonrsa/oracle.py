@@ -17,12 +17,11 @@ from .master import MasterDuals, PricingRequest, ProvisioningPlan
 from .topology import Path, enumerate_simple_paths
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_nodes: int = 6
-    max_requests: int = 5
-    max_spectrum: int = 10
-    max_hops: int = 5
+# Caps that keep the exhaustive search small.
+MAX_NODES = 6
+MAX_REQUESTS = 5
+MAX_SLOTS = 10
+MAX_HOPS = 5
 
 
 @dataclass(frozen=True)
@@ -31,22 +30,17 @@ class OracleSolution:
     assignments: dict[int, tuple[Path, int]]  # pricing key -> (path, start slot)
 
 
-def _check_limits(instance: Instance, limits: OracleLimits, n_requests: int) -> None:
-    if instance.topology.num_nodes > limits.max_nodes:
-        raise LimitsExceeded(
-            f"{instance.topology.num_nodes} nodes > oracle cap {limits.max_nodes}"
-        )
-    if n_requests > limits.max_requests:
-        raise LimitsExceeded(f"{n_requests} requests > oracle cap {limits.max_requests}")
-    if instance.spectrum_slots > limits.max_spectrum:
-        raise LimitsExceeded(
-            f"{instance.spectrum_slots} slots > oracle cap {limits.max_spectrum}"
-        )
+def _check_limits(instance: Instance, n_requests: int) -> None:
+    if instance.topology.num_nodes > MAX_NODES:
+        raise LimitsExceeded(f"{instance.topology.num_nodes} nodes > oracle cap {MAX_NODES}")
+    if n_requests > MAX_REQUESTS:
+        raise LimitsExceeded(f"{n_requests} requests > oracle cap {MAX_REQUESTS}")
+    if instance.spectrum_slots > MAX_SLOTS:
+        raise LimitsExceeded(f"{instance.spectrum_slots} slots > oracle cap {MAX_SLOTS}")
 
 
 def oracle_solve(
     instance: Instance,
-    limits: OracleLimits = OracleLimits(),
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
 ) -> OracleSolution:
     """Exact maximum served demand by depth-first search over all assignments.
@@ -57,7 +51,7 @@ def oracle_solve(
     """
     if pricing_requests is None:
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
-    _check_limits(instance, limits, len(pricing_requests))
+    _check_limits(instance, len(pricing_requests))
     demands = {r.id: r.demand for r in instance.requests}
     spectrum = instance.spectrum_slots
     atom_bit = {k: 1 << i for i, k in enumerate(sorted(demands))}
@@ -69,7 +63,7 @@ def oracle_solve(
         for k in p.members:
             amask |= atom_bit[k]
         options = []
-        for path in enumerate_simple_paths(instance.topology, p.source, p.dest, limits.max_hops):
+        for path in enumerate_simple_paths(instance.topology, p.source, p.dest, MAX_HOPS):
             for s in range(1, spectrum - p.width + 2):
                 mask = 0
                 for link in path.links:
@@ -111,14 +105,13 @@ def oracle_max_reduced_cost(
     instance: Instance,
     s: int,
     master_duals: MasterDuals,
-    limits: OracleLimits = OracleLimits(),
 ) -> float:
     """Exact best configuration reduced cost for slot s by full enumeration.
 
     Duals are clamped at zero exactly like the pricing path, so the bound
     ordering rc_ilp <= this <= rc_lp_star is comparable term by term.
     """
-    _check_limits(instance, limits, len(instance.requests))
+    _check_limits(instance, len(instance.requests))
     duals = master_duals.clamped()
     entries = []
     for req in sorted(instance.requests, key=lambda r: r.id):
@@ -129,7 +122,7 @@ def oracle_max_reduced_cost(
             continue
         weights = duals.mu_cell[:, s - 1 : s - 1 + req.demand].sum(axis=1)
         options = []
-        for path in enumerate_simple_paths(instance.topology, req.source, req.dest, limits.max_hops):
+        for path in enumerate_simple_paths(instance.topology, req.source, req.dest, MAX_HOPS):
             value = mu - float(sum(weights[link] for link in path.links))
             if value <= 0.0:
                 continue
@@ -173,7 +166,8 @@ def verify_plan(
     """Independent feasibility scan of a provisioning plan.
 
     Recomputes every occupied (link, slot) cell from the raw paths and
-    windows; raises on any conflict, out-of-spectrum window, broken path, or
+    windows; raises on any conflict, out-of-spectrum window, window whose width
+    is not its members' fused demand (sum(D) - (m - 1)), broken path, or
     throughput mismatch.
     """
     requests = {r.id: r for r in instance.requests}
@@ -184,6 +178,11 @@ def verify_plan(
             raise InvariantViolation(f"plan grants unknown request {k}")
         if k not in lp.members:
             raise InvariantViolation(f"lightpath for request {k} does not list it as member")
+        if not requests.keys() >= set(lp.members):
+            raise InvariantViolation(f"lightpath for request {k} lists an unknown member")
+        fused = sum(requests[m].demand for m in lp.members) - (len(lp.members) - 1)
+        if lp.width != fused:
+            raise InvariantViolation(f"request {k}: members {lp.members} need {fused} slots")
         if lp.start_slot < 1 or lp.start_slot + lp.width - 1 > instance.spectrum_slots:
             raise InvariantViolation(
                 f"request {k}: window [{lp.start_slot}, {lp.start_slot + lp.width - 1}] "

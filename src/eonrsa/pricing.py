@@ -9,9 +9,9 @@ slot (rc_lp_star) while the inner ILP incumbent (rc_ilp) decides whether a
 new master column exists.
 
 price_slot clamps the master duals to zero from below once, on entry, so that
-engine noise never reaches Dijkstra's weights; pricing_key reads duals clamped
-the same way. In each inner round a request's link weight is the window sum of
-the clamped cell duals plus the inner link dual, clamped where it is added.
+engine noise never reaches Dijkstra's weights. In each inner round a request's
+link weight is the window sum of the clamped cell duals plus the inner link
+dual, clamped where it is added.
 """
 
 from __future__ import annotations
@@ -45,30 +45,29 @@ class PricingResult:
     rc_lp_star: float
 
 
-def _eligible_pricing(
-    pricing_requests: Sequence[PricingRequest], s: int, spectrum_slots: int
-) -> list[PricingRequest]:
-    return [p for p in pricing_requests if s + p.width - 1 <= spectrum_slots]
-
-
-def _window_sums(
-    duals: MasterDuals, s: int, eligible: Sequence[PricingRequest]
-) -> dict[int, np.ndarray]:
-    """Per eligible width in ascending order, each link's sum of mu_cell over the window at s."""
+def _slot_input(
+    instance: Instance, s: int, duals: MasterDuals, pricing_requests: Sequence[PricingRequest]
+) -> tuple[list[PricingRequest], dict[int, np.ndarray], dict[int, float]]:
+    """Everything pricing reads at slot s, given clamped duals: the eligible requests,
+    each link's window sum of mu_cell per eligible width (ascending), and each eligible
+    request's mu gain, the sum of its members' mu."""
+    eligible = [p for p in pricing_requests if s + p.width - 1 <= instance.spectrum_slots]
     widths = sorted({p.width for p in eligible})
-    return {w: duals.mu_cell[:, s - 1 : s - 1 + w].sum(axis=1) for w in widths}
+    windows = {w: duals.mu_cell[:, s - 1 : s - 1 + w].sum(axis=1) for w in widths}
+    mu_gain = {p.key: sum(duals.mu_request.get(k, 0.0) for k in p.members) for p in eligible}
+    return eligible, windows, mu_gain
 
 
 def pricing_key(
     instance: Instance, s: int, duals: MasterDuals, pricing_requests: Sequence[PricingRequest]
 ) -> tuple:
-    """Everything price_slot reads at slot s, given clamped duals: the eligible request
-    keys, each eligible width's window sums of mu_cell, and their mu."""
-    eligible = _eligible_pricing(pricing_requests, s, instance.spectrum_slots)
+    """The slot's pricing input as a hashable key: the eligible request keys, the
+    window sums, the mu gains. Slots with equal keys price identically."""
+    _, windows, mu_gain = _slot_input(instance, s, duals, pricing_requests)
     return (
-        tuple(p.key for p in eligible),
-        tuple((w, win.tobytes()) for w, win in _window_sums(duals, s, eligible).items()),
-        tuple(duals.mu_request.get(k, 0.0) for p in eligible for k in p.members),
+        tuple(mu_gain),
+        tuple((w, win.tobytes()) for w, win in windows.items()),
+        tuple(mu_gain.values()),
     )
 
 
@@ -166,12 +165,10 @@ def price_slot(
     duals = master_duals.clamped()
     if pricing_requests is None:
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
-    eligible = _eligible_pricing(pricing_requests, s, instance.spectrum_slots)
+    eligible, windows, mu_gain = _slot_input(instance, s, duals, pricing_requests)
     if not eligible:
         return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
 
-    windows = _window_sums(duals, s, eligible)
-    mu_gain = {p.key: sum(duals.mu_request.get(k, 0.0) for k in p.members) for p in eligible}
     inner = _InnerProblem(instance, s, eligible, mu_gain, windows)
     rc_lp_star = 0.0
     converged = False

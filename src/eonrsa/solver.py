@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .master import Configuration, PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import Configuration, MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
@@ -127,6 +127,24 @@ def _stamped(res: PricingResult, s: int) -> PricingResult:
     return dataclasses.replace(res, slot=s, configuration=config)
 
 
+def _price_round(
+    instance: Instance,
+    duals: MasterDuals,
+    slot_requests: Sequence[PricingRequest],
+    priced: dict[tuple, PricingResult],
+) -> list[PricingResult]:
+    """Price every starting slot against one duals snapshot, one inner solve per
+    new pricing key; `priced` keeps the results of the run by key."""
+    clamped = duals.clamped()
+    results = []
+    for s in range(1, instance.spectrum_slots + 1):
+        key = pricing_key(instance, s, clamped, slot_requests)
+        if key not in priced:
+            priced[key] = price_slot(instance, s, clamped, pricing_requests=slot_requests)
+        results.append(_stamped(priced[key], s))
+    return results
+
+
 def solve(
     instance: Instance,
     config: SolveConfig = SolveConfig(),
@@ -142,41 +160,27 @@ def solve(
     columns_generated = 0
     outer = 0
     timed_out = False
-    final_results: list[PricingResult] = []
-    z_lp_star = 0.0
     priced: dict[tuple, PricingResult] = {}
 
     while True:
+        # after a timed-out round, this solve gives the bound of the final RMP
+        z_lp_star, duals = rmp.solve_lp_and_prune()
+        lp_trace.append(z_lp_star)
+        if timed_out:
+            break
         outer += 1
         if outer > config.max_outer_iterations:
             raise RuntimeError(f"column generation exceeded {config.max_outer_iterations} rounds")
-        value, duals = rmp.solve_lp_and_prune()
-        lp_trace.append(value)
-        z_lp_star = value
-        clamped = duals.clamped()
-        results = []
-        for s in range(1, instance.spectrum_slots + 1):
-            key = pricing_key(instance, s, clamped, slot_requests)
-            if key not in priced:  # price_slot clamps the duals on entry
-                priced[key] = price_slot(instance, s, duals, pricing_requests=slot_requests)
-            results.append(_stamped(priced[key], s))
+        results = _price_round(instance, duals, slot_requests, priced)
         improving = [r for r in results if r.configuration is not None]
         if not improving:
-            final_results = results
             break
         for res in improving:
             rmp.add_column(res.configuration)
         columns_generated += len(improving)
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
-            final_results = results
-            # bring the LP value in line with the columns just added, so the
-            # reported bound is the true relaxation value of the final RMP
-            z_lp_star, _ = rmp.solve_lp_and_prune()
-            lp_trace.append(z_lp_star)
-            break
+        timed_out = deadline is not None and time.monotonic() > deadline
 
-    certified = (not timed_out) and certify(final_results)
+    certified = (not timed_out) and certify(results)
     lp_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()

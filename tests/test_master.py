@@ -9,8 +9,10 @@ from eonrsa import (
     ConflictDetected,
     Instance,
     InvalidConfiguration,
+    InvariantViolation,
     Lightpath,
     Path,
+    ProvisioningPlan,
     Request,
     RestrictedMaster,
     validate_configuration,
@@ -160,6 +162,26 @@ def test_mismatched_endpoints_rejected(small_instance):
         rmp.add_column(config)
 
 
+def test_lightpath_members_must_match_its_request(two_node):
+    # two same-pair atomics of 2 slots: a lightpath for request 0 that lists
+    # members (0, 1) would grant both, 4 slots, on one 2-slot window
+    inst = Instance(
+        topology=two_node,
+        spectrum_slots=4,
+        requests=(Request(0, "a", "b", 2), Request(1, "a", "b", 2)),
+    )
+    fused = _lp(0, (0,), ("a", "b"), 1, 2, members=(0, 1))
+    with pytest.raises(InvalidConfiguration):
+        RestrictedMaster(inst).add_column(Configuration(start_slot=1, lightpaths=(fused,)))
+    plan = ProvisioningPlan(assignments={0: fused, 1: fused}, throughput_slots=4, slot_rate_gbps=25.0)
+    with pytest.raises(InvariantViolation):
+        verify_plan(inst, plan, expected_slots=4)
+    # the 3-slot window the two members need (2 + 2 - 1) passes the scan
+    fits = _lp(0, (0,), ("a", "b"), 1, 3, members=(0, 1))
+    plan = ProvisioningPlan(assignments={0: fits, 1: fits}, throughput_slots=4, slot_rate_gbps=25.0)
+    verify_plan(inst, plan, expected_slots=4)
+
+
 def test_duplicate_twin_columns_pruned(small_instance):
     rmp = RestrictedMaster(small_instance)
     config = Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),))
@@ -263,8 +285,6 @@ def test_plan_scanner_catches_conflicts(small_instance):
         0: _lp(0, (0,), ("a", "b"), 1, 4),
         1: _lp(1, (0, 2), ("b", "a", "c"), 1, 2, members=(1,)),
     }
-    from eonrsa import ProvisioningPlan
-
     plan = ProvisioningPlan(assignments=clash, throughput_slots=6, slot_rate_gbps=25.0)
     with pytest.raises(ConflictDetected):
         verify_plan(small_instance, plan)

@@ -9,8 +9,8 @@ from eonrsa import (
     Instance,
     LimitsExceeded,
     MasterDuals,
-    OracleLimits,
     Request,
+    Topology,
     builtin_topology,
     oracle_max_reduced_cost,
     oracle_solve,
@@ -65,14 +65,32 @@ def test_value_invariant_under_request_reordering(seed):
     assert oracle_solve(shuffled).value_slots == base
 
 
-def test_limits_enforced():
+def test_limits_enforced(two_node):
     topo = builtin_topology("spain21")
     inst = Instance(topology=topo, spectrum_slots=8, requests=(Request(0, "madrid", "bilbao", 2),))
-    with pytest.raises(LimitsExceeded):
+    with pytest.raises(LimitsExceeded, match="21 nodes > oracle cap 6"):
         oracle_solve(inst)
-    small = make_random_tiny_instance(3)
-    with pytest.raises(LimitsExceeded):
-        oracle_solve(small, OracleLimits(max_requests=0))
+    nodes = tuple("abcdefg")
+    line = Topology(name="line7", nodes=nodes, links=tuple(zip(nodes, nodes[1:])))
+    seven = Instance(topology=line, spectrum_slots=4, requests=(Request(0, "a", "g", 1),))
+    with pytest.raises(LimitsExceeded, match="7 nodes > oracle cap 6"):
+        oracle_solve(seven)
+    six = Instance(
+        topology=two_node,
+        spectrum_slots=10,
+        requests=tuple(Request(i, "a", "b", 1) for i in range(6)),
+    )
+    with pytest.raises(LimitsExceeded, match="6 requests > oracle cap 5"):
+        oracle_solve(six)
+    wide = Instance(topology=two_node, spectrum_slots=11, requests=(Request(0, "a", "b", 1),))
+    with pytest.raises(LimitsExceeded, match="11 slots > oracle cap 10"):
+        oracle_solve(wide)
+    at_caps = Instance(
+        topology=two_node,
+        spectrum_slots=10,
+        requests=tuple(Request(i, "a", "b", 2) for i in range(5)),
+    )
+    assert oracle_solve(at_caps).value_slots == 10
 
 
 def test_max_reduced_cost_zero_duals(triangle):

@@ -126,11 +126,18 @@ def test_lp_trace_monotone_and_bounds_ordered():
 
 def test_time_limit_flags_partial_result():
     inst = make_random_tiny_instance(31)
-    report, _ = solve(
-        inst, SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1e-9)
-    )
-    assert report.timed_out
-    assert not report.certified
+    for backend in ("bundled", "highs"):
+        report, _ = solve(
+            inst,
+            SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1e-9, backend=backend),
+        )
+        assert report.timed_out
+        assert not report.certified
+        # the round that passed the deadline added columns; one more LP solve gives the bound
+        assert report.columns_generated > 0
+        assert len(report.lp_value_trace) == report.outer_iterations + 1
+        assert len(report.prune_checks) == len(report.lp_value_trace)
+        assert report.z_lp_star_slots == report.lp_value_trace[-1]
 
 
 def test_gap_config_validation():
