@@ -736,17 +736,22 @@ def _solve_mip_highs(
     options: dict = {"mip_rel_gap": relative_gap}
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.01)
+    problem = {
+        "constraints": constraints,
+        "integrality": np.isin(mat.var_ids, binaries),
+        "bounds": Bounds(mat.lo, mat.hi),
+        "options": options,
+    }
     with _native_stdout_silenced():
-        res = milp(
-            -mat.c,  # scipy minimizes
-            constraints=constraints,
-            integrality=np.isin(mat.var_ids, binaries),
-            bounds=Bounds(mat.lo, mat.hi),
-            options=options,
-        )
+        res = milp(-mat.c, **problem)  # scipy minimizes
+        if res.status == 4:
+            # "unbounded or infeasible": a feasible point makes the MIP unbounded
+            feasible = milp(np.zeros(mat.n), **problem).status == 0
     status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
     if res.status == 1:  # iteration/time budget exhausted
         status = SolveStatus.TIME_LIMIT
+    elif res.status == 4:
+        status = SolveStatus.UNBOUNDED if feasible else SolveStatus.INFEASIBLE
     if res.x is None:
         return MipSolution(status, -math.inf, {}, math.inf)
     values = dict(zip(mat.var_ids, res.x.tolist()))

@@ -54,11 +54,21 @@ class PricingRequest:
 class Lightpath:
     """A routed demand window: path plus contiguous slots on every path link."""
 
-    request_key: int
+    request: PricingRequest
     path: Path
     start_slot: int
-    width: int
-    members: tuple[int, ...]
+
+    @property
+    def request_key(self) -> int:
+        return self.request.key
+
+    @property
+    def width(self) -> int:
+        return self.request.width
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return self.request.members
 
     def cells(self) -> list[tuple[int, int]]:
         """(link id, slot) pairs this lightpath occupies."""
@@ -75,13 +85,17 @@ class Lightpath:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Link-disjoint lightpaths for distinct requests, all at one starting slot."""
+    """Link-disjoint routes for distinct requests, all at one starting slot."""
 
     start_slot: int
-    lightpaths: tuple[Lightpath, ...]
+    routes: tuple[tuple[PricingRequest, Path], ...]
+
+    @property
+    def lightpaths(self) -> tuple[Lightpath, ...]:
+        return tuple(Lightpath(req, path, self.start_slot) for req, path in self.routes)
 
     def served_atomics(self) -> frozenset[int]:
-        return frozenset(k for lp in self.lightpaths for k in lp.members)
+        return frozenset(k for req, _ in self.routes for k in req.members)
 
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
         return frozenset(cell for lp in self.lightpaths for cell in lp.cells())
@@ -92,26 +106,23 @@ def validate_configuration(
     spectrum_slots: int,
     requests: Optional[dict[int, PricingRequest]] = None,
 ) -> None:
-    """Raise InvalidConfiguration on any structural breach."""
-    if not config.lightpaths:
+    """Raise InvalidConfiguration on any structural breach; with `requests`, also
+    when a lightpath's request is not the master's request of its key."""
+    if not config.routes:
         raise InvalidConfiguration("configuration has no lightpaths")
     seen_keys: set[int] = set()
     seen_members: set[int] = set()
     seen_links: set[int] = set()
     for lp in config.lightpaths:
-        if lp.start_slot != config.start_slot:
-            raise InvalidConfiguration(
-                f"lightpath for {lp.request_key} starts at {lp.start_slot}, "
-                f"configuration at {config.start_slot}"
-            )
+        req = lp.request
         if lp.start_slot < 1 or lp.end_slot > spectrum_slots:
             raise InvalidConfiguration(
                 f"window [{lp.start_slot}, {lp.end_slot}] outside spectrum 1..{spectrum_slots}"
             )
-        if lp.request_key in seen_keys:
-            raise InvalidConfiguration(f"request {lp.request_key} appears twice")
-        seen_keys.add(lp.request_key)
-        for k in lp.members:
+        if req.key in seen_keys:
+            raise InvalidConfiguration(f"request {req.key} appears twice")
+        seen_keys.add(req.key)
+        for k in req.members:
             if k in seen_members:
                 raise InvalidConfiguration(f"atomic request {k} covered twice")
             seen_members.add(k)
@@ -119,20 +130,13 @@ def validate_configuration(
             if link in seen_links:
                 raise InvalidConfiguration(f"link {link} used by two lightpaths")
             seen_links.add(link)
-        if requests is not None:
-            req = requests.get(lp.request_key)
-            if req is None:
-                raise InvalidConfiguration(f"unknown request key {lp.request_key}")
-            ends = {lp.path.source, lp.path.dest}
-            if ends != {req.source, req.dest}:
-                raise InvalidConfiguration(
-                    f"path endpoints {ends} do not match request ({req.source}, {req.dest})"
-                )
-            if (lp.width, lp.members) != (req.width, req.members):
-                raise InvalidConfiguration(
-                    f"lightpath width {lp.width} and members {lp.members} != request "
-                    f"{req.key}'s {req.width} and {req.members}"
-                )
+        ends = {lp.path.source, lp.path.dest}
+        if ends != {req.source, req.dest}:
+            raise InvalidConfiguration(
+                f"path endpoints {ends} do not match request ({req.source}, {req.dest})"
+            )
+        if requests is not None and requests.get(req.key) != req:
+            raise InvalidConfiguration(f"{req} is not the master's request of key {req.key}")
 
 
 @dataclass(eq=False)
@@ -297,20 +301,19 @@ class RestrictedMaster:
             return (lp.path.hops, lp.start_slot, lp.path.links)
 
         assignments: dict[int, Lightpath] = {}
-        kept: set[tuple] = set()
+        kept: set[Lightpath] = set()
         for k in sorted(covering):
             options = covering[k]
-            already = [lp for lp in options if _lp_key(lp) in kept]
+            already = [lp for lp in options if lp in kept]
             chosen = min(already, key=rank) if already else min(options, key=rank)
-            kept.add(_lp_key(chosen))
+            kept.add(chosen)
             assignments[k] = chosen
 
-        used: dict[tuple[int, int], tuple] = {}
-        for lp_id, lp in {_lp_key(lp): lp for lp in assignments.values()}.items():
+        used: dict[tuple[int, int], Lightpath] = {}
+        for lp in assignments.values():
             for cell in lp.cells():
-                if cell in used and used[cell] != lp_id:
+                if used.setdefault(cell, lp) != lp:
                     raise ConflictDetected(f"cell {cell} used twice in the final plan")
-                used[cell] = lp_id
         throughput = sum(self.atomics[k].demand for k in assignments)
         return ProvisioningPlan(
             assignments=assignments,
@@ -318,6 +321,3 @@ class RestrictedMaster:
             slot_rate_gbps=self.instance.slot_rate_gbps,
         )
 
-
-def _lp_key(lp: Lightpath) -> tuple:
-    return (lp.request_key, lp.path.links, lp.start_slot, lp.width)

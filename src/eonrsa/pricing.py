@@ -24,7 +24,7 @@ import numpy as np
 
 from .instance import Instance
 from .lpsolver import Model, SolveStatus
-from .master import Configuration, Lightpath, MasterDuals, PricingRequest
+from .master import Configuration, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
 
 IMPROVE_TOL = 1e-6
@@ -39,7 +39,6 @@ MAX_INNER_ROUNDS = 500
 class PricingResult:
     """Outcome for one starting slot: bounds plus the improving column, if any."""
 
-    slot: int
     configuration: Optional[Configuration]
     rc_ilp: float
     rc_lp_star: float
@@ -98,12 +97,10 @@ class _InnerProblem:
     def __init__(
         self,
         instance: Instance,
-        s: int,
         eligible: Sequence[PricingRequest],
         mu_gain: dict[int, float],
         windows: dict[int, np.ndarray],
     ):
-        self.s = s
         self._mu_gain = mu_gain
         self._windows = windows
         atom_ids = sorted({k for p in eligible for k in p.members})
@@ -132,22 +129,14 @@ class _InnerProblem:
         nu_request = dict(zip(self._row_atomic, sol.duals[:atomics].tolist()))
         return sol.objective, nu_request, sol.duals[atomics:]
 
-    def solve_ilp(self) -> tuple[float, list[Lightpath]]:
+    def solve_ilp(self) -> tuple[float, list[tuple[PricingRequest, Path]]]:
+        """The ILP value and the chosen (request, path) routes, by column id."""
         mip = self.model.solve_mip(0.0, self._columns, use_warm_start=True)
         if mip.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing ILP failed: {mip.status}")
-        chosen = []
-        for vid, (request, path) in sorted(self._columns.items()):
-            if mip.values.get(vid, 0.0) > 0.5:
-                chosen.append(
-                    Lightpath(
-                        request_key=request.key,
-                        path=path,
-                        start_slot=self.s,
-                        width=request.width,
-                        members=request.members,
-                    )
-                )
+        chosen = [
+            route for vid, route in sorted(self._columns.items()) if mip.values.get(vid, 0.0) > 0.5
+        ]
         return mip.objective, chosen
 
 
@@ -167,9 +156,9 @@ def price_slot(
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
     eligible, windows, mu_gain = _slot_input(instance, s, duals, pricing_requests)
     if not eligible:
-        return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
+        return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
 
-    inner = _InnerProblem(instance, s, eligible, mu_gain, windows)
+    inner = _InnerProblem(instance, eligible, mu_gain, windows)
     rc_lp_star = 0.0
     converged = False
     for _ in range(MAX_INNER_ROUNDS):
@@ -194,12 +183,12 @@ def price_slot(
         rc_lp_star = math.inf  # inner CG failed to settle; slot cannot certify
 
     if not inner.model.num_variables:
-        return PricingResult(slot=s, configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
+        return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
 
     rc_ilp, chosen = inner.solve_ilp()
     if rc_ilp <= IMPROVE_TOL or not chosen:
-        return PricingResult(slot=s, configuration=None, rc_ilp=max(rc_ilp, 0.0), rc_lp_star=rc_lp_star)
-    config = Configuration(start_slot=s, lightpaths=tuple(chosen))
+        return PricingResult(configuration=None, rc_ilp=max(rc_ilp, 0.0), rc_lp_star=rc_lp_star)
+    config = Configuration(start_slot=s, routes=tuple(chosen))
     if rc_ilp > rc_lp_star + 1e-6 * (1.0 + abs(rc_lp_star)):
         raise RuntimeError(f"pricing ILP {rc_ilp} exceeds its LP bound {rc_lp_star}")
-    return PricingResult(slot=s, configuration=config, rc_ilp=rc_ilp, rc_lp_star=rc_lp_star)
+    return PricingResult(configuration=config, rc_ilp=rc_ilp, rc_lp_star=rc_lp_star)

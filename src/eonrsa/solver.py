@@ -8,7 +8,7 @@ pricing LP bound is zero, making the final LP value a true upper bound.
 
 Slots with identical pricing input (`pricing_key`), in one round or across
 rounds, share one inner solve: a run keeps each result under its input and
-stamps the slot onto it.
+moves its column to the slot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .master import Configuration, MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
@@ -118,15 +118,6 @@ def certify(results: Sequence[PricingResult]) -> bool:
     return all(res.rc_lp_star <= IMPROVE_TOL for res in results)
 
 
-def _stamped(res: PricingResult, s: int) -> PricingResult:
-    """The result of a slot with the same pricing key, moved to slot s."""
-    config = res.configuration
-    if config is not None and config.start_slot != s:
-        lightpaths = tuple(dataclasses.replace(lp, start_slot=s) for lp in config.lightpaths)
-        config = Configuration(start_slot=s, lightpaths=lightpaths)
-    return dataclasses.replace(res, slot=s, configuration=config)
-
-
 def _price_round(
     instance: Instance,
     duals: MasterDuals,
@@ -134,14 +125,20 @@ def _price_round(
     priced: dict[tuple, PricingResult],
 ) -> list[PricingResult]:
     """Price every starting slot against one duals snapshot, one inner solve per
-    new pricing key; `priced` keeps the results of the run by key."""
+    new pricing key; `priced` keeps the results of the run by key. The result of
+    slot s is in place s - 1, its column moved to slot s."""
     clamped = duals.clamped()
     results = []
     for s in range(1, instance.spectrum_slots + 1):
         key = pricing_key(instance, s, clamped, slot_requests)
         if key not in priced:
             priced[key] = price_slot(instance, s, clamped, pricing_requests=slot_requests)
-        results.append(_stamped(priced[key], s))
+        res = priced[key]
+        if res.configuration is not None:
+            res = dataclasses.replace(
+                res, configuration=dataclasses.replace(res.configuration, start_slot=s)
+            )
+        results.append(res)
     return results
 
 

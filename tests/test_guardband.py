@@ -7,8 +7,8 @@ from eonrsa import (
     Configuration,
     Instance,
     InvalidConfiguration,
-    Lightpath,
     Path,
+    PricingRequest,
     Request,
     RestrictedMaster,
     SolveConfig,
@@ -134,22 +134,11 @@ def test_composite_grants_both_where_base_grants_one(one_pair_instance):
 
 
 def test_configuration_rejects_overlapping_members(two_node):
-    lp1 = Lightpath(
-        request_key=10,
-        path=Path(links=(0,), nodes=("a", "b")),
-        start_slot=1,
-        width=2,
-        members=(0, 1),
-    )
-    lp2 = Lightpath(
-        request_key=11,
-        path=Path(links=(0,), nodes=("a", "b")),
-        start_slot=1,
-        width=1,
-        members=(1,),
-    )
+    fused = PricingRequest(key=10, source="a", dest="b", width=2, members=(0, 1))
+    single = PricingRequest(key=11, source="a", dest="b", width=1, members=(1,))
+    link = Path(links=(0,), nodes=("a", "b"))
     # shared member 1 means an atomic would be provisioned twice
-    config = Configuration(start_slot=1, lightpaths=(lp1, lp2))
+    config = Configuration(start_slot=1, routes=((fused, link), (single, link)))
     with pytest.raises(InvalidConfiguration):
         validate_configuration(config, 8)
 

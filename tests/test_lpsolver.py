@@ -131,6 +131,15 @@ def test_mip_without_binaries_is_its_lp(backend):
     assert mip.values[x] == pytest.approx(1.0) and mip.values[y] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unbounded_mip_is_reported_unbounded(backend):
+    # max x + y with x binary under x <= 1 and y >= 0 unbounded above
+    m = Model([1.0], backend)
+    x = m.add_variable(obj=1.0, coeffs={0: 1.0})
+    m.add_variable(obj=1.0)
+    assert m.solve_mip(0.0, [x]).status is SolveStatus.UNBOUNDED
+
+
 def test_mip_over_an_unknown_variable():
     m = Model([1.0])
     m.add_variable(obj=1.0, coeffs={0: 1.0})
@@ -233,6 +242,31 @@ def test_mip_matches_enumeration_up_to_15_binaries(seed):
     else:
         assert sol.status is SolveStatus.OPTIMAL
         assert abs(sol.objective - best) < 1e-6
+
+
+def test_numerical_failure_is_retried_by_blands_rule(monkeypatch):
+    """A first attempt that fails numerically is run again, cold and by Bland's rule."""
+    models = {backend: Model([4.0, 6.0], backend) for backend in BACKENDS}
+    for m in models.values():
+        m.add_variable(obj=3.0, coeffs={0: 1.0, 1: 1.0})
+    models["bundled"].solve_lp()
+    assert models["bundled"]._warm is not None  # the first attempt starts warm
+    for m in models.values():
+        m.add_variable(obj=2.0, coeffs={0: 1.0, 1: 2.0})
+    attempts = []
+    run = _SimplexRun.run
+
+    def fails_unless_bland(self, *args):
+        attempts.append(self.bland)
+        if not self.bland:
+            return SolveStatus.NUMERICAL_FAILURE, None, None, None, None
+        return run(self, *args)
+
+    monkeypatch.setattr(_SimplexRun, "run", fails_unless_bland)
+    sol = models["bundled"].solve_lp()
+    assert attempts == [False, True]
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(models["highs"].solve_lp().objective, abs=1e-9)
 
 
 def test_warm_start_toggle_stays_correct():
@@ -370,7 +404,7 @@ def test_column_store_follows_random_edits(data):
                 assert bundled.status is highs.status
                 if bundled.status is SolveStatus.OPTIMAL:
                     assert bundled.gap == highs.gap == 0.0
-            # HiGHS calls an unbounded MIP with binaries a numerical failure
+            # x = 0 is feasible, so a MIP that is not solved is unbounded on both engines
             found = (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
             solved = {backend: mip.status in found for backend, mip in mips.items()}
             assert solved["bundled"] is solved["highs"]
@@ -378,6 +412,8 @@ def test_column_store_follows_random_edits(data):
                 assert bundled.objective == pytest.approx(highs.objective, abs=1e-6)
                 for mip, vid in itertools.product(mips.values(), binaries):
                     assert min(abs(mip.values[vid]), abs(mip.values[vid] - 1.0)) <= 1e-6
+            else:
+                assert bundled.status is highs.status
         # x = 0 is always feasible (lo = 0, rhs >= 0): each LP is optimal or unbounded
         sols = {backend: m.solve_lp() for backend, m in models.items()}
         for m in models.values():

@@ -12,6 +12,7 @@ from eonrsa import (
     InvariantViolation,
     Lightpath,
     Path,
+    PricingRequest,
     ProvisioningPlan,
     Request,
     RestrictedMaster,
@@ -21,14 +22,13 @@ from eonrsa import (
 from conftest import column_coefficients, column_ids, configurations, model_column, signature
 
 
+def _route(request_key, links, nodes, width, members=None):
+    request = PricingRequest(request_key, nodes[0], nodes[-1], width, members or (request_key,))
+    return request, Path(links=links, nodes=nodes)
+
+
 def _lp(request_key, links, nodes, start, width, members=None):
-    return Lightpath(
-        request_key=request_key,
-        path=Path(links=links, nodes=nodes),
-        start_slot=start,
-        width=width,
-        members=members or (request_key,),
-    )
+    return Lightpath(*_route(request_key, links, nodes, width, members), start_slot=start)
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def test_column_coefficient_mapping(small_instance):
     rmp = RestrictedMaster(small_instance)
     config = Configuration(
         start_slot=5,
-        lightpaths=(_lp(0, (0,), ("a", "b"), 5, 4),),
+        routes=(_route(0, (0,), ("a", "b"), 4),),
     )
     vid = rmp.add_column(config)
     obj, coeffs = model_column(rmp.model, vid)
@@ -127,9 +127,9 @@ def test_duals_are_read_at_the_master_rows(backend):
 def test_shared_link_rejected(small_instance):
     config = Configuration(
         start_slot=1,
-        lightpaths=(
-            _lp(0, (0,), ("a", "b"), 1, 4),
-            _lp(1, (0, 2), ("b", "a", "c"), 1, 2),
+        routes=(
+            _route(0, (0,), ("a", "b"), 4),
+            _route(1, (0, 2), ("b", "a", "c"), 2),
         ),
     )
     with pytest.raises(InvalidConfiguration):
@@ -139,9 +139,9 @@ def test_shared_link_rejected(small_instance):
 def test_duplicate_request_rejected(small_instance):
     config = Configuration(
         start_slot=1,
-        lightpaths=(
-            _lp(0, (0,), ("a", "b"), 1, 4),
-            _lp(0, (1, 2), ("a", "c", "b"), 1, 4),
+        routes=(
+            _route(0, (0,), ("a", "b"), 4),
+            _route(0, (1, 2), ("a", "c", "b"), 4),
         ),
     )
     with pytest.raises(InvalidConfiguration):
@@ -149,7 +149,7 @@ def test_duplicate_request_rejected(small_instance):
 
 
 def test_window_must_fit(small_instance):
-    config = Configuration(start_slot=8, lightpaths=(_lp(0, (0,), ("a", "b"), 8, 4),))
+    config = Configuration(start_slot=8, routes=(_route(0, (0,), ("a", "b"), 4),))
     with pytest.raises(InvalidConfiguration):
         rmp = RestrictedMaster(small_instance)
         rmp.add_column(config)
@@ -157,8 +157,9 @@ def test_window_must_fit(small_instance):
 
 def test_mismatched_endpoints_rejected(small_instance):
     rmp = RestrictedMaster(small_instance)
-    config = Configuration(start_slot=1, lightpaths=(_lp(0, (1,), ("b", "c"), 1, 4),))
-    with pytest.raises(InvalidConfiguration):
+    b_to_c = Path(links=(1,), nodes=("b", "c"))
+    config = Configuration(start_slot=1, routes=((rmp.pricing_requests[0], b_to_c),))
+    with pytest.raises(InvalidConfiguration, match="endpoints"):
         rmp.add_column(config)
 
 
@@ -172,7 +173,9 @@ def test_lightpath_members_must_match_its_request(two_node):
     )
     fused = _lp(0, (0,), ("a", "b"), 1, 2, members=(0, 1))
     with pytest.raises(InvalidConfiguration):
-        RestrictedMaster(inst).add_column(Configuration(start_slot=1, lightpaths=(fused,)))
+        RestrictedMaster(inst).add_column(
+            Configuration(start_slot=1, routes=((fused.request, fused.path),))
+        )
     plan = ProvisioningPlan(assignments={0: fused, 1: fused}, throughput_slots=4, slot_rate_gbps=25.0)
     with pytest.raises(InvariantViolation):
         verify_plan(inst, plan, expected_slots=4)
@@ -184,7 +187,7 @@ def test_lightpath_members_must_match_its_request(two_node):
 
 def test_duplicate_twin_columns_pruned(small_instance):
     rmp = RestrictedMaster(small_instance)
-    config = Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),))
+    config = Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),))
     rmp.add_column(config)
     rmp.add_column(config)
     value, _ = rmp.solve_lp_and_prune()
@@ -194,8 +197,8 @@ def test_duplicate_twin_columns_pruned(small_instance):
 
 def test_prune_keeps_lp_value(small_instance):
     rmp = RestrictedMaster(small_instance)
-    rmp.add_column(Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),)))
-    rmp.add_column(Configuration(start_slot=1, lightpaths=(_lp(1, (1,), ("b", "c"), 1, 2),)))
+    rmp.add_column(Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),)))
+    rmp.add_column(Configuration(start_slot=1, routes=(_route(1, (1,), ("b", "c"), 2),)))
     v1, _ = rmp.solve_lp_and_prune()
     v2, _ = rmp.solve_lp_and_prune()
     assert abs(v1 - v2) < 1e-9
@@ -205,7 +208,7 @@ def test_prune_keeps_lp_value(small_instance):
 
 def test_used_column_retained(small_instance):
     rmp = RestrictedMaster(small_instance)
-    rmp.add_column(Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),)))
+    rmp.add_column(Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),)))
     rmp.solve_lp_and_prune()
     assert rmp.num_columns == 1
 
@@ -214,10 +217,10 @@ def test_final_ilp_single_column_covers_all(small_instance):
     rmp = RestrictedMaster(small_instance)
     config = Configuration(
         start_slot=1,
-        lightpaths=(
-            _lp(0, (0,), ("a", "b"), 1, 4),
-            _lp(1, (1,), ("b", "c"), 1, 2),
-            _lp(2, (2,), ("a", "c"), 1, 3),
+        routes=(
+            _route(0, (0,), ("a", "b"), 4),
+            _route(1, (1,), ("b", "c"), 2),
+            _route(2, (2,), ("a", "c"), 3),
         ),
     )
     rmp.add_column(config)
@@ -234,8 +237,8 @@ def test_final_ilp_prefers_heavier_conflicting_column(two_node):
         requests=(Request(0, "a", "b", 8), Request(1, "a", "b", 4)),
     )
     rmp = RestrictedMaster(inst)
-    big = Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 8),))
-    small = Configuration(start_slot=1, lightpaths=(_lp(1, (0,), ("a", "b"), 1, 4),))
+    big = Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 8),))
+    small = Configuration(start_slot=1, routes=(_route(1, (0,), ("a", "b"), 4),))
     rmp.add_column(big)
     rmp.add_column(small)
     rmp.solve_lp_and_prune()
@@ -246,8 +249,8 @@ def test_final_ilp_prefers_heavier_conflicting_column(two_node):
 
 def test_final_ilp_gap_contract(small_instance):
     rmp = RestrictedMaster(small_instance)
-    rmp.add_column(Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),)))
-    rmp.add_column(Configuration(start_slot=1, lightpaths=(_lp(1, (1,), ("b", "c"), 1, 2),)))
+    rmp.add_column(Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),)))
+    rmp.add_column(Configuration(start_slot=1, routes=(_route(1, (1,), ("b", "c"), 2),)))
     rmp.solve_lp_and_prune()
     _, _, mip = rmp.solve_final_ilp(0.1)
     assert mip.gap <= 0.1 + 1e-9
@@ -255,8 +258,8 @@ def test_final_ilp_gap_contract(small_instance):
 
 def test_post_process_prefers_fewer_hops(small_instance):
     rmp = RestrictedMaster(small_instance)
-    two_hop = Configuration(start_slot=1, lightpaths=(_lp(0, (2, 1), ("a", "c", "b"), 1, 4),))
-    one_hop = Configuration(start_slot=5, lightpaths=(_lp(0, (0,), ("a", "b"), 5, 4),))
+    two_hop = Configuration(start_slot=1, routes=(_route(0, (2, 1), ("a", "c", "b"), 4),))
+    one_hop = Configuration(start_slot=5, routes=(_route(0, (0,), ("a", "b"), 4),))
     plan = rmp.post_process([two_hop, one_hop])
     assert plan.assignments[0].path.links == (0,)
     assert plan.throughput_slots == 4
@@ -264,8 +267,8 @@ def test_post_process_prefers_fewer_hops(small_instance):
 
 def test_post_process_union_when_no_duplicates(small_instance):
     rmp = RestrictedMaster(small_instance)
-    c1 = Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),))
-    c2 = Configuration(start_slot=5, lightpaths=(_lp(1, (1,), ("b", "c"), 5, 2),))
+    c1 = Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),))
+    c2 = Configuration(start_slot=5, routes=(_route(1, (1,), ("b", "c"), 2),))
     plan = rmp.post_process([c1, c2])
     assert set(plan.assignments) == {0, 1}
     assert plan.throughput_slots == 6
@@ -274,8 +277,8 @@ def test_post_process_union_when_no_duplicates(small_instance):
 
 def test_post_process_smaller_slot_breaks_hop_ties(small_instance):
     rmp = RestrictedMaster(small_instance)
-    late = Configuration(start_slot=6, lightpaths=(_lp(0, (0,), ("a", "b"), 6, 4),))
-    early = Configuration(start_slot=2, lightpaths=(_lp(0, (0,), ("a", "b"), 2, 4),))
+    late = Configuration(start_slot=6, routes=(_route(0, (0,), ("a", "b"), 4),))
+    early = Configuration(start_slot=2, routes=(_route(0, (0,), ("a", "b"), 4),))
     plan = rmp.post_process([late, early])
     assert plan.assignments[0].start_slot == 2
 
@@ -296,9 +299,9 @@ def test_lp_value_monotone_under_columns(small_instance):
     v, _ = rmp.solve_lp_and_prune()
     values.append(v)
     for config in (
-        Configuration(start_slot=1, lightpaths=(_lp(0, (0,), ("a", "b"), 1, 4),)),
-        Configuration(start_slot=5, lightpaths=(_lp(1, (1,), ("b", "c"), 5, 2),)),
-        Configuration(start_slot=1, lightpaths=(_lp(2, (2,), ("a", "c"), 1, 3),)),
+        Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),)),
+        Configuration(start_slot=5, routes=(_route(1, (1,), ("b", "c"), 2),)),
+        Configuration(start_slot=1, routes=(_route(2, (2,), ("a", "c"), 3),)),
     ):
         rmp.add_column(config)
         v, _ = rmp.solve_lp_and_prune()
@@ -371,9 +374,9 @@ def test_coefficients_rederivable_from_lightpaths(seed):
     s = rng.randint(1, spectrum - max(width1, width2))
     config = Configuration(
         start_slot=s,
-        lightpaths=(
-            _lp(0, (0,), ("a", "b"), s, width1),
-            _lp(1, (1,), ("b", "c"), s, width2),
+        routes=(
+            _route(0, (0,), ("a", "b"), width1),
+            _route(1, (1,), ("b", "c"), width2),
         ),
     )
     validate_configuration(config, spectrum)

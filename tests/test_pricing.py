@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,15 +10,19 @@ from eonrsa import (
     Instance,
     MasterDuals,
     PricingRequest,
+    PricingResult,
     Request,
+    RestrictedMaster,
+    certify,
     enumerate_simple_paths,
     generate_lightpath,
     oracle_max_reduced_cost,
     price_slot,
     validate_configuration,
 )
+import eonrsa.pricing as pricing_module
 from eonrsa.pricing import pricing_key
-from conftest import make_four_node_instance, master_reduced_cost
+from conftest import make_four_node_instance, make_random_tiny_instance, master_reduced_cost
 
 
 def _zero_duals(instance) -> MasterDuals:
@@ -219,3 +224,16 @@ def test_pricing_lp_bound_dominates_on_six_node_instances(seed):
         exact = oracle_max_reduced_cost(inst, s, duals)
         assert exact <= res.rc_lp_star + 1e-6
         assert res.rc_ilp <= exact + 1e-6
+
+
+def test_inner_round_cap_reports_an_uncertified_slot(monkeypatch):
+    # one inner round adds paths but cannot show that none is left to add
+    monkeypatch.setattr(pricing_module, "MAX_INNER_ROUNDS", 1)
+    inst = make_random_tiny_instance(9)
+    rmp = RestrictedMaster(inst)
+    _, duals = rmp.solve_lp_and_prune()
+    res = price_slot(inst, 1, duals)
+    assert res.rc_lp_star == math.inf
+    assert res.configuration is not None
+    rmp.add_column(res.configuration)
+    assert not certify([PricingResult(None, 0.0, math.inf)])

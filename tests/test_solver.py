@@ -74,25 +74,25 @@ def test_metrics_accept_bounds_crossed_within_solve_slack():
     assert (eps_lp, eps_tab, gos) == (0.0, 0.0, 100.0)
 
 
-def _res(slot, rc_ilp, rc_lp):
-    return PricingResult(slot=slot, configuration=None, rc_ilp=rc_ilp, rc_lp_star=rc_lp)
+def _res(rc_ilp, rc_lp):
+    return PricingResult(configuration=None, rc_ilp=rc_ilp, rc_lp_star=rc_lp)
 
 
 def test_certify_all_zero():
-    assert certify([_res(1, 0.0, 0.0), _res(2, 0.0, 0.0)])
+    assert certify([_res(0.0, 0.0), _res(0.0, 0.0)])
 
 
 def test_certify_positive_lp_bound_fails():
-    assert not certify([_res(1, 0.0, 0.0), _res(2, 0.0, 0.3)])
+    assert not certify([_res(0.0, 0.0), _res(0.0, 0.3)])
 
 
 def test_certify_tolerates_noise():
-    assert certify([_res(1, 0.0, 1e-7), _res(2, 0.0, 9e-7)])
+    assert certify([_res(0.0, 1e-7), _res(0.0, 9e-7)])
 
 
 def test_certify_requires_finished_run():
     with pytest.raises(ValueError):
-        certify([_res(1, 0.5, 0.5)])
+        certify([_res(0.5, 0.5)])
 
 
 def test_deterministic_repeats():
@@ -201,7 +201,7 @@ def test_highs_backend_agrees_on_lp_bound():
 
 def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
     # every slot whose pricing input appeared earlier in the run reuses that
-    # result, stamped with its own slot; it must equal pricing the slot directly
+    # result, its column moved to its own slot; it must equal pricing the slot directly
     spain = generate_icton_style(builtin_topology("spain21"), num_pairs=10, seed=1, spectrum_slots=12)
     shared = 0
     for inst in [make_random_tiny_instance(seed) for seed in range(12)] + [spain]:
@@ -226,6 +226,10 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
                     continue
                 shared += 1
                 direct = price_slot(inst, s, duals, pricing_requests=requests)
-                assert solver_module._stamped(first[key], s) == direct, (inst.name, s)
+                memo = first[key]
+                if memo.configuration is not None:
+                    moved = dataclasses.replace(memo.configuration, start_slot=s)
+                    memo = dataclasses.replace(memo, configuration=moved)
+                assert memo == direct, (inst.name, s)
         assert len(calls) == len(first), inst.name  # one inner solve per distinct input
     assert shared > 0
