@@ -13,7 +13,7 @@ it solves, so two checkouts that print the same lines gave byte-identical
 results. The cases are:
 
   tiny-<i>-<backend>   tests/conftest.make_random_tiny_instance(i), i in 0..39,
-                       gap 0 and at most 200 outer rounds, on both backends;
+                       gap 0, on both backends;
   acceptance-8-<backend>
                        spain21, 35 pairs, 50 slots, seed 1, default settings;
   desk-highs, tiny-oracle
@@ -42,7 +42,7 @@ TINY_SEEDS = range(40)
 
 def cases():
     """(name, thunk) pairs; each thunk returns the (instances, config) to solve."""
-    tiny = SolveConfig(final_ilp_relative_gap=0.0, max_outer_iterations=200)
+    tiny = SolveConfig(final_ilp_relative_gap=0.0)
     for i in TINY_SEEDS:
         for backend in BACKENDS:
             yield f"tiny-{i}-{backend}", lambda i=i, b=backend: (

@@ -12,7 +12,7 @@ from .errors import (
     UnknownId,
     UnknownNode,
 )
-from .guardband import derived_pricing_requests, solve_extended
+from .guardband import derived_pricing_requests
 from .instance import (
     Instance,
     Request,
@@ -41,8 +41,6 @@ from .topology import (
     Topology,
     builtin_topology,
     enumerate_simple_paths,
-    load_topology,
-    save_topology,
     shortest_path,
 )
 

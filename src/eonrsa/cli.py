@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .errors import EonRsaError, LimitsExceeded
-from .guardband import solve_extended
+from .guardband import derived_pricing_requests
 from .instance import Instance, generate_inoc_style, load_instance, save_instance
 from .lpsolver import BACKENDS
 from .master import ProvisioningPlan
@@ -217,10 +217,7 @@ def cmd_solve(args) -> int:
         backend=args.backend,
         max_wall_clock_seconds=args.time_limit,
     )
-    if args.guardband:
-        report, plan = solve_extended(inst, config)
-    else:
-        report, plan = solve(inst, config)
+    report, plan = solve(inst, config, derived_pricing_requests(inst) if args.guardband else None)
 
     row = report_row(report)
     echo = {  # one text per --format, also written to its output file

@@ -8,17 +8,15 @@ subsets per pair (binomial-tree recursion) makes the extension exact but
 exponential, so a pair may hold at most `CAP` atomics: desk scale.
 
 Demands are guard-band-inclusive, so a subset of m atomics needs
-sum(D) - (m - 1) slots: one shared guard band instead of m.
+sum(D) - (m - 1) slots (`fused_width`): one shared guard band instead of m.
+`solve` runs the extension when given `derived_pricing_requests(instance)`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import CapExceeded
 from .instance import Instance, Request
-from .master import PricingRequest, ProvisioningPlan
-from .solver import SolveConfig, SolveReport, solve
+from .master import PricingRequest, fused_width
 
 CAP = 12
 
@@ -34,25 +32,18 @@ def derived_pricing_requests(instance: Instance) -> list[PricingRequest]:
         by_pair.setdefault(req.pair, []).append(req)
     out: list[PricingRequest] = []
 
-    def extend(pair, atoms: list[Request], start: int, members: tuple[int, ...], total: int):
+    def extend(pair, atoms: list[Request], start: int, members: tuple[Request, ...]):
         for i in range(start, len(atoms)):
-            new_members, raw = members + (atoms[i].id,), total + atoms[i].demand
-            width = raw - (len(new_members) - 1)
-            out.append(PricingRequest(len(out), pair[0], pair[1], width, new_members))
-            extend(pair, atoms, i + 1, new_members, raw)
+            subset = members + (atoms[i],)
+            width = fused_width([r.demand for r in subset])
+            out.append(PricingRequest(len(out), *pair, width, tuple(r.id for r in subset)))
+            extend(pair, atoms, i + 1, subset)
 
     for pair, atoms in sorted(by_pair.items()):
         if len(atoms) > CAP:
             raise CapExceeded(
                 f"{len(atoms)} atomic requests on pair {pair} exceed the cap of {CAP}"
             )
-        extend(pair, atoms, 0, (), 0)
+        extend(pair, atoms, 0, ())
     return out
 
-
-def solve_extended(
-    instance: Instance, config: Optional[SolveConfig] = None
-) -> tuple[SolveReport, ProvisioningPlan]:
-    """End-to-end run of the extension (desk scale; raises CapExceeded beyond it)."""
-    requests = derived_pricing_requests(instance)
-    return solve(instance, config or SolveConfig(), pricing_requests=requests)

@@ -30,7 +30,7 @@ import math
 import os
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -595,8 +595,15 @@ def _solve_mip_bundled(
     model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
     root = _solve_lp_bundled(model)
-    if root.status is not SolveStatus.OPTIMAL:
-        return MipSolution(root.status, -math.inf, {}, math.inf)
+    status = root.status
+    if status is SolveStatus.UNBOUNDED:
+        # as on HiGHS: an integral point makes the MIP unbounded, none makes it infeasible
+        probe = Model(model.arrays().b)
+        probe._store = replace(model.arrays(), c=np.zeros(model.num_variables))
+        found = _solve_mip_bundled(probe, binaries, 0.0, deadline).status
+        status = SolveStatus.UNBOUNDED if found is SolveStatus.OPTIMAL else found
+    if status is not SolveStatus.OPTIMAL:
+        return MipSolution(status, -math.inf, {}, math.inf)
 
     inc_val = -math.inf
     inc_values: dict[int, float] = {}

@@ -22,10 +22,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConflictDetected, InvalidConfiguration
+from .errors import ConflictDetected, InvalidConfiguration, InvariantViolation
 from .instance import Instance, Request
 from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
 from .topology import Path
+
+
+def fused_width(demands: Sequence[int]) -> int:
+    """Slots of one window carrying guard-band-inclusive `demands`: sum(D) - (m - 1)."""
+    return sum(demands) - (len(demands) - 1)
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ class RestrictedMaster:
         self.atomics: dict[int, Request] = {r.id: r for r in instance.requests}
         if pricing_requests is None:
             pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
-        self.pricing_requests: dict[int, PricingRequest] = {p.key: p for p in pricing_requests}
+        self.pricing_requests = self._checked(pricing_requests)
         ordered = sorted(self.atomics.values(), key=lambda r: r.id)
         self._row_request = {req.id: row for row, req in enumerate(ordered)}
         self._grid = (instance.topology.num_links, instance.spectrum_slots)
@@ -195,6 +200,24 @@ class RestrictedMaster:
         self._columns: dict[int, Configuration] = {}
         self.prune_checks: list[tuple[float, float]] = []
 
+    def _checked(self, requests: Iterable[PricingRequest]) -> dict[int, PricingRequest]:
+        """The pricing requests by key; InvariantViolation unless each has its own key and
+        distinct atomic members, joins their node pair and has their fused width."""
+        by_key: dict[int, PricingRequest] = {}
+        for p in requests:
+            if p.key in by_key:
+                raise InvariantViolation(f"pricing requests share key {p.key}")
+            ids = set(p.members)
+            if not ids or len(ids) < len(p.members) or not ids <= self.atomics.keys():
+                raise InvariantViolation(f"pricing request {p.key}: bad members {p.members}")
+            members = [self.atomics[k] for k in p.members]
+            if any({r.source, r.dest} != {p.source, p.dest} for r in members):
+                raise InvariantViolation(f"pricing request {p.key}: not its members' pair")
+            if p.width != fused_width([r.demand for r in members]):
+                raise InvariantViolation(f"pricing request {p.key}: width {p.width} is not fused")
+            by_key[p.key] = p
+        return by_key
+
     # -- columns -----------------------------------------------------------
 
     @property
@@ -203,9 +226,6 @@ class RestrictedMaster:
 
     def add_column(self, config: Configuration) -> int:
         validate_configuration(config, self.instance.spectrum_slots, self.pricing_requests)
-        for k in config.served_atomics():
-            if k not in self.atomics:
-                raise InvalidConfiguration(f"configuration serves unknown atomic request {k}")
         coeffs: dict[int, float] = {}
         for k in config.served_atomics():
             coeffs[self._row_request[k]] = -1.0

@@ -25,6 +25,7 @@ from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
 DEFAULT_FINAL_GAP = 0.1
+MAX_OUTER_ROUNDS = 10_000  # a run that needs more is cycling
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,12 @@ class SolveConfig:
     final_ilp_relative_gap: float = DEFAULT_FINAL_GAP
     max_wall_clock_seconds: float = 0.0  # 0 = unlimited
     backend: str = "bundled"
-    max_outer_iterations: int = 10_000
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.final_ilp_relative_gap < 1.0:
             raise ValueError("final_ilp_relative_gap must lie in [0, 1)")
         if not 0.0 <= self.max_wall_clock_seconds < math.inf:
             raise ValueError("max_wall_clock_seconds must be finite and non-negative")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
 
 
 @dataclass
@@ -166,8 +164,8 @@ def solve(
         if timed_out:
             break
         outer += 1
-        if outer > config.max_outer_iterations:
-            raise RuntimeError(f"column generation exceeded {config.max_outer_iterations} rounds")
+        if outer > MAX_OUTER_ROUNDS:
+            raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")
         results = _price_round(instance, duals, slot_requests, priced)
         improving = [r for r in results if r.configuration is not None]
         if not improving:

@@ -162,8 +162,8 @@ def _topology_from_dict(data: dict) -> Topology:
         name = str(data.get("name", ""))
         nodes = tuple(str(n) for n in data["nodes"])
         links = tuple((str(a), str(b)) for a, b in data["links"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"topology file missing/invalid field: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"topology missing/invalid field: {exc}") from exc
     return Topology(name=name, nodes=nodes, links=links)
 
 
@@ -175,29 +175,12 @@ def _topology_to_dict(topology: Topology) -> dict:
     }
 
 
-def load_topology(data: bytes | str) -> Topology:
-    """Parse a JSON topology file: {"name", "nodes": [...], "links": [[a,b], ...]}."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("topology file must be a JSON object")
-    return _topology_from_dict(obj)
-
-
-def save_topology(topology: Topology) -> bytes:
-    return (json.dumps(_topology_to_dict(topology), indent=2) + "\n").encode("utf-8")
-
-
 def builtin_topology(name: str) -> Topology:
     """Load one of the shipped reference topologies ("spain21", "usa24")."""
     if name not in BUILTIN_TOPOLOGIES:
         raise KeyError(f"unknown topology {name!r}; available: {BUILTIN_TOPOLOGIES}")
     text = resources.files("eonrsa.data").joinpath(f"{name}.json").read_text("utf-8")
-    return load_topology(text)
+    return _topology_from_dict(json.loads(text))
 
 
 def enumerate_simple_paths(

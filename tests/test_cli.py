@@ -191,6 +191,26 @@ def test_guardband_cap_refused_with_clear_error(tmp_path, capsys, two_node):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_guardband_grants_both_same_pair_requests(tmp_path, two_node, backend):
+    # windows of 2 and 3 slots do not both fit in 4, but one fused 4-slot
+    # window carries both requests
+    inst = Instance(
+        topology=two_node,
+        spectrum_slots=4,
+        requests=(Request(0, "a", "b", 2), Request(1, "a", "b", 3)),
+        name="pair",
+    )
+    path = tmp_path / "pair.json"
+    path.write_bytes(save_instance(inst))
+    for flags, granted in (["--guardband"], 5.0), ([], 3.0):
+        out = tmp_path / ("with" if flags else "without")
+        argv = ["solve", "--instance", str(path), "--gap", "0", "--backend", backend]
+        assert main(argv + flags + ["--require-certified", "--out-dir", str(out)]) == EXIT_OK
+        run = json.loads((out / "run.json").read_text())
+        assert run["z_ilp_slots"] == granted and run["certified"] is True
+
+
 def test_cross_process_determinism(tmp_path):
     import eonrsa
 
@@ -391,7 +411,7 @@ def test_report_files_are_golden(case, tmp_path, toy_instance_file, monkeypatch,
 
     report, csv_text, md_text = GOLDEN[case]
     plan = ProvisioningPlan(assignments={}, throughput_slots=0, slot_rate_gbps=25.0)
-    monkeypatch.setattr(cli, "solve", lambda instance, config: (report, plan))
+    monkeypatch.setattr(cli, "solve", lambda instance, config, requests: (report, plan))
     argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
     echoed = {}
     for fmt in ("csv", "md", "json"):

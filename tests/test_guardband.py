@@ -16,7 +16,6 @@ from eonrsa import (
     derived_pricing_requests,
     oracle_solve,
     solve,
-    solve_extended,
     validate_configuration,
     verify_plan,
 )
@@ -119,15 +118,13 @@ def test_composite_grants_both_where_base_grants_one(one_pair_instance):
     # needs only 2+3-1 = 4 slots once the guard band is shared
     base, _ = solve(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0))
     assert base.z_ilp_slots == pytest.approx(3.0)
-    ext, plan = solve_extended(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0))
+    derived = derived_pricing_requests(one_pair_instance)
+    ext, plan = solve(one_pair_instance, SolveConfig(final_ilp_relative_gap=0.0), derived)
     assert ext.z_ilp_slots == pytest.approx(5.0)
     assert set(plan.assignments) == {0, 1}
     verify_plan(one_pair_instance, plan, expected_slots=5.0)
     # exhaustive check over the derived request set agrees
-    exact = oracle_solve(
-        one_pair_instance,
-        pricing_requests=derived_pricing_requests(one_pair_instance),
-    )
+    exact = oracle_solve(one_pair_instance, pricing_requests=derived)
     assert exact.value_slots == 5
     if ext.certified:
         assert exact.value_slots <= ext.z_lp_star_slots + 1e-6
@@ -147,4 +144,4 @@ def test_extended_solve_respects_cap(two_node):
     reqs = tuple(Request(i, "a", "b", 1) for i in range(13))
     inst = Instance(topology=two_node, spectrum_slots=8, requests=reqs)
     with pytest.raises(CapExceeded):
-        solve_extended(inst, SolveConfig(final_ilp_relative_gap=0.0))
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0), derived_pricing_requests(inst))

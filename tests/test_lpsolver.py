@@ -140,6 +140,16 @@ def test_unbounded_mip_is_reported_unbounded(backend):
     assert m.solve_mip(0.0, [x]).status is SolveStatus.UNBOUNDED
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mip_without_integral_point_is_infeasible(backend):
+    # max x + y with x binary held at 0.5, and y >= 0 unbounded above: the LP
+    # relaxation is unbounded, but no integral point exists
+    m = Model([0.5, -0.5], backend)
+    x = m.add_variable(obj=1.0, coeffs={0: 1.0, 1: -1.0})
+    m.add_variable(obj=1.0)
+    assert m.solve_mip(0.0, [x]).status is SolveStatus.INFEASIBLE
+
+
 def test_mip_over_an_unknown_variable():
     m = Model([1.0])
     m.add_variable(obj=1.0, coeffs={0: 1.0})

@@ -185,6 +185,28 @@ def test_lightpath_members_must_match_its_request(two_node):
     verify_plan(inst, plan, expected_slots=4)
 
 
+MALFORMED_REQUESTS = {
+    "shared key": [PricingRequest(0, "a", "b", 4, (0,)), PricingRequest(0, "b", "c", 2, (1,))],
+    "no members": [PricingRequest(0, "a", "b", 1, ())],  # fused_width([]) is 1
+    "repeated member": [PricingRequest(0, "a", "b", 7, (0, 0))],
+    "unknown member": [PricingRequest(0, "a", "b", 4, (0, 9))],
+    "other pair": [PricingRequest(0, "a", "c", 4, (0,))],
+    "not the fused width": [PricingRequest(0, "a", "b", 5, (0,))],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REQUESTS)
+def test_pricing_requests_are_checked_once(small_instance, case):
+    with pytest.raises(InvariantViolation):
+        RestrictedMaster(small_instance, MALFORMED_REQUESTS[case])
+
+
+def test_pricing_request_may_join_its_pair_either_way(small_instance):
+    # members keep the atomic's orientation; the check compares unordered pairs
+    flipped = [PricingRequest(0, "b", "a", 4, (0,)), PricingRequest(2, "c", "a", 3, (2,))]
+    assert RestrictedMaster(small_instance, flipped).pricing_requests == {0: flipped[0], 2: flipped[1]}
+
+
 def test_duplicate_twin_columns_pruned(small_instance):
     rmp = RestrictedMaster(small_instance)
     config = Configuration(start_slot=1, routes=(_route(0, (0,), ("a", "b"), 4),))

@@ -6,10 +6,12 @@ import pytest
 import eonrsa.solver as solver_module
 from eonrsa import (
     Instance,
+    InvariantViolation,
     PricingRequest,
     PricingResult,
     Request,
     SolveConfig,
+    Topology,
     builtin_topology,
     certify,
     generate_icton_style,
@@ -146,9 +148,23 @@ def test_gap_config_validation():
     for seconds in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SolveConfig(max_wall_clock_seconds=seconds)
-    with pytest.raises(ValueError):
-        SolveConfig(max_outer_iterations=0)
-    SolveConfig(max_wall_clock_seconds=0.0, max_outer_iterations=1)  # 0 s = unlimited
+    SolveConfig(max_wall_clock_seconds=0.0)  # 0 s = unlimited
+
+
+def test_round_cap_stops_a_run(monkeypatch):
+    monkeypatch.setattr(solver_module, "MAX_OUTER_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
+        solve(make_random_tiny_instance(0), SolveConfig(final_ilp_relative_gap=0.0))
+
+
+def test_solve_rejects_a_request_wider_than_its_member():
+    # a 5-slot window for a 2-slot request would never fit, and the run would
+    # certify a bound of 0 against an optimum of 2
+    topo = Topology(name="path3", nodes=("a", "b", "c"), links=(("a", "b"), ("b", "c")))
+    inst = Instance(topology=topo, spectrum_slots=4, requests=(Request(0, "a", "c", 2),))
+    with pytest.raises(InvariantViolation, match="width"):
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0), [PricingRequest(0, "a", "c", 5, (0,))])
+
 
 def test_unreachable_request_is_rejected_not_fatal():
     from eonrsa import Topology
@@ -187,12 +203,13 @@ def test_run_without_columns_reports_a_zero_ilp_gap(two_node, backend):
     assert report.z_ilp_slots == 0.0 and plan.assignments == {}
 
 
-def test_highs_backend_agrees_on_lp_bound():
+def test_highs_backend_agrees_on_lp_bound(monkeypatch):
     # instance 36 cycled on the HiGHS master while it took its duals from the
     # post-prune re-solve; the round cap makes such a cycle fail fast
+    monkeypatch.setattr(solver_module, "MAX_OUTER_ROUNDS", 200)
     for seed in (41, 36):
         inst = make_random_tiny_instance(seed)
-        config = SolveConfig(final_ilp_relative_gap=0.0, max_outer_iterations=200)
+        config = SolveConfig(final_ilp_relative_gap=0.0)
         a, _ = solve(inst, dataclasses.replace(config, backend="bundled"))
         b, _ = solve(inst, dataclasses.replace(config, backend="highs"))
         assert a.z_lp_star_slots == pytest.approx(b.z_lp_star_slots, abs=1e-5)

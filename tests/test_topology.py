@@ -12,8 +12,7 @@ from eonrsa import (
     Topology,
     builtin_topology,
     enumerate_simple_paths,
-    load_topology,
-    save_topology,
+    load_instance,
     shortest_path,
 )
 
@@ -115,37 +114,43 @@ def test_weight_invariant_under_link_relabeling(seed):
         assert abs(a[1] - b[1]) < 1e-9
 
 
+def _instance_text(topology) -> str:
+    """An instance file with `topology` inline and no requests."""
+    return json.dumps({"topology": topology, "spectrum_slots": 4, "requests": []})
+
+
 def test_load_topology_well_formed():
-    text = json.dumps({"name": "t3", "nodes": ["x", "y", "z"], "links": [["x", "y"], ["y", "z"], ["x", "z"]]})
-    topo = load_topology(text)
+    text = _instance_text({"name": "t3", "nodes": ["x", "y", "z"], "links": [["x", "y"], ["y", "z"], ["x", "z"]]})
+    topo = load_instance(text).topology
     assert topo.num_nodes == 3 and topo.num_links == 3
 
 
 def test_load_topology_unknown_endpoint():
-    text = json.dumps({"nodes": ["x", "y"], "links": [["x", "w"]]})
+    text = _instance_text({"nodes": ["x", "y"], "links": [["x", "w"]]})
     with pytest.raises(InvariantViolation):
-        load_topology(text)
+        load_instance(text)
 
 
 def test_load_topology_duplicate_link():
-    text = json.dumps({"nodes": ["x", "y"], "links": [["x", "y"], ["y", "x"]]})
+    text = _instance_text({"nodes": ["x", "y"], "links": [["x", "y"], ["y", "x"]]})
     with pytest.raises(InvariantViolation):
-        load_topology(text)
+        load_instance(text)
 
 
 def test_load_topology_bad_json():
     with pytest.raises(ParseError):
-        load_topology(b"{nodes: oops")
+        load_instance(b"{nodes: oops")
+
+
+@pytest.mark.parametrize("topology", [["x", "y"], {"nodes": ["x"]}, {"nodes": 3, "links": []}])
+def test_load_topology_malformed_is_a_parse_error(topology):
+    with pytest.raises(ParseError, match="topology"):
+        load_instance(_instance_text(topology))
 
 
 def test_self_loop_rejected():
     with pytest.raises(InvariantViolation):
         Topology(name="loop", nodes=("a", "b"), links=(("a", "a"),))
-
-
-def test_save_load_round_trip(triangle):
-    again = load_topology(save_topology(triangle))
-    assert again == triangle
 
 
 @pytest.mark.parametrize(
