@@ -26,7 +26,7 @@ class InvalidConfiguration(EonRsaError):
 
 
 class ConflictDetected(EonRsaError):
-    """Defensive: a provisioning plan drawn from solver output clashes on a (link, slot)."""
+    """A provisioning plan uses a (link, slot) cell twice; `oracle.verify_plan` raises it."""
 
 
 class CapExceeded(EonRsaError):

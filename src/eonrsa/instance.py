@@ -207,6 +207,8 @@ def load_instance(data: bytes | str) -> Instance:
         raise ParseError("instance file must be a JSON object")
 
     if "topology_id" in obj:
+        if obj["topology_id"] not in BUILTIN_TOPOLOGIES:
+            raise ParseError(f"topology_id {obj['topology_id']!r} not in {BUILTIN_TOPOLOGIES}")
         topology = builtin_topology(obj["topology_id"])
     elif "topology" in obj:
         topology = _topology_from_dict(obj["topology"])
@@ -221,6 +223,8 @@ def load_instance(data: bytes | str) -> Instance:
         raise ParseError(f"instance file missing/invalid field: {exc}") from exc
     if spectrum < 1:
         raise ParseError("spectrum_slots must be positive")
+    if not isinstance(raw_requests, list):
+        raise ParseError(f"requests must be a list, got {json.dumps(raw_requests)}")
 
     requests = []
     for i, entry in enumerate(raw_requests):

@@ -206,7 +206,7 @@ class Model:
             if sol.basic_variables is not None:
                 if vid in sol.basic_variables:
                     continue
-            elif sol.reduced_costs is not None and abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
+            elif abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
                 continue
             drop.append(vid)
         if drop:
@@ -723,10 +723,8 @@ def _solve_lp_highs(model: Model) -> LpSolution:
         return LpSolution(status, -math.inf)
     values = dict(zip(mat.var_ids, res.x.tolist()))
     duals = -res.ineqlin.marginals
-    rc = None
-    if getattr(res, "lower", None) is not None and getattr(res, "upper", None) is not None:
-        # bound marginals carry the min-sense reduced costs; negate for max
-        rc = dict(zip(mat.var_ids, (-(res.lower.marginals + res.upper.marginals)).tolist()))
+    # bound marginals carry the min-sense reduced costs; negate for max
+    rc = dict(zip(mat.var_ids, (-(res.lower.marginals + res.upper.marginals)).tolist()))
     # 0.0 - fun, not -fun: an optimum of 0 is reported as 0.0, never -0.0
     return LpSolution(SolveStatus.OPTIMAL, float(0.0 - res.fun), values, duals, rc, None)
 

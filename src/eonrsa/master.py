@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConflictDetected, InvalidConfiguration, InvariantViolation
+from .errors import InvalidConfiguration, InvariantViolation
 from .instance import Instance, Request
 from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
 from .topology import Path
@@ -75,14 +75,6 @@ class Lightpath:
     def members(self) -> tuple[int, ...]:
         return self.request.members
 
-    def cells(self) -> list[tuple[int, int]]:
-        """(link id, slot) pairs this lightpath occupies."""
-        return [
-            (link, s)
-            for link in self.path.links
-            for s in range(self.start_slot, self.start_slot + self.width)
-        ]
-
     @property
     def end_slot(self) -> int:
         return self.start_slot + self.width - 1
@@ -103,7 +95,13 @@ class Configuration:
         return frozenset(k for req, _ in self.routes for k in req.members)
 
     def occupied_cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(cell for lp in self.lightpaths for cell in lp.cells())
+        s = self.start_slot
+        return frozenset(
+            (link, slot)
+            for request, path in self.routes
+            for link in path.links
+            for slot in range(s, s + request.width)
+        )
 
 
 def validate_configuration(
@@ -329,11 +327,6 @@ class RestrictedMaster:
             kept.add(chosen)
             assignments[k] = chosen
 
-        used: dict[tuple[int, int], Lightpath] = {}
-        for lp in assignments.values():
-            for cell in lp.cells():
-                if used.setdefault(cell, lp) != lp:
-                    raise ConflictDetected(f"cell {cell} used twice in the final plan")
         throughput = sum(self.atomics[k].demand for k in assignments)
         return ProvisioningPlan(
             assignments=assignments,

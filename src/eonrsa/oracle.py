@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles (path enumeration, explicit
 conflict masks) so it can stand as ground truth against the column-generation
-stack. Keep it simple enough to be obviously correct; it must never share
-shortcuts with the solver it checks.
+stack. Both references, the optimum and a slot's best reduced cost, run one
+search over packings of bitmasks, and no code is shared with the solver they
+check. Keep it simple enough to be obviously correct.
 """
 
 from __future__ import annotations
@@ -39,6 +40,39 @@ def _check_limits(instance: Instance, n_requests: int) -> None:
         raise LimitsExceeded(f"{instance.spectrum_slots} slots > oracle cap {MAX_SLOTS}")
 
 
+def _best_packing(entries: list) -> tuple:
+    """Best total value of at most one option per entry, the taken masks disjoint.
+
+    `entries` holds (bound, options); each option is (value, mask, tag), with
+    value in (0, bound]. Depth first, options in order before the skip; a branch
+    stops once it cannot strictly beat the best so far even with every bound
+    ahead. Returns the best value and the tags of the first packing with it.
+    """
+    suffix = [0] * (len(entries) + 1)
+    for i in range(len(entries) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + entries[i][0]
+
+    best_value, best_tags = 0, []
+    taken: list = []
+
+    def dfs(i: int, used: int, acc) -> None:
+        nonlocal best_value, best_tags
+        if acc > best_value:
+            best_value, best_tags = acc, list(taken)
+        if i == len(entries) or acc + suffix[i] <= best_value:
+            return
+        for value, mask, tag in entries[i][1]:
+            if mask & used:
+                continue
+            taken.append(tag)
+            dfs(i + 1, used | mask, acc + value)
+            taken.pop()
+        dfs(i + 1, used, acc)
+
+    dfs(0, 0, 0)
+    return best_value, best_tags
+
+
 def oracle_solve(
     instance: Instance,
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
@@ -47,14 +81,15 @@ def oracle_solve(
 
     Each request is either rejected or given a (simple path, starting slot);
     conflicts are tracked with a (link, slot) bitmask. With pricing_requests
-    given (derived-request mode) an extra mask keeps member atomics disjoint.
+    given (derived-request mode) the same mask keeps member atomics disjoint.
     """
     if pricing_requests is None:
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
     _check_limits(instance, len(pricing_requests))
     demands = {r.id: r.demand for r in instance.requests}
     spectrum = instance.spectrum_slots
-    atom_bit = {k: 1 << i for i, k in enumerate(sorted(demands))}
+    cells = instance.topology.num_links * spectrum  # atomic bits sit above the cell bits
+    atom_bit = {k: 1 << (cells + i) for i, k in enumerate(sorted(demands))}
 
     entries = []
     for p in sorted(pricing_requests, key=lambda p: (-sum(demands[k] for k in p.members), p.key)):
@@ -65,40 +100,15 @@ def oracle_solve(
         options = []
         for path in enumerate_simple_paths(instance.topology, p.source, p.dest, MAX_HOPS):
             for s in range(1, spectrum - p.width + 2):
-                mask = 0
+                mask = amask
                 for link in path.links:
                     for slot in range(s, s + p.width):
                         mask |= 1 << (link * spectrum + slot - 1)
-                options.append((path, s, mask))
-        entries.append((p.key, value, amask, options))
+                options.append((value, mask, (p.key, path, s)))
+        entries.append((value, options))
 
-    suffix = [0] * (len(entries) + 1)
-    for i in range(len(entries) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + entries[i][1]
-
-    best_value = 0
-    best_assign: dict[int, tuple[Path, int]] = {}
-    chosen: list[tuple[int, Path, int]] = []
-
-    def dfs(i: int, cells: int, atoms: int, acc: int) -> None:
-        nonlocal best_value, best_assign
-        if acc > best_value:
-            best_value = acc
-            best_assign = {key: (path, s) for key, path, s in chosen}
-        if i == len(entries) or acc + suffix[i] <= best_value:
-            return
-        key, value, amask, options = entries[i]
-        if not (amask & atoms):
-            for path, s, mask in options:
-                if mask & cells:
-                    continue
-                chosen.append((key, path, s))
-                dfs(i + 1, cells | mask, atoms | amask, acc + value)
-                chosen.pop()
-        dfs(i + 1, cells, atoms, acc)
-
-    dfs(0, 0, 0, 0)
-    return OracleSolution(value_slots=best_value, assignments=best_assign)
+    best_value, taken = _best_packing(entries)
+    return OracleSolution(best_value, {key: (path, s) for key, path, s in taken})
 
 
 def oracle_max_reduced_cost(
@@ -129,33 +139,12 @@ def oracle_max_reduced_cost(
             lmask = 0
             for link in path.links:
                 lmask |= 1 << link
-            options.append((value, lmask))
+            options.append((value, lmask, path))
         if options:
-            best = max(v for v, _ in options)
-            entries.append((best, options))
+            entries.append((max(v for v, _, _ in options), options))
 
     entries.sort(key=lambda e: -e[0])
-    suffix = [0.0] * (len(entries) + 1)
-    for i in range(len(entries) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + entries[i][0]
-
-    best_total = 0.0
-
-    def dfs(i: int, links: int, acc: float) -> None:
-        nonlocal best_total
-        if acc > best_total:
-            best_total = acc
-        if i == len(entries) or acc + suffix[i] <= best_total:
-            return
-        _, options = entries[i]
-        for value, lmask in options:
-            if lmask & links:
-                continue
-            dfs(i + 1, links | lmask, acc + value)
-        dfs(i + 1, links, acc)
-
-    dfs(0, 0, 0.0)
-    return best_total
+    return float(_best_packing(entries)[0])
 
 
 def verify_plan(

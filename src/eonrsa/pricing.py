@@ -186,7 +186,7 @@ def price_slot(
         return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
 
     rc_ilp, chosen = inner.solve_ilp()
-    if rc_ilp <= IMPROVE_TOL or not chosen:
+    if rc_ilp <= IMPROVE_TOL:
         return PricingResult(configuration=None, rc_ilp=max(rc_ilp, 0.0), rc_lp_star=rc_lp_star)
     config = Configuration(start_slot=s, routes=tuple(chosen))
     if rc_ilp > rc_lp_star + 1e-6 * (1.0 + abs(rc_lp_star)):

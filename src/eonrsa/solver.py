@@ -91,9 +91,9 @@ def report_metrics(z_lp_star: float, z_ilp: float, offered_load: float) -> Metri
     """Quality metrics in percent (display rounds to one decimal).
 
     epsilon_lp divides the bound gap by z_LP*; epsilon_tab divides by the
-    integral value, which is the arithmetic the result tables use. The bounds
-    may cross by solve()'s slack of 1e-6 * (1 + |z_lp_star|), which reports a
-    zero gap. Zero denominators report 0; zero offered load reports a GoS of 100.
+    integral value, which is the arithmetic the result tables use. Bounds
+    crossed by up to 1e-6 * (1 + |z_lp_star|) give a zero gap; wider, they raise
+    (solve()'s bound check). Zero denominators give 0; zero load a GoS of 100.
     """
     if z_ilp < 0 or z_lp_star < z_ilp - 1e-6 * (1.0 + abs(z_lp_star)):
         raise ValueError(f"need z_lp_star >= z_ilp >= 0, got {z_lp_star}, {z_ilp}")
@@ -183,9 +183,7 @@ def solve(
     plan = rmp.post_process(selected)
     ilp_seconds = time.monotonic() - t1
 
-    verify_plan(instance, plan, expected_slots=z_ilp)
-    if z_ilp > z_lp_star + 1e-6 * (1.0 + abs(z_lp_star)):
-        raise RuntimeError(f"integral value {z_ilp} above the LP bound {z_lp_star}")
+    verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
 
     eps = report_metrics(z_lp_star, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
     report = SolveReport(

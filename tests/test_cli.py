@@ -262,6 +262,25 @@ def test_cross_process_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_malformed_instance_exits_1_without_a_traceback(tmp_path):
+    import eonrsa
+
+    path = tmp_path / "bad.json"
+    path.write_text('{"spectrum_slots": 4, "topology_id": "atlantis", "requests": []}')
+    package_root = str(Path(eonrsa.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "eonrsa.cli", "solve", "--instance", str(path)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_FAILURE
+    assert proc.stderr.startswith("error: ") and "topology_id" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["solve", "--no-such-flag"])

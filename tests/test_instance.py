@@ -158,6 +158,19 @@ def test_non_integral_counts_are_parse_errors(field, value):
         load_instance(json.dumps(raw))
 
 
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        pytest.param({"topology_id": "atlantis", "requests": []}, "topology_id", id="unknown id"),
+        pytest.param({"topology_id": "spain21", "requests": None}, "requests", id="null requests"),
+        pytest.param({"topology_id": "spain21", "requests": 5}, "requests", id="number requests"),
+    ],
+)
+def test_malformed_fields_are_parse_errors_naming_the_field(fields, field):
+    with pytest.raises(ParseError, match=field):
+        load_instance(json.dumps({"spectrum_slots": 4, **fields}))
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-25"])
 def test_slot_rate_must_be_positive_and_finite(value):
     raw = (

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from eonrsa import (
     oracle_max_reduced_cost,
     oracle_solve,
 )
+from eonrsa.oracle import _best_packing
 from conftest import make_random_tiny_instance
 
 
@@ -114,3 +116,38 @@ def test_max_reduced_cost_subtracts_window_costs(triangle):
     mu_cell[1, :2] = 2.0
     mu_cell[2, :2] = 2.0  # now the detour costs 4.0 total
     assert abs(oracle_max_reduced_cost(inst, 1, duals) - 3.5) < 1e-12
+
+
+def _packing_value(options):
+    """The summed value of options with pairwise disjoint masks, else None."""
+    used = 0
+    for _value, mask, _tag in options:
+        if mask & used:
+            return None
+        used |= mask
+    return sum(value for value, _mask, _tag in options)
+
+
+def test_search_matches_plain_enumeration():
+    rng = random.Random(16)
+
+    def draw(quarters: bool):
+        # quarter steps keep float sums exact, so values compare with ==
+        return rng.randint(1, 36) / 4 if quarters else rng.randint(1, 9)
+
+    for _ in range(500):
+        quarters = rng.random() < 0.5
+        entries = []
+        for i in range(rng.randint(0, 5)):
+            options = [
+                (draw(quarters), rng.randrange(256), (i, j)) for j in range(rng.randint(1, 4))
+            ]
+            entries.append((max(value for value, _mask, _tag in options), options))
+        packings = itertools.product(*(options + [None] for _bound, options in entries))
+        values = (_packing_value([o for o in picks if o is not None]) for picks in packings)
+        best = max(v for v in values if v is not None)
+
+        value, tags = _best_packing(entries)
+        assert value == best
+        taken = [entries[i][1][j] for i, j in tags]
+        assert _packing_value(taken) == value

@@ -5,12 +5,18 @@ import pytest
 
 import eonrsa.solver as solver_module
 from eonrsa import (
+    Configuration,
+    ConflictDetected,
     Instance,
     InvariantViolation,
+    MipSolution,
+    Path,
     PricingRequest,
     PricingResult,
     Request,
+    RestrictedMaster,
     SolveConfig,
+    SolveStatus,
     Topology,
     builtin_topology,
     certify,
@@ -164,6 +170,33 @@ def test_solve_rejects_a_request_wider_than_its_member():
     inst = Instance(topology=topo, spectrum_slots=4, requests=(Request(0, "a", "c", 2),))
     with pytest.raises(InvariantViolation, match="width"):
         solve(inst, SolveConfig(final_ilp_relative_gap=0.0), [PricingRequest(0, "a", "c", 5, (0,))])
+
+
+def test_solve_rejects_a_conflicting_plan(two_node, monkeypatch):
+    requests = (Request(0, "a", "b", 1), Request(1, "a", "b", 1))
+    inst = Instance(topology=two_node, spectrum_slots=2, requests=requests)
+    link = Path(links=(0,), nodes=("a", "b"))
+    clash = [
+        Configuration(start_slot=1, routes=((PricingRequest.from_request(r), link),))
+        for r in inst.requests
+    ]
+    mip = MipSolution(SolveStatus.OPTIMAL, 2.0, {}, 0.0)
+    monkeypatch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (2.0, clash, mip))
+    with pytest.raises(ConflictDetected, match=r"\(0, 1\)"):
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+
+
+def test_solve_rejects_an_ilp_above_its_bound(two_node, monkeypatch):
+    inst = Instance(topology=two_node, spectrum_slots=4, requests=(Request(0, "a", "b", 2),))
+    original = RestrictedMaster.solve_lp_and_prune
+
+    def one_below(rmp):
+        value, duals = original(rmp)
+        return value - 1.0, duals
+
+    monkeypatch.setattr(RestrictedMaster, "solve_lp_and_prune", one_below)
+    with pytest.raises(ValueError, match=r"got 1\.0, 2\.0"):
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
 def test_unreachable_request_is_rejected_not_fatal():
