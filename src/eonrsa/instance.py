@@ -182,15 +182,17 @@ def save_instance(instance: Instance) -> bytes:
 
 
 def _whole(value, field: str) -> int:
-    """int(value) for an instance-file count; a fraction or a boolean is a ParseError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An instance-file count; anything but an integral JSON number is a ParseError."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:  # a string, a fraction, a boolean
         raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def _rate(value) -> float:
-    """The slot rate as a float; a boolean, or a rate not positive and finite, is a ParseError."""
-    if isinstance(value, bool) or not 0 < float(value) < math.inf:
+    """The slot rate as a float; anything but a positive finite JSON number is a ParseError."""
+    if type(value) not in (int, float) or not 0 < value < math.inf:
         raise ParseError(f"slot_rate_gbps must be positive and finite, got {json.dumps(value)}")
     return float(value)
 

@@ -197,6 +197,11 @@ class RestrictedMaster:
         }
         self._columns: dict[int, Configuration] = {}
         self.prune_checks: list[tuple[float, float]] = []
+        # no LP value exceeds this; a request wider than the spectrum fits no window
+        fitting = [r.demand for r in instance.requests if r.demand <= instance.spectrum_slots]
+        self.upper_bound = float(sum(fitting))
+        self._last_value: Optional[float] = None
+        self._flow_pending = all(len(p.members) == 1 for p in self.pricing_requests.values())
 
     def _checked(self, requests: Iterable[PricingRequest]) -> dict[int, PricingRequest]:
         """The pricing requests by key; InvariantViolation unless each has its own key and
@@ -248,6 +253,9 @@ class RestrictedMaster:
         nonbasic columns at zero go. An engine without warm start may answer
         the re-solve with another optimal dual, under which a dropped column
         prices out again and column generation cycles.
+
+        The first value that does not rise above the previous one lowers
+        `upper_bound` to the flow bound, once.
         """
         sol = self._solve_lp_checked()
         dropped = self.model.prune(sol, self._columns)
@@ -259,7 +267,46 @@ class RestrictedMaster:
             raise RuntimeError(
                 f"pruning changed the LP value: {sol.objective} -> {sol2.objective}"
             )
+        last, self._last_value = self._last_value, sol2.objective
+        stalled = last is not None and sol2.objective <= last + 1e-6 * (1.0 + abs(last))
+        if stalled and self._flow_pending:
+            self._flow_pending = False
+            self.upper_bound = min(self.upper_bound, self._flow_bound())
         return sol2.objective, self._duals_from(sol)
+
+    def _flow_bound(self) -> float:
+        """Optimum of the multicommodity-flow LP relaxation, a bound on every master LP.
+
+        Max sum d_k y_k, y_k in [0, 1]: request k ships d_k y_k slots of flow from
+        its source to its destination, and each link carries at most |S| slots
+        over both directions. The flow is grouped by source node; each
+        conservation equality is two `<=` rows. It bounds the master only when
+        every pricing request is one atomic request: a fused window takes fewer
+        slots than its members.
+        """
+        topo, slots = self.instance.topology, self.instance.spectrum_slots
+        requests = [p for p in self.pricing_requests.values() if p.width <= slots]
+        sources = sorted({p.source for p in requests})
+        pairs = [(s, v) for s in sources for v in topo.nodes if v != s]
+        row = {pair: 2 * i for i, pair in enumerate(pairs)}
+        cap = 2 * len(row)
+        model = Model([0.0] * cap + [float(slots)] * topo.num_links, self.model.backend)
+        for p in requests:
+            r = row[p.source, p.dest]
+            model.add_variable(obj=float(p.width), hi=1.0, coeffs={r: p.width, r + 1: -p.width})
+        for s in sources:
+            for link, ends in enumerate(topo.links):
+                for a, b in (ends, ends[::-1]):  # flow from a to b leaves a, enters b
+                    coeffs = {cap + link: 1.0}
+                    if a != s:
+                        coeffs[row[s, a]], coeffs[row[s, a] + 1] = 1.0, -1.0
+                    if b != s:
+                        coeffs[row[s, b]], coeffs[row[s, b] + 1] = -1.0, 1.0
+                    model.add_variable(coeffs=coeffs)
+        sol = model.solve_lp()
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise RuntimeError(f"flow bound LP failed: {sol.status}")
+        return sol.objective
 
     def _solve_lp_checked(self):
         sol = self.model.solve_lp()

@@ -2,9 +2,14 @@
 
 One outer round: solve the master LP (pruning dropped columns), snapshot the
 duals, price every starting slot against that snapshot, add every improving
-configuration. The loop stops when no slot produces one (the pricing ILP
-values are all zero); the run is certified when additionally every slot's
-pricing LP bound is zero, making the final LP value a true upper bound.
+configuration. A run is certified, its final LP value a true upper bound, in
+one of two ways:
+
+- the LP value meets the master's `upper_bound` (the demand that fits the
+  spectrum, or the multicommodity-flow bound), which no LP can beat; the run
+  stops before pricing those duals;
+- no slot produces a column (the pricing ILP values are all zero) and every
+  slot's pricing LP bound is zero too.
 
 Slots with identical pricing input (`pricing_key`), in one round or across
 rounds, share one inner solve: a run keeps each result under its input and
@@ -55,7 +60,7 @@ class SolveReport:
     offered_load_gbps: float
     slot_rate_gbps: float
     z_lp_star_slots: float
-    z_ilp_slots: float
+    z_ilp_slots: int
     epsilon_lp: float
     epsilon_tab: float
     gos_percent: float
@@ -154,7 +159,7 @@ def solve(
     lp_trace: list[float] = []
     columns_generated = 0
     outer = 0
-    timed_out = False
+    timed_out = met_bound = False
     priced: dict[tuple, PricingResult] = {}
 
     while True:
@@ -162,6 +167,9 @@ def solve(
         z_lp_star, duals = rmp.solve_lp_and_prune()
         lp_trace.append(z_lp_star)
         if timed_out:
+            break
+        met_bound = z_lp_star >= rmp.upper_bound - 1e-6 * (1.0 + abs(rmp.upper_bound))
+        if met_bound:  # no LP can beat this value, so no column can raise it
             break
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
@@ -175,7 +183,7 @@ def solve(
         columns_generated += len(improving)
         timed_out = deadline is not None and time.monotonic() > deadline
 
-    certified = (not timed_out) and certify(results)
+    certified = met_bound or (not timed_out and certify(results))
     lp_seconds = time.monotonic() - t0
 
     t1 = time.monotonic()
@@ -184,6 +192,7 @@ def solve(
     ilp_seconds = time.monotonic() - t1
 
     verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
+    z_ilp = plan.throughput_slots
 
     eps = report_metrics(z_lp_star, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
     report = SolveReport(

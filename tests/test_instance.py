@@ -141,8 +141,10 @@ def test_zero_spectrum_is_parse_error(triangle):
     [
         ("spectrum_slots", 50.7),
         ("spectrum_slots", True),
+        ("spectrum_slots", "4"),
         ("demand_slots", 4.5),
         ("demand_slots", True),
+        ("demand_slots", "2"),
     ],
 )
 def test_non_integral_counts_are_parse_errors(field, value):
@@ -171,7 +173,9 @@ def test_malformed_fields_are_parse_errors_naming_the_field(fields, field):
         load_instance(json.dumps({"spectrum_slots": 4, **fields}))
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-25"])
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", "true", "false", "0", "-25", '"12.5"', "null"]
+)
 def test_slot_rate_must_be_positive_and_finite(value):
     raw = (
         '{"topology": {"name": "t", "nodes": ["a", "b"], "links": [["a", "b"]]}, '

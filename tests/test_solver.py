@@ -20,6 +20,7 @@ from eonrsa import (
     Topology,
     builtin_topology,
     certify,
+    derived_pricing_requests,
     generate_icton_style,
     oracle_solve,
     price_slot,
@@ -158,9 +159,11 @@ def test_gap_config_validation():
 
 
 def test_round_cap_stops_a_run(monkeypatch):
+    inst = make_random_tiny_instance(9)  # needs 5 pricing rounds
+    assert solve(inst, SolveConfig(final_ilp_relative_gap=0.0))[0].outer_iterations >= 2
     monkeypatch.setattr(solver_module, "MAX_OUTER_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
-        solve(make_random_tiny_instance(0), SolveConfig(final_ilp_relative_gap=0.0))
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
 def test_solve_rejects_a_request_wider_than_its_member():
@@ -195,7 +198,7 @@ def test_solve_rejects_an_ilp_above_its_bound(two_node, monkeypatch):
         return value - 1.0, duals
 
     monkeypatch.setattr(RestrictedMaster, "solve_lp_and_prune", one_below)
-    with pytest.raises(ValueError, match=r"got 1\.0, 2\.0"):
+    with pytest.raises(ValueError, match=r"got 1\.0, 2$"):
         solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
@@ -263,11 +266,12 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
 
         monkeypatch.setattr(solver_module, "price_slot", counted)
         with recorded_master_duals() as snapshots:
-            solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
         monkeypatch.undo()
         requests = [PricingRequest.from_request(r) for r in inst.requests]
         first = {}
-        for duals in snapshots:
+        # a run that meets its upper bound stops before pricing its last duals
+        for duals in snapshots[: report.outer_iterations]:
             clamped = duals.clamped()
             for s in range(1, inst.spectrum_slots + 1):
                 key = pricing_key(inst, s, clamped, requests)
@@ -283,3 +287,71 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
                 assert memo == direct, (inst.name, s)
         assert len(calls) == len(first), inst.name  # one inner solve per distinct input
     assert shared > 0
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_lp_value_lies_between_the_optimum_and_the_upper_bound(backend):
+    original = RestrictedMaster.solve_lp_and_prune
+    flow_stops = 0
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        masters = []
+
+        def recording(rmp):
+            masters.append(rmp)
+            return original(rmp)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RestrictedMaster, "solve_lp_and_prune", recording)
+            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        flow = RestrictedMaster(inst, backend=backend)._flow_bound()
+        z_lp, tol = report.z_lp_star_slots, 1e-6 * (1.0 + report.z_lp_star_slots)
+        assert report.certified, seed
+        assert oracle_solve(inst).value_slots <= z_lp + tol, seed
+        assert z_lp <= min(masters[-1].upper_bound, flow) + tol, seed
+        # stopped unpriced below the demand sum: the flow bound certified it
+        demand = sum(r.demand for r in inst.requests if r.demand <= inst.spectrum_slots)
+        flow_stops += len(report.lp_value_trace) > report.outer_iterations and z_lp < demand - tol
+    assert flow_stops > 0
+
+
+@pytest.mark.parametrize("slots, bound", [(20, 162.0), (50, 176.0)])
+def test_flow_bound_of_spain21(slots, bound):
+    # the demand of the 35 requests sums to 176 slots
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=slots)
+    assert RestrictedMaster(inst, backend="highs")._flow_bound() == pytest.approx(bound, abs=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_triangle_meets_its_demand_after_one_round(triangle, backend):
+    requests = (Request(0, "a", "b", 2), Request(1, "b", "c", 1), Request(2, "a", "c", 3))
+    inst = Instance(topology=triangle, spectrum_slots=4, requests=requests)
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+    assert report.certified and report.outer_iterations == 1
+    assert len(report.lp_value_trace) == 2 and report.z_lp_star_slots == pytest.approx(6.0)
+    assert type(report.z_ilp_slots) is int and report.z_ilp_slots == plan.throughput_slots == 6
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_fused_windows_keep_the_demand_bound(two_node, backend):
+    # the flow over atomics caps this pair at 4 slots, but one fused window grants 5
+    inst = Instance(
+        topology=two_node, spectrum_slots=4, requests=(Request(0, "a", "b", 2), Request(1, "a", "b", 3))
+    )
+    for requests, bound in ((None, 4.0), (derived_pricing_requests(inst), 5.0)):
+        rmp = RestrictedMaster(inst, requests, backend=backend)
+        rmp.solve_lp_and_prune()
+        rmp.solve_lp_and_prune()  # no column came, so the LP value stalls
+        assert rmp.upper_bound == pytest.approx(bound)
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    report, _ = solve(inst, config, derived_pricing_requests(inst))
+    assert report.certified
+    assert report.z_lp_star_slots == pytest.approx(5.0) and report.z_ilp_slots == 5
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
+    inst = Instance(topology=two_node, spectrum_slots=2, requests=(Request(0, "a", "b", 3),))
+    report, _ = solve(inst, SolveConfig(backend=backend))
+    assert report.certified and report.outer_iterations == 0
+    assert report.lp_value_trace == [0.0] and report.z_ilp_slots == 0
