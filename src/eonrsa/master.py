@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidConfiguration, InvariantViolation
 from .instance import Instance, Request
 from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
-from .topology import Path
+from .topology import Path, shortest_path
 
 
 def fused_width(demands: Sequence[int]) -> int:
@@ -140,6 +140,40 @@ def validate_configuration(
             )
         if requests is not None and requests.get(req.key) != req:
             raise InvalidConfiguration(f"{req} is not the master's request of key {req.key}")
+
+
+def first_fit(instance: Instance, requests: Iterable[PricingRequest]) -> list[Configuration]:
+    """A plan as columns, one configuration per start slot.
+
+    Requests go widest first, then by key; one whose members are already served
+    is skipped. Each takes the lowest start slot at which a fewest-hop path avoids
+    every link busy over its window. Lightpaths at one start slot all hold that
+    slot's cell on each of their links, so they are link-disjoint.
+    """
+    topo, slots = instance.topology, instance.spectrum_slots
+    busy = np.zeros((topo.num_links, slots), dtype=bool)
+    served: set[int] = set()
+    routes: dict[int, list[tuple[PricingRequest, Path]]] = {}
+    for req in sorted(requests, key=lambda p: (-p.width, p.key)):
+        if not served.isdisjoint(req.members):
+            continue
+        failed = None  # the blocked links of the last slot without a path
+        for s in range(1, slots - req.width + 2):
+            blocked = busy[:, s - 1 : s - 1 + req.width].any(axis=1)
+            if failed is not None and np.array_equal(blocked, failed):
+                continue
+            found = shortest_path(topo, req.source, req.dest, np.where(blocked, math.inf, 1.0))
+            if found is None:  # no path at all, whatever the weights
+                break
+            path, hops = found
+            if math.isinf(hops):  # every path crosses a blocked link
+                failed = blocked
+                continue
+            busy[list(path.links), s - 1 : s - 1 + req.width] = True
+            served.update(req.members)
+            routes.setdefault(s, []).append((req, path))
+            break
+    return [Configuration(s, tuple(routes[s])) for s in sorted(routes)]
 
 
 @dataclass(eq=False)

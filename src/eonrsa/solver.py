@@ -1,13 +1,15 @@
 """Outer column-generation loop, optimality certification, and reporting.
 
-One outer round: solve the master LP (pruning dropped columns), snapshot the
-duals, price every starting slot against that snapshot, add every improving
-configuration. A run is certified, its final LP value a true upper bound, in
-one of two ways:
+The master starts from the columns of a first-fit plan (`master.first_fit`),
+which also floor the returned plan. One outer round: solve the master LP
+(pruning dropped columns), snapshot the duals, price every starting slot
+against that snapshot, add every improving configuration. A run is certified,
+its final LP value a true upper bound, in one of two ways:
 
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound), which no LP can beat; the run
-  stops before pricing those duals;
+  stops before pricing those duals, also after a time-out, and when the
+  first-fit plan grants all that fits, after 0 rounds;
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .master import MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster
+from .master import MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster, first_fit
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
@@ -52,6 +54,8 @@ class SolveReport:
 
     Epsilons are stored as fractions (table display multiplies by 100);
     z values are in slot units with Tbps available via the helpers.
+    `outer_iterations` counts priced rounds and `columns_generated` priced
+    columns; the first-fit columns the master starts from are in neither.
     """
 
     instance_name: str
@@ -155,6 +159,9 @@ def solve(
     deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
     rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend)
     slot_requests = list(rmp.pricing_requests.values())
+    seed = first_fit(instance, slot_requests)  # in the first LP, and the plan's floor
+    for column in seed:
+        rmp.add_column(column)
 
     lp_trace: list[float] = []
     columns_generated = 0
@@ -166,10 +173,9 @@ def solve(
         # after a timed-out round, this solve gives the bound of the final RMP
         z_lp_star, duals = rmp.solve_lp_and_prune()
         lp_trace.append(z_lp_star)
-        if timed_out:
-            break
+        # no LP can beat this value, so no column can raise it, time-out or not
         met_bound = z_lp_star >= rmp.upper_bound - 1e-6 * (1.0 + abs(rmp.upper_bound))
-        if met_bound:  # no LP can beat this value, so no column can raise it
+        if met_bound or timed_out:
             break
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
@@ -192,6 +198,10 @@ def solve(
     ilp_seconds = time.monotonic() - t1
 
     verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
+    floor = rmp.post_process(seed)
+    if floor.throughput_slots > plan.throughput_slots:  # a weak or timed-out final ILP
+        verify_plan(instance, floor)
+        plan = floor
     z_ilp = plan.throughput_slots
 
     eps = report_metrics(z_lp_star, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)

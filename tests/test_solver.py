@@ -22,12 +22,14 @@ from eonrsa import (
     certify,
     derived_pricing_requests,
     generate_icton_style,
+    validate_configuration,
     oracle_solve,
     price_slot,
     report_metrics,
     solve,
     verify_plan,
 )
+from eonrsa.master import first_fit
 from eonrsa.pricing import pricing_key
 from conftest import make_random_tiny_instance, recorded_master_duals
 
@@ -134,8 +136,10 @@ def test_lp_trace_monotone_and_bounds_ordered():
 
 
 def test_time_limit_flags_partial_result():
-    inst = make_random_tiny_instance(31)
+    inst = make_random_tiny_instance(9)  # the first-fit start does not certify it
     for backend in ("bundled", "highs"):
+        unlimited = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))[0]
+        assert unlimited.outer_iterations >= 2
         report, _ = solve(
             inst,
             SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1e-9, backend=backend),
@@ -323,12 +327,12 @@ def test_flow_bound_of_spain21(slots, bound):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_triangle_meets_its_demand_after_one_round(triangle, backend):
+def test_triangle_meets_its_demand_without_pricing(triangle, backend):
     requests = (Request(0, "a", "b", 2), Request(1, "b", "c", 1), Request(2, "a", "c", 3))
     inst = Instance(topology=triangle, spectrum_slots=4, requests=requests)
     report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
-    assert report.certified and report.outer_iterations == 1
-    assert len(report.lp_value_trace) == 2 and report.z_lp_star_slots == pytest.approx(6.0)
+    assert report.certified and report.outer_iterations == 0
+    assert len(report.lp_value_trace) == 1 and report.z_lp_star_slots == pytest.approx(6.0)
     assert type(report.z_ilp_slots) is int and report.z_ilp_slots == plan.throughput_slots == 6
 
 
@@ -355,3 +359,89 @@ def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
     report, _ = solve(inst, SolveConfig(backend=backend))
     assert report.certified and report.outer_iterations == 0
     assert report.lp_value_trace == [0.0] and report.z_ilp_slots == 0
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_timed_out_run_that_meets_its_bound_is_certified(backend):
+    inst = make_random_tiny_instance(19)
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    unlimited = solve(inst, config)[0]
+    # one priced round, and the LP after it meets the bound unpriced
+    assert unlimited.outer_iterations == 1 and len(unlimited.lp_value_trace) == 2
+    report, _ = solve(inst, dataclasses.replace(config, max_wall_clock_seconds=1e-9))
+    assert report.timed_out and report.outer_iterations == 1
+    assert report.certified
+    assert report.z_lp_star_slots == pytest.approx(unlimited.z_lp_star_slots)
+
+
+def _guardband_instance(triangle) -> Instance:
+    # two a-b atomics give three derived requests that share members; fused, they need 4 slots
+    demands = [("a", "b", 2), ("a", "b", 3), ("b", "c", 2), ("a", "c", 3)]
+    requests = tuple(Request(i, a, b, d) for i, (a, b, d) in enumerate(demands))
+    return Instance(topology=triangle, spectrum_slots=4, requests=requests)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_first_fit_columns_form_a_plan(triangle, backend):
+    gb = _guardband_instance(triangle)
+    cases = [(make_random_tiny_instance(seed), None) for seed in range(40)]
+    cases.append((gb, derived_pricing_requests(gb)))
+    for inst, requests in cases:
+        rmp = RestrictedMaster(inst, requests, backend=backend)
+        seed = first_fit(inst, rmp.pricing_requests.values())
+        members = [k for config in seed for k in config.served_atomics()]
+        cells = [cell for config in seed for cell in config.occupied_cells()]
+        assert len(members) == len(set(members)), inst.name
+        assert len(cells) == len(set(cells)), inst.name
+        for config in seed:
+            validate_configuration(config, inst.spectrum_slots, rmp.pricing_requests)
+            rmp.add_column(config)
+        plan = rmp.post_process(seed)
+        verify_plan(inst, plan)
+        assert plan.throughput_slots <= oracle_solve(inst, requests).value_slots, inst.name
+        # the first LP holds the plan
+        assert rmp.solve_lp_and_prune()[0] >= plan.throughput_slots - 1e-6, inst.name
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_acceptance_8_certifies_from_its_first_fit_start(backend):
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)
+    report, plan = solve(inst, SolveConfig(backend=backend))
+    assert report.certified and report.z_lp_star_slots == pytest.approx(176.0)
+    assert report.outer_iterations == 0 and len(report.lp_value_trace) == 1
+    assert report.columns_generated == 0 and plan.throughput_slots == report.z_ilp_slots
+
+
+def test_plan_is_never_below_the_first_fit_plan():
+    # the final ILP over the certified columns stops within its gap below this floor
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
+    rmp = RestrictedMaster(inst)
+    assert rmp.post_process(first_fit(inst, rmp.pricing_requests.values())).throughput_slots == 130
+    ilp_values = []
+    original = RestrictedMaster.solve_final_ilp
+
+    def recording(master, *args, **kwargs):
+        result = original(master, *args, **kwargs)
+        ilp_values.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RestrictedMaster, "solve_final_ilp", recording)
+        report, plan = solve(inst, SolveConfig(backend="highs"))
+    assert report.certified and report.z_lp_star_slots == pytest.approx(162.0)
+    assert report.z_ilp_slots == plan.throughput_slots == max(round(ilp_values[0]), 130)
+    verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_final_ilp_without_an_incumbent_returns_the_first_fit_plan(monkeypatch, backend):
+    inst = make_random_tiny_instance(9)
+    rmp = RestrictedMaster(inst)
+    expected = rmp.post_process(first_fit(inst, rmp.pricing_requests.values()))
+    assert expected.throughput_slots > 0
+    timed_out = MipSolution(SolveStatus.TIME_LIMIT, math.nan, {}, math.inf)
+    monkeypatch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (0.0, [], timed_out))
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+    assert plan == expected and report.z_ilp_slots == expected.throughput_slots
+    assert report.final_ilp_gap == 1.0
+    verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
