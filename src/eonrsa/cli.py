@@ -93,6 +93,7 @@ def report_to_json_obj(report: SolveReport) -> dict:
         "slot_rate_gbps": report.slot_rate_gbps,
         "z_lp_star_slots": report.z_lp_star_slots,
         "z_ilp_slots": report.z_ilp_slots,
+        "z_ub_slots": report.z_ub_slots,
         "z_lp_star_tbps": report.z_lp_star_tbps,
         "z_ilp_tbps": report.z_ilp_tbps,
         "epsilon_lp": report.epsilon_lp,

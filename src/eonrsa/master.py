@@ -142,19 +142,22 @@ def validate_configuration(
             raise InvalidConfiguration(f"{req} is not the master's request of key {req.key}")
 
 
-def first_fit(instance: Instance, requests: Iterable[PricingRequest]) -> list[Configuration]:
+def first_fit(
+    instance: Instance, requests: Iterable[PricingRequest], keys_descending: bool = False
+) -> list[Configuration]:
     """A plan as columns, one configuration per start slot.
 
-    Requests go widest first, then by key; one whose members are already served
-    is skipped. Each takes the lowest start slot at which a fewest-hop path avoids
-    every link busy over its window. Lightpaths at one start slot all hold that
-    slot's cell on each of their links, so they are link-disjoint.
+    Requests go widest first, then by key (descending if `keys_descending`); one
+    whose members are already served is skipped. Each takes the lowest start slot
+    at which a fewest-hop path avoids every link busy over its window. Lightpaths
+    at one start slot all hold that slot's cell on each of their links, so they
+    are link-disjoint.
     """
     topo, slots = instance.topology, instance.spectrum_slots
     busy = np.zeros((topo.num_links, slots), dtype=bool)
     served: set[int] = set()
     routes: dict[int, list[tuple[PricingRequest, Path]]] = {}
-    for req in sorted(requests, key=lambda p: (-p.width, p.key)):
+    for req in sorted(requests, key=lambda p: (-p.width, -p.key if keys_descending else p.key)):
         if not served.isdisjoint(req.members):
             continue
         failed = None  # the blocked links of the last slot without a path
@@ -234,7 +237,6 @@ class RestrictedMaster:
         # no LP value exceeds this; a request wider than the spectrum fits no window
         fitting = [r.demand for r in instance.requests if r.demand <= instance.spectrum_slots]
         self.upper_bound = float(sum(fitting))
-        self._last_value: Optional[float] = None
         self._flow_pending = all(len(p.members) == 1 for p in self.pricing_requests.values())
 
     def _checked(self, requests: Iterable[PricingRequest]) -> dict[int, PricingRequest]:
@@ -288,8 +290,8 @@ class RestrictedMaster:
         the re-solve with another optimal dual, under which a dropped column
         prices out again and column generation cycles.
 
-        The first value that does not rise above the previous one lowers
-        `upper_bound` to the flow bound, once.
+        The first value that falls short of `upper_bound` lowers it to the flow
+        bound, once, so a run can meet that bound before its first priced round.
         """
         sol = self._solve_lp_checked()
         dropped = self.model.prune(sol, self._columns)
@@ -301,12 +303,14 @@ class RestrictedMaster:
             raise RuntimeError(
                 f"pruning changed the LP value: {sol.objective} -> {sol2.objective}"
             )
-        last, self._last_value = self._last_value, sol2.objective
-        stalled = last is not None and sol2.objective <= last + 1e-6 * (1.0 + abs(last))
-        if stalled and self._flow_pending:
+        if self._flow_pending and not self.meets_bound(sol2.objective):
             self._flow_pending = False
             self.upper_bound = min(self.upper_bound, self._flow_bound())
         return sol2.objective, self._duals_from(sol)
+
+    def meets_bound(self, value: float) -> bool:
+        """True when an LP value reaches `upper_bound`, which no LP can beat."""
+        return value >= self.upper_bound - 1e-6 * (1.0 + abs(self.upper_bound))
 
     def _flow_bound(self) -> float:
         """Optimum of the multicommodity-flow LP relaxation, a bound on every master LP.

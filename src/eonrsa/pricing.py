@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instance import Instance
-from .lpsolver import Model, SolveStatus
+from .lpsolver import INT_TOL, LpSolution, Model, SolveStatus
 from .master import Configuration, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
 
@@ -107,6 +107,7 @@ class _InnerProblem:
         self._row_atomic = {k: row for row, k in enumerate(atom_ids)}
         self.model = Model([1.0] * (len(atom_ids) + instance.topology.num_links))
         self._columns: dict[int, tuple[PricingRequest, Path]] = {}
+        self._lp: Optional[LpSolution] = None  # the LP of the current columns, once solved
 
     def add_path(self, request: PricingRequest, path: Path) -> int:
         window = self._windows[request.width]
@@ -116,6 +117,7 @@ class _InnerProblem:
             coeffs[len(self._row_atomic) + link] = 1.0
         vid = self.model.add_variable(obj=value, lo=0.0, hi=math.inf, coeffs=coeffs)
         self._columns[vid] = (request, path)
+        self._lp = None
         return vid
 
     def solve_lp(self) -> tuple[float, dict[int, float], np.ndarray]:
@@ -125,19 +127,23 @@ class _InnerProblem:
             raise RuntimeError(f"pricing LP failed: {sol.status}")
         for vid in self.model.prune(sol, self._columns):
             del self._columns[vid]
+        self._lp = sol
         atomics = len(self._row_atomic)
         nu_request = dict(zip(self._row_atomic, sol.duals[:atomics].tolist()))
         return sol.objective, nu_request, sol.duals[atomics:]
 
     def solve_ilp(self) -> tuple[float, list[tuple[PricingRequest, Path]]]:
-        """The ILP value and the chosen (request, path) routes, by column id."""
-        mip = self.model.solve_mip(0.0, self._columns, use_warm_start=True)
-        if mip.status is not SolveStatus.OPTIMAL:
-            raise RuntimeError(f"pricing ILP failed: {mip.status}")
+        """The ILP value and the chosen (request, path) routes, by column id; an
+        integral LP of the current columns is the optimum, without branch and bound."""
+        sol = self._lp
+        if sol is None or any(INT_TOL < sol.values[vid] < 1 - INT_TOL for vid in self._columns):
+            sol = self.model.solve_mip(0.0, self._columns, use_warm_start=True)
+            if sol.status is not SolveStatus.OPTIMAL:
+                raise RuntimeError(f"pricing ILP failed: {sol.status}")
         chosen = [
-            route for vid, route in sorted(self._columns.items()) if mip.values.get(vid, 0.0) > 0.5
+            route for vid, route in sorted(self._columns.items()) if sol.values.get(vid, 0.0) > 0.5
         ]
-        return mip.objective, chosen
+        return sol.objective, chosen
 
 
 def price_slot(

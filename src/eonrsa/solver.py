@@ -1,15 +1,17 @@
 """Outer column-generation loop, optimality certification, and reporting.
 
-The master starts from the columns of a first-fit plan (`master.first_fit`),
-which also floor the returned plan. One outer round: solve the master LP
-(pruning dropped columns), snapshot the duals, price every starting slot
+The master starts from the columns of a first-fit plan (`master.first_fit`).
+That plan, and a second first-fit plan with the opposite tie order that the
+master never sees, floor the returned plan. One outer round: solve the master
+LP (pruning dropped columns), snapshot the duals, price every starting slot
 against that snapshot, add every improving configuration. A run is certified,
 its final LP value a true upper bound, in one of two ways:
 
 - the LP value meets the master's `upper_bound` (the demand that fits the
-  spectrum, or the multicommodity-flow bound), which no LP can beat; the run
-  stops before pricing those duals, also after a time-out, and when the
-  first-fit plan grants all that fits, after 0 rounds;
+  spectrum, or the multicommodity-flow bound, computed after the first LP that
+  falls short of the demand), which no LP can beat; the run stops before
+  pricing those duals, also after a time-out, and when the first-fit plan
+  meets either bound, after 0 rounds;
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
@@ -52,8 +54,10 @@ class SolveConfig:
 class SolveReport:
     """Everything a result row needs, plus the traces invariant checks read.
 
-    Epsilons are stored as fractions (table display multiplies by 100);
-    z values are in slot units with Tbps available via the helpers.
+    z values are in slot units with Tbps available via the helpers. `z_ub_slots`
+    is the master's `upper_bound`, a bound on the optimum certified or not.
+    Epsilons are fractions (table display multiplies by 100) against
+    `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
     columns; the first-fit columns the master starts from are in neither.
     """
@@ -65,6 +69,7 @@ class SolveReport:
     slot_rate_gbps: float
     z_lp_star_slots: float
     z_ilp_slots: int
+    z_ub_slots: float
     epsilon_lp: float
     epsilon_tab: float
     gos_percent: float
@@ -159,7 +164,7 @@ def solve(
     deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
     rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend)
     slot_requests = list(rmp.pricing_requests.values())
-    seed = first_fit(instance, slot_requests)  # in the first LP, and the plan's floor
+    seed = first_fit(instance, slot_requests)  # in the first LP, and a floor of the plan
     for column in seed:
         rmp.add_column(column)
 
@@ -174,7 +179,7 @@ def solve(
         z_lp_star, duals = rmp.solve_lp_and_prune()
         lp_trace.append(z_lp_star)
         # no LP can beat this value, so no column can raise it, time-out or not
-        met_bound = z_lp_star >= rmp.upper_bound - 1e-6 * (1.0 + abs(rmp.upper_bound))
+        met_bound = rmp.meets_bound(z_lp_star)
         if met_bound or timed_out:
             break
         outer += 1
@@ -198,13 +203,17 @@ def solve(
     ilp_seconds = time.monotonic() - t1
 
     verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
-    floor = rmp.post_process(seed)
-    if floor.throughput_slots > plan.throughput_slots:  # a weak or timed-out final ILP
-        verify_plan(instance, floor)
-        plan = floor
+    # the better of two first-fit tie orders floors a weak or timed-out final ILP
+    for columns in (seed, first_fit(instance, slot_requests, keys_descending=True)):
+        floor = rmp.post_process(columns)
+        if floor.throughput_slots > plan.throughput_slots:
+            verify_plan(instance, floor)
+            plan = floor
     z_ilp = plan.throughput_slots
 
-    eps = report_metrics(z_lp_star, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
+    # an uncertified z_lp is no bound, and the second first-fit plan may exceed it
+    bound = z_lp_star if certified else rmp.upper_bound
+    eps = report_metrics(bound, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
     report = SolveReport(
         instance_name=instance.name,
         spectrum_slots=instance.spectrum_slots,
@@ -213,6 +222,7 @@ def solve(
         slot_rate_gbps=instance.slot_rate_gbps,
         z_lp_star_slots=z_lp_star,
         z_ilp_slots=z_ilp,
+        z_ub_slots=rmp.upper_bound,
         epsilon_lp=eps.epsilon_lp_percent / 100.0,
         epsilon_tab=eps.epsilon_tab_percent / 100.0,
         gos_percent=eps.gos_percent,

@@ -81,6 +81,15 @@ def test_solve_writes_all_outputs(tmp_path, toy_instance_file, capsys):
     assert "toy" in out and "yes" in out
 
 
+def test_run_json_reports_the_upper_bound(tmp_path, toy_instance_file):
+    argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    run = json.loads((tmp_path / "run.json").read_text())
+    # both requests fit the spectrum, so their demand sum bounds every plan
+    assert run["z_ub_slots"] == 4.0
+    assert run["z_ilp_slots"] <= run["z_lp_star_slots"] <= run["z_ub_slots"]
+
+
 def test_solve_require_certified_passes_on_certified(tmp_path, toy_instance_file):
     code = main(
         [
@@ -372,6 +381,7 @@ def _report(**fields) -> SolveReport:
         slot_rate_gbps=25.0,
         z_lp_star_slots=10.0,
         z_ilp_slots=9.0,
+        z_ub_slots=12.0,
         epsilon_lp=0.1,
         epsilon_tab=0.0025,
         gos_percent=2.25,
@@ -413,6 +423,7 @@ GOLDEN = {
             slot_rate_gbps=12.5,
             z_lp_star_slots=100.0,
             z_ilp_slots=86.0,
+            z_ub_slots=120.0,
             epsilon_tab=0.1625,
             gos_percent=79.625,
             certified=False,

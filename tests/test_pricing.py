@@ -13,14 +13,17 @@ from eonrsa import (
     PricingResult,
     Request,
     RestrictedMaster,
+    SolveConfig,
     certify,
     enumerate_simple_paths,
     generate_lightpath,
     oracle_max_reduced_cost,
     price_slot,
+    solve,
     validate_configuration,
 )
 import eonrsa.pricing as pricing_module
+from eonrsa.lpsolver import Model
 from eonrsa.pricing import pricing_key
 from conftest import make_four_node_instance, make_random_tiny_instance, master_reduced_cost
 
@@ -237,3 +240,35 @@ def test_inner_round_cap_reports_an_uncertified_slot(monkeypatch):
     assert res.configuration is not None
     rmp.add_column(res.configuration)
     assert not certify([PricingResult(None, 0.0, math.inf)])
+
+
+def test_integral_inner_lp_equals_the_inner_ilp(monkeypatch):
+    # solve_ilp returns an integral last LP as it is; branch and bound must agree
+    mip_calls = []
+    solve_mip = Model.solve_mip
+    solve_ilp = pricing_module._InnerProblem.solve_ilp
+
+    def counting_mip(model, *args, **kwargs):
+        mip_calls.append(model)
+        return solve_mip(model, *args, **kwargs)
+
+    compared = {"skipped": 0, "branched": 0}
+
+    def compared_ilp(inner):
+        before = len(mip_calls)
+        value, chosen = solve_ilp(inner)
+        compared["skipped" if len(mip_calls) == before else "branched"] += 1
+        inner._lp = None  # forces branch and bound on the same model
+        mip_value, mip_chosen = solve_ilp(inner)
+        assert value == pytest.approx(mip_value, abs=1e-9) and chosen == mip_chosen
+        return value, chosen
+
+    monkeypatch.setattr(Model, "solve_mip", counting_mip)
+    monkeypatch.setattr(pricing_module._InnerProblem, "solve_ilp", compared_ilp)
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+        duals = _random_duals(inst, seed)
+        for s in range(1, inst.spectrum_slots + 1):
+            price_slot(inst, s, duals)
+    assert compared["skipped"] > 0 and compared["branched"] > 0

@@ -363,7 +363,7 @@ def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_timed_out_run_that_meets_its_bound_is_certified(backend):
-    inst = make_random_tiny_instance(19)
+    inst = make_random_tiny_instance(146)
     config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
     unlimited = solve(inst, config)[0]
     # one priced round, and the LP after it meets the bound unpriced
@@ -417,6 +417,8 @@ def test_plan_is_never_below_the_first_fit_plan():
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
     rmp = RestrictedMaster(inst)
     assert rmp.post_process(first_fit(inst, rmp.pricing_requests.values())).throughput_slots == 130
+    floor = rmp.post_process(first_fit(inst, rmp.pricing_requests.values(), keys_descending=True))
+    assert floor.throughput_slots == 132
     ilp_values = []
     original = RestrictedMaster.solve_final_ilp
 
@@ -429,7 +431,7 @@ def test_plan_is_never_below_the_first_fit_plan():
         patch.setattr(RestrictedMaster, "solve_final_ilp", recording)
         report, plan = solve(inst, SolveConfig(backend="highs"))
     assert report.certified and report.z_lp_star_slots == pytest.approx(162.0)
-    assert report.z_ilp_slots == plan.throughput_slots == max(round(ilp_values[0]), 130)
+    assert report.z_ilp_slots == plan.throughput_slots == max(round(ilp_values[0]), 132)
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
 
 
@@ -445,3 +447,78 @@ def test_final_ilp_without_an_incumbent_returns_the_first_fit_plan(monkeypatch, 
     assert plan == expected and report.z_ilp_slots == expected.throughput_slots
     assert report.final_ilp_gap == 1.0
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_plan_is_floored_by_both_first_fit_orders(monkeypatch, backend):
+    config = SolveConfig(backend=backend)
+    no_incumbent = MipSolution(SolveStatus.TIME_LIMIT, math.nan, {}, math.inf)
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        rmp = RestrictedMaster(inst)
+        floors = [
+            rmp.post_process(first_fit(inst, rmp.pricing_requests.values(), keys_descending=k))
+            for k in (False, True)
+        ]
+        for floor in floors:
+            verify_plan(inst, floor)
+        _, plan = solve(inst, config)
+        assert plan.throughput_slots >= max(f.throughput_slots for f in floors), inst.name
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (0.0, [], no_incumbent)
+            )
+            _, plan = solve(inst, config)
+        assert plan.throughput_slots == max(f.throughput_slots for f in floors), inst.name
+        verify_plan(inst, plan, expected_slots=plan.throughput_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_reported_upper_bound_holds_also_after_a_time_out(backend):
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    timed = dataclasses.replace(config, max_wall_clock_seconds=1e-9)
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        exact = oracle_solve(inst).value_slots
+        for cfg in (config, timed):
+            report = solve(inst, cfg)[0]
+            assert report.z_lp_star_slots <= report.z_ub_slots + 1e-6, inst.name
+            assert exact <= report.z_ub_slots + 1e-6, inst.name
+
+
+def test_uncertified_epsilon_is_measured_against_the_upper_bound():
+    # timed out after one round: z_RMP 130 is below the descending first-fit plan of 132
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
+    config = SolveConfig(backend="highs", max_wall_clock_seconds=1e-9)
+    report, plan = solve(inst, config)
+    assert report.timed_out and not report.certified
+    assert report.z_lp_star_slots == pytest.approx(130.0) and report.z_ub_slots == pytest.approx(162.0)
+    assert report.z_ilp_slots == plan.throughput_slots == 132
+    assert report.epsilon_lp == pytest.approx(30.0 / 162.0)
+    verify_plan(inst, plan, expected_slots=132)
+
+
+def test_flow_bound_is_set_by_the_first_lp_that_falls_short():
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
+    rmp = RestrictedMaster(inst, backend="highs")
+    for column in first_fit(inst, rmp.pricing_requests.values()):
+        rmp.add_column(column)
+    assert rmp.upper_bound > 162.0
+    assert rmp.solve_lp_and_prune()[0] < 162.0
+    assert rmp.upper_bound == pytest.approx(162.0)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_first_lp_that_meets_the_demand_skips_the_flow_bound(monkeypatch, backend):
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)
+    calls = []
+    original = RestrictedMaster._flow_bound
+
+    def counting(master):
+        calls.append(master)
+        return original(master)
+
+    monkeypatch.setattr(RestrictedMaster, "_flow_bound", counting)
+    report, _ = solve(inst, SolveConfig(backend=backend))
+    assert report.z_lp_star_slots == pytest.approx(176.0) == report.z_ub_slots
+    assert calls == []
