@@ -16,6 +16,11 @@ results. The cases are:
                        gap 0, on both backends;
   acceptance-8-<backend>
                        spain21, 35 pairs, 50 slots, seed 1, default settings;
+  congested-bundled    spain21, 20 pairs, 12 slots, seed 1, default settings;
+  congested-highs      spain21, 25 pairs, 16 slots, seed 1, default settings;
+                       both price 11-16 rounds, and a first-fit plan beats
+                       the final ILP; the bundled case certifies by pricing,
+                       below the flow bound, and the HiGHS one meets it;
   desk-highs, tiny-oracle
                        the seed-1 batches of perfbench/workloads.py, solved in
                        order with the workload's settings.
@@ -52,6 +57,11 @@ def cases():
     for backend in BACKENDS:
         yield f"acceptance-8-{backend}", lambda b=backend: (
             [generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)],
+            SolveConfig(backend=b),
+        )
+    for backend, pairs, slots in (("bundled", 20, 12), ("highs", 25, 16)):
+        yield f"congested-{backend}", lambda b=backend, n=pairs, s=slots: (
+            [generate_icton_style(builtin_topology("spain21"), num_pairs=n, seed=1, spectrum_slots=s)],
             SolveConfig(backend=b),
         )
     for name in ("desk-highs", "tiny-oracle"):

@@ -317,29 +317,28 @@ class RestrictedMaster:
 
         Max sum d_k y_k, y_k in [0, 1]: request k ships d_k y_k slots of flow from
         its source to its destination, and each link carries at most |S| slots
-        over both directions. The flow is grouped by source node; each
-        conservation equality is two `<=` rows. It bounds the master only when
-        every pricing request is one atomic request: a fused window takes fewer
-        slots than its members.
+        over both directions. Flow is grouped by source s, one row per other node v:
+        `d_k y_k + out_s(v) - in_s(v) <= 0` over the requests k from s to v (inflow
+        beyond that can be cut back along its paths, so no equality is needed). It
+        bounds the master only when every pricing request is one atomic request:
+        a fused window takes fewer slots than its members.
         """
         topo, slots = self.instance.topology, self.instance.spectrum_slots
         requests = [p for p in self.pricing_requests.values() if p.width <= slots]
         sources = sorted({p.source for p in requests})
         pairs = [(s, v) for s in sources for v in topo.nodes if v != s]
-        row = {pair: 2 * i for i, pair in enumerate(pairs)}
-        cap = 2 * len(row)
+        row, cap = {pair: i for i, pair in enumerate(pairs)}, len(pairs)
         model = Model([0.0] * cap + [float(slots)] * topo.num_links, self.model.backend)
         for p in requests:
-            r = row[p.source, p.dest]
-            model.add_variable(obj=float(p.width), hi=1.0, coeffs={r: p.width, r + 1: -p.width})
+            model.add_variable(obj=float(p.width), hi=1.0, coeffs={row[p.source, p.dest]: p.width})
         for s in sources:
             for link, ends in enumerate(topo.links):
                 for a, b in (ends, ends[::-1]):  # flow from a to b leaves a, enters b
                     coeffs = {cap + link: 1.0}
                     if a != s:
-                        coeffs[row[s, a]], coeffs[row[s, a] + 1] = 1.0, -1.0
+                        coeffs[row[s, a]] = 1.0
                     if b != s:
-                        coeffs[row[s, b]], coeffs[row[s, b] + 1] = -1.0, 1.0
+                        coeffs[row[s, b]] = -1.0
                     model.add_variable(coeffs=coeffs)
         sol = model.solve_lp()
         if sol.status is not SolveStatus.OPTIMAL:
@@ -383,7 +382,9 @@ class RestrictedMaster:
             for vid in sorted(self._columns)
             if mip.values.get(vid, 0.0) > 0.5
         ]
-        return mip.objective, selected, mip
+        # the value of what the columns serve: a timed-out incumbent may leave such a y at 0
+        served = {k for config in selected for k in config.served_atomics()}
+        return float(sum(self.atomics[k].demand for k in served)), selected, mip
 
     # -- post-processing ---------------------------------------------------
 

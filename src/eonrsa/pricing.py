@@ -60,14 +60,11 @@ def _slot_input(
 def pricing_key(
     instance: Instance, s: int, duals: MasterDuals, pricing_requests: Sequence[PricingRequest]
 ) -> tuple:
-    """The slot's pricing input as a hashable key: the eligible request keys, the
-    window sums, the mu gains. Slots with equal keys price identically."""
-    _, windows, mu_gain = _slot_input(instance, s, duals, pricing_requests)
-    return (
-        tuple(mu_gain),
-        tuple((w, win.tobytes()) for w, win in windows.items()),
-        tuple(mu_gain.values()),
-    )
+    """The slot's window sums by eligible width, as a hashable key. Against one duals
+    snapshot, slots with equal keys price identically: the eligible widths fix the
+    eligible requests, and their mu gains are the same at every slot."""
+    _, windows, _ = _slot_input(instance, s, duals, pricing_requests)
+    return tuple((w, win.tobytes()) for w, win in windows.items())
 
 
 def generate_lightpath(
@@ -161,8 +158,8 @@ def price_slot(
     if pricing_requests is None:
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
     eligible, windows, mu_gain = _slot_input(instance, s, duals, pricing_requests)
-    if not eligible:
-        return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=0.0)
+    if all(gain <= IMPROVE_TOL for gain in mu_gain.values()):
+        return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=0.0)  # no path can gain
 
     inner = _InnerProblem(instance, eligible, mu_gain, windows)
     rc_lp_star = 0.0
@@ -187,9 +184,6 @@ def price_slot(
             break
     if not converged:
         rc_lp_star = math.inf  # inner CG failed to settle; slot cannot certify
-
-    if not inner.model.num_variables:
-        return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=rc_lp_star)
 
     rc_ilp, chosen = inner.solve_ilp()
     if rc_ilp <= IMPROVE_TOL:

@@ -15,9 +15,9 @@ its final LP value a true upper bound, in one of two ways:
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
-Slots with identical pricing input (`pricing_key`), in one round or across
-rounds, share one inner solve: a run keeps each result under its input and
-moves its column to the slot.
+Slots of one round with equal window sums (`pricing_key`) share one inner solve,
+its column moved to each slot; a slot where no request gains needs none. A round
+stops after the slot that ends past the deadline, and then certifies nothing.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ def _price_round(
     instance: Instance,
     duals: MasterDuals,
     slot_requests: Sequence[PricingRequest],
-    priced: dict[tuple, PricingResult],
+    deadline: Optional[float],
 ) -> list[PricingResult]:
-    """Price every starting slot against one duals snapshot, one inner solve per
-    new pricing key; `priced` keeps the results of the run by key. The result of
-    slot s is in place s - 1, its column moved to slot s."""
+    """Price the starting slots in order against one duals snapshot, one inner solve
+    per distinct pricing key; slot s's result is in place s - 1, its column moved to
+    slot s. The round stops after the first slot that ends past `deadline`."""
     clamped = duals.clamped()
+    priced: dict[tuple, PricingResult] = {}
     results = []
     for s in range(1, instance.spectrum_slots + 1):
         key = pricing_key(instance, s, clamped, slot_requests)
@@ -151,6 +152,8 @@ def _price_round(
                 res, configuration=dataclasses.replace(res.configuration, start_slot=s)
             )
         results.append(res)
+        if deadline is not None and time.monotonic() > deadline:
+            break
     return results
 
 
@@ -172,7 +175,6 @@ def solve(
     columns_generated = 0
     outer = 0
     timed_out = met_bound = False
-    priced: dict[tuple, PricingResult] = {}
 
     while True:
         # after a timed-out round, this solve gives the bound of the final RMP
@@ -185,14 +187,15 @@ def solve(
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
             raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")
-        results = _price_round(instance, duals, slot_requests, priced)
+        results = _price_round(instance, duals, slot_requests, deadline)
+        timed_out = len(results) < instance.spectrum_slots  # a cut round certifies nothing
         improving = [r for r in results if r.configuration is not None]
         if not improving:
             break
         for res in improving:
             rmp.add_column(res.configuration)
         columns_generated += len(improving)
-        timed_out = deadline is not None and time.monotonic() > deadline
+        timed_out = timed_out or (deadline is not None and time.monotonic() > deadline)
 
     certified = met_bound or (not timed_out and certify(results))
     lp_seconds = time.monotonic() - t0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,14 +12,17 @@ from eonrsa import (
     InvalidConfiguration,
     InvariantViolation,
     Lightpath,
+    MipSolution,
     Path,
     PricingRequest,
     ProvisioningPlan,
     Request,
     RestrictedMaster,
+    SolveStatus,
     validate_configuration,
     verify_plan,
 )
+from eonrsa.lpsolver import Model
 from conftest import column_coefficients, column_ids, configurations, model_column, signature
 
 
@@ -250,6 +254,22 @@ def test_final_ilp_single_column_covers_all(small_instance):
     value, selected, mip = rmp.solve_final_ilp(0.0)
     assert abs(value - 9.0) < 1e-9  # sum of all demands
     assert selected == [config]
+
+
+def test_final_ilp_value_counts_every_request_its_columns_serve(small_instance, monkeypatch):
+    # a HiGHS incumbent cut by its time limit selected a column and left each y at 0
+    rmp = RestrictedMaster(small_instance)
+    config = Configuration(
+        start_slot=1,
+        routes=(_route(0, (0,), ("a", "b"), 4), _route(2, (2,), ("a", "c"), 3)),
+    )
+    vid = rmp.add_column(config)
+    values = {vid: 1.0, **{y: 0.0 for y in rmp._y.values()}}
+    lazy = MipSolution(SolveStatus.TIME_LIMIT, 0.0, values, math.inf)
+    monkeypatch.setattr(Model, "solve_mip", lambda *args, **kwargs: lazy)
+    value, selected, mip = rmp.solve_final_ilp(0.1, deadline=0.0)
+    assert value == 7.0 and selected == [config] and mip is lazy
+    verify_plan(small_instance, rmp.post_process(selected), expected_slots=value)
 
 
 def test_final_ilp_prefers_heavier_conflicting_column(two_node):

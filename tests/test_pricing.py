@@ -24,8 +24,13 @@ from eonrsa import (
 )
 import eonrsa.pricing as pricing_module
 from eonrsa.lpsolver import Model
-from eonrsa.pricing import pricing_key
-from conftest import make_four_node_instance, make_random_tiny_instance, master_reduced_cost
+from eonrsa.pricing import IMPROVE_TOL, _slot_input, pricing_key
+from conftest import (
+    make_four_node_instance,
+    make_random_tiny_instance,
+    master_reduced_cost,
+    recorded_master_duals,
+)
 
 
 def _zero_duals(instance) -> MasterDuals:
@@ -48,7 +53,7 @@ def tri_instance(triangle):
 def test_eligible_window_arithmetic(tri_instance):
     def eligible(inst, s):
         requests = [PricingRequest.from_request(r) for r in inst.requests]
-        return list(pricing_key(inst, s, _zero_duals(inst), requests)[0])
+        return [p.key for p in _slot_input(inst, s, _zero_duals(inst), requests)[0]]
 
     assert eligible(tri_instance, 7) == [0]
     assert eligible(tri_instance, 1) == [0, 1]
@@ -170,11 +175,11 @@ def test_pricing_key_sees_exactly_the_eligible_windows(tri_instance):
                 raised.mu_cell[link, slot - 1] += 1.0
                 changed = pricing_key(tri_instance, s, raised, requests) != key
                 assert changed == (s <= slot <= last), (s, link, slot)
+        # mu is the same at every slot of a snapshot, so the key leaves it out
         for r in tri_instance.requests:
             raised = MasterDuals(dict(base.mu_request), base.mu_cell)
             raised.mu_request[r.id] += 1.0
-            changed = pricing_key(tri_instance, s, raised, requests) != key
-            assert changed == (s + r.demand - 1 <= 10), (s, r.id)
+            assert pricing_key(tri_instance, s, raised, requests) == key, (s, r.id)
 
 
 def test_pricing_key_keeps_each_width_apart(tri_instance):
@@ -188,6 +193,37 @@ def test_pricing_key_keeps_each_width_apart(tri_instance):
     assert pricing_key(tri_instance, 1, before, requests) != pricing_key(
         tri_instance, 1, after, requests
     )
+
+
+def test_slot_without_a_positive_gain_needs_no_inner_solve(monkeypatch):
+    # duals of every master LP of tiny 0-39, and random cell duals with mu at or
+    # just above zero; a slot whose eligible gains are all at most IMPROVE_TOL
+    # is answered without building an inner problem
+    def no_inner(*args, **kwargs):
+        raise AssertionError("inner problem built for a slot without gain")
+
+    skipped = 0
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        with recorded_master_duals() as snapshots:
+            solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+        rng = random.Random(seed)
+        noise = _random_duals(inst, seed)
+        for r in inst.requests:
+            noise.mu_request[r.id] = rng.choice([0.0, -1e-7, 5e-7])
+        requests = [PricingRequest.from_request(r) for r in inst.requests]
+        for duals in snapshots + [noise]:
+            for s in range(1, inst.spectrum_slots + 1):
+                eligible, _, mu_gain = _slot_input(inst, s, duals.clamped(), requests)
+                if not eligible or any(gain > IMPROVE_TOL for gain in mu_gain.values()):
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(pricing_module, "_InnerProblem", no_inner)
+                    res = price_slot(inst, s, duals)
+                assert res == PricingResult(None, 0.0, 0.0), (seed, s)
+                assert oracle_max_reduced_cost(inst, s, duals) == pytest.approx(0.0, abs=IMPROVE_TOL)
+                skipped += 1
+    assert skipped > 0
 
 
 def _random_duals(inst, seed):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from eonrsa import (
     solve,
     verify_plan,
 )
+from eonrsa.lpsolver import Model
 from eonrsa.master import first_fit
 from eonrsa.pricing import pricing_key
 from conftest import make_random_tiny_instance, recorded_master_duals
@@ -257,7 +259,7 @@ def test_highs_backend_agrees_on_lp_bound(monkeypatch):
 
 
 def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
-    # every slot whose pricing input appeared earlier in the run reuses that
+    # every slot whose pricing key appeared earlier in its round reuses that
     # result, its column moved to its own slot; it must equal pricing the slot directly
     spain = generate_icton_style(builtin_topology("spain21"), num_pairs=10, seed=1, spectrum_slots=12)
     shared = 0
@@ -273,10 +275,11 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
             report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
         monkeypatch.undo()
         requests = [PricingRequest.from_request(r) for r in inst.requests]
-        first = {}
+        distinct = 0
         # a run that meets its upper bound stops before pricing its last duals
         for duals in snapshots[: report.outer_iterations]:
             clamped = duals.clamped()
+            first = {}
             for s in range(1, inst.spectrum_slots + 1):
                 key = pricing_key(inst, s, clamped, requests)
                 if key not in first:
@@ -289,7 +292,8 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
                     moved = dataclasses.replace(memo.configuration, start_slot=s)
                     memo = dataclasses.replace(memo, configuration=moved)
                 assert memo == direct, (inst.name, s)
-        assert len(calls) == len(first), inst.name  # one inner solve per distinct input
+            distinct += len(first)
+        assert len(calls) == distinct, inst.name  # one inner solve per distinct key and round
     assert shared > 0
 
 
@@ -324,6 +328,41 @@ def test_flow_bound_of_spain21(slots, bound):
     # the demand of the 35 requests sums to 176 slots
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=slots)
     assert RestrictedMaster(inst, backend="highs")._flow_bound() == pytest.approx(bound, abs=1e-6)
+
+
+def _equality_flow_bound(inst, backend):
+    """The flow LP with each conservation row an equality, written as two `<=` rows."""
+    topo, slots = inst.topology, inst.spectrum_slots
+    requests = [r for r in inst.requests if r.demand <= slots]
+    sources = sorted({r.source for r in requests})
+    pairs = [(s, v) for s in sources for v in topo.nodes if v != s]
+    row = {pair: 2 * i for i, pair in enumerate(pairs)}
+    cap = 2 * len(pairs)
+    model = Model([0.0] * cap + [float(slots)] * topo.num_links, backend)
+    for r in requests:
+        k = row[r.source, r.dest]
+        model.add_variable(obj=float(r.demand), hi=1.0, coeffs={k: r.demand, k + 1: -r.demand})
+    for s in sources:
+        for link, ends in enumerate(topo.links):
+            for a, b in (ends, ends[::-1]):
+                coeffs = {cap + link: 1.0}
+                for node, sign in ((a, 1.0), (b, -1.0)):  # out of a, into b
+                    if node != s:
+                        coeffs[row[s, node]], coeffs[row[s, node] + 1] = sign, -sign
+                model.add_variable(coeffs=coeffs)
+    return model.solve_lp().objective
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_flow_bound_equals_the_equality_flow_lp(backend):
+    # the flow bound keeps one `<=` conservation row per (source, node)
+    spain = builtin_topology("spain21")
+    cases = [make_random_tiny_instance(seed) for seed in range(40)] + [
+        generate_icton_style(spain, num_pairs=35, seed=1, spectrum_slots=slots) for slots in (20, 50)
+    ]
+    for inst in cases:
+        bound = RestrictedMaster(inst, backend=backend)._flow_bound()
+        assert bound == pytest.approx(_equality_flow_bound(inst, backend), rel=1e-9), inst.name
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -522,3 +561,67 @@ def test_first_lp_that_meets_the_demand_skips_the_flow_bound(monkeypatch, backen
     report, _ = solve(inst, SolveConfig(backend=backend))
     assert report.z_lp_star_slots == pytest.approx(176.0) == report.z_ub_slots
     assert calls == []
+
+
+class _Clock:
+    """Stands in for the solver's `time`: real monotonic time plus an offset."""
+
+    def __init__(self):
+        self.offset = 0.0
+
+    def monotonic(self):
+        return time.monotonic() + self.offset
+
+
+def _solve_with_a_cut(monkeypatch, inst, backend, cut_round, cut_call):
+    """Solve under a 1000 s limit whose clock jumps past the deadline at price_slot
+    call `cut_call` of round `cut_round` (0: never); the report, the plan and the
+    price_slot calls of each priced round."""
+    clock, calls = _Clock(), []
+    solve_lp, price = RestrictedMaster.solve_lp_and_prune, solver_module.price_slot
+
+    def counting_lp(master):
+        calls.append(0)
+        return solve_lp(master)
+
+    def counting_price(*args, **kwargs):
+        calls[-1] += 1
+        if (len(calls), calls[-1]) == (cut_round, cut_call):
+            clock.offset = 1e6
+        return price(*args, **kwargs)
+
+    config = SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1000.0, backend=backend)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "time", clock)
+        patch.setattr(RestrictedMaster, "solve_lp_and_prune", counting_lp)
+        patch.setattr(solver_module, "price_slot", counting_price)
+        report, plan = solve(inst, config)
+    return report, plan, calls[: report.outer_iterations]
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_round_stops_at_the_deadline_between_slots(monkeypatch, backend):
+    # tiny-9 prices 3 distinct slots in its first round; the clock passes the
+    # deadline during the 2nd, so the round stops there and its columns are added
+    inst = make_random_tiny_instance(9)
+    unlimited, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
+    assert calls[0] == 3 and unlimited.certified and not unlimited.timed_out
+    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 1, 2)
+    assert calls == [2]
+    assert report.timed_out and not report.certified
+    assert report.columns_generated > 0 and len(report.lp_value_trace) == 2
+    verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_round_cut_before_any_improving_slot_is_not_certified(monkeypatch, backend):
+    # tiny-32's second round finds nothing at slot 1, whose LP bound is 0, and a
+    # column at slot 2; cut after slot 1, the round must not certify
+    inst = make_random_tiny_instance(32)
+    _, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
+    assert calls[1] > 1
+    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 2, 1)
+    assert calls[1:] == [1] and report.outer_iterations == 2
+    assert report.timed_out and not report.certified
+    assert len(report.lp_value_trace) == 2  # no column, so no further LP
+    verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
