@@ -37,6 +37,7 @@ COLUMNS = (
     ("num_requests", "\\|D\\|", lambda r: str(r.num_requests)),
     ("offered_load_tbps", "Load (Tbps)", lambda r: f"{r.offered_load_tbps:.1f}"),
     ("z_lp_star_tbps", "z_LP* (Tbps)", lambda r: f"{r.z_lp_star_tbps:.1f}"),
+    ("z_ub_tbps", "z_UB (Tbps)", lambda r: f"{r.z_ub_tbps:.1f}"),
     ("z_ilp_tbps", "z_ILP (Tbps)", lambda r: f"{r.z_ilp_tbps:.1f}"),
     ("epsilon_pct", "eps (%)", lambda r: f"{r.epsilon_tab * 100.0:.1f}"),
     ("gos_pct", "GoS (%)", lambda r: f"{r.gos_percent:.1f}"),

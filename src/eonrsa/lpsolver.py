@@ -10,9 +10,10 @@ indexed by row. The engines are:
   through a dense inverse of the basis kernel only, Dantzig pricing with a
   Bland anti-cycling fallback) plus a depth-first branch-and-bound. Needs
   numpy only, so the test suite is self-contained.
-* ``"highs"`` — scipy.optimize.linprog / milp (HiGHS). Faster on large
-  models; does not report basis membership. scipy is imported only when
-  this engine runs.
+* ``"highs"`` — HiGHS, through the compiled module that scipy ships
+  (``scipy/optimize/_highspy/_core``), loaded on the first HiGHS solve;
+  scipy.optimize and scipy.sparse are never imported. Faster on large
+  models; does not report basis membership.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
@@ -25,9 +26,13 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import ctypes
 import enum
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -665,102 +670,112 @@ def _solve_mip_bundled(
 
 
 # ---------------------------------------------------------------------------
-# highs backend (scipy.optimize)
+# highs backend: HiGHS's compiled module, as scipy ships it
 # ---------------------------------------------------------------------------
 
 
-_HIGHS_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.NUMERICAL_FAILURE,  # iteration limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.NUMERICAL_FAILURE,
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_STATUS = {  # HighsModelStatus by name; any other status is no verdict (None)
+    "kOptimal": SolveStatus.OPTIMAL, "kInfeasible": SolveStatus.INFEASIBLE,
+    "kUnbounded": SolveStatus.UNBOUNDED, "kTimeLimit": SolveStatus.TIME_LIMIT,
 }
+
+
+def _highs_core():
+    """HiGHS's module, loaded once from scipy's folder without importing scipy itself."""
+    core = sys.modules.get(_HIGHS_CORE)  # there too once scipy.optimize is imported
+    if core is None:
+        spec = importlib.util.find_spec("scipy")  # finds scipy without running its __init__
+        root = spec.submodule_search_locations[0] if spec else "scipy"
+        folder = os.path.join(root, "optimize", "_highspy")
+        paths = [os.path.join(folder, "_core" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+        paths = [path for path in paths if os.path.isfile(path)]
+        if not paths:  # 1.15 is the first scipy with this module
+            raise ImportError(f"the highs backend needs scipy>=1.15: no _core module in {folder}")
+        loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, paths[0])
+        core = importlib.util.module_from_spec(importlib.util.spec_from_loader(_HIGHS_CORE, loader))
+        loader.exec_module(core)
+        sys.modules[_HIGHS_CORE] = core
+    return core
 
 
 @contextlib.contextmanager
 def _native_stdout_silenced():
-    """Point fd 1 at os.devnull for the block: HiGHS's native code writes there.
-
-    C stdio is flushed before fd 1 comes back, so nothing buffered reaches it later.
-    """
-    import ctypes
-
+    """Point fd 1 at os.devnull for the block, as HiGHS's native code writes there; C stdio
+    is flushed (ctypes' handle on the process's own symbols) before fd 1 comes back."""
     saved = os.dup(1)
     try:
         with open(os.devnull, "wb") as sink:
             os.dup2(sink.fileno(), 1)
             yield
     finally:
-        ctypes.CDLL(None).fflush(None)
+        ctypes.pythonapi.fflush(None)
         os.dup2(saved, 1)
         os.close(saved)
 
 
-def _solve_lp_highs(model: Model) -> LpSolution:
-    from scipy.optimize import linprog
-    from scipy.sparse import csc_matrix
+def _highs_run(mat: ModelArrays, options: dict, integrality: Optional[np.ndarray] = None):
+    """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`."""
+    h = _highs_core()
+    lp = h.HighsLp()
+    lp.num_col_, lp.num_row_ = mat.n, mat.m
+    a = lp.a_matrix_  # a reference into lp
+    a.num_col_, a.num_row_, a.format_ = mat.n, mat.m, h.MatrixFormat.kColwise
+    a.start_, a.index_, a.value_ = mat.indptr.tolist(), mat.indices.tolist(), mat.data.tolist()
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = (-mat.c).tolist(), mat.lo.tolist(), mat.hi.tolist()
+    lp.row_lower_, lp.row_upper_ = [-math.inf] * mat.m, mat.b.tolist()
+    if integrality is not None:
+        lp.integrality_ = list(map(h.HighsVarType, integrality.tolist()))
+    highs = h._Highs()
+    with _native_stdout_silenced():
+        for key, value in options.items():
+            highs.setOptionValue(key, value)
+        highs.passModel(lp)
+        highs.run()
+    return _HIGHS_STATUS.get(highs.getModelStatus().name), highs
 
+
+def _solve_lp_highs(model: Model) -> LpSolution:
     mat = model.arrays()
-    b = mat.b
     if mat.n == 0:
-        if np.all(b >= -FEAS_TOL):
+        if np.all(mat.b >= -FEAS_TOL):
             return LpSolution(SolveStatus.OPTIMAL, 0.0, duals=np.zeros(mat.m))
         return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
-    a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
-    c = -mat.c  # scipy minimizes
-    bounds = list(zip(mat.lo, mat.hi))
-    with _native_stdout_silenced():
-        res = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
-        if res.status in (2, 4):
-            # HiGHS presolve may stop at "infeasible or unbounded" (reported as 2)
-            # or an unresolved status (4); the simplex without presolve tells them apart.
-            res = linprog(
-                c, A_ub=a, b_ub=b, bounds=bounds, method="highs", options={"presolve": False}
-            )
-    status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
-    if status is not SolveStatus.OPTIMAL:
-        return LpSolution(status, -math.inf)
-    values = dict(zip(mat.var_ids, res.x.tolist()))
-    duals = -res.ineqlin.marginals
-    # bound marginals carry the min-sense reduced costs; negate for max
-    rc = dict(zip(mat.var_ids, (-(res.lower.marginals + res.upper.marginals)).tolist()))
-    # 0.0 - fun, not -fun: an optimum of 0 is reported as 0.0, never -0.0
-    return LpSolution(SolveStatus.OPTIMAL, float(0.0 - res.fun), values, duals, rc, None)
+    options = {"presolve": "on", "highs_debug_level": 0, "log_to_console": False}  # as linprog
+    options.update(output_flag=False, simplex_strategy=1)  # 1: the dual simplex
+    status, highs = _highs_run(mat, options)
+    if status in (None, SolveStatus.INFEASIBLE):
+        # presolve may end at "infeasible or unbounded" or no verdict; the simplex alone tells
+        status, highs = _highs_run(mat, {**options, "presolve": "off"})
+    if status is not SolveStatus.OPTIMAL:  # with no time limit set: None, or a verdict
+        return LpSolution(status or SolveStatus.NUMERICAL_FAILURE, -math.inf)
+    sol = highs.getSolution()
+    # a column's dual is its min-sense reduced cost at a bound, and 0 elsewhere, as in linprog
+    at_bound = [s.name in ("kLower", "kUpper") for s in highs.getBasis().col_status]
+    rc = (-np.where(at_bound, sol.col_dual, 0.0)).tolist()
+    values, rc = dict(zip(mat.var_ids, sol.col_value)), dict(zip(mat.var_ids, rc))
+    objective = 0.0 - highs.getInfo().objective_function_value  # 0.0, never -0.0, at 0
+    return LpSolution(SolveStatus.OPTIMAL, objective, values, -np.array(sol.row_dual), rc, None)
 
 
 def _solve_mip_highs(
     model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csc_matrix
-
     mat = model.arrays()
-    a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
-    constraints = LinearConstraint(a, -np.inf, mat.b) if mat.m else None
-    options: dict = {"mip_rel_gap": relative_gap}
+    options: dict = {"log_to_console": False, "mip_rel_gap": relative_gap}
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.01)
-    problem = {
-        "constraints": constraints,
-        "integrality": np.isin(mat.var_ids, binaries),
-        "bounds": Bounds(mat.lo, mat.hi),
-        "options": options,
-    }
-    with _native_stdout_silenced():
-        res = milp(-mat.c, **problem)  # scipy minimizes
-        if res.status == 4:
-            # "unbounded or infeasible": a feasible point makes the MIP unbounded
-            feasible = milp(np.zeros(mat.n), **problem).status == 0
-    status = _HIGHS_STATUS.get(res.status, SolveStatus.NUMERICAL_FAILURE)
-    if res.status == 1:  # iteration/time budget exhausted
-        status = SolveStatus.TIME_LIMIT
-    elif res.status == 4:
-        status = SolveStatus.UNBOUNDED if feasible else SolveStatus.INFEASIBLE
-    if res.x is None:
+    integral = np.isin(mat.var_ids, binaries)
+    status, highs = _highs_run(mat, options, integral)
+    if status is None:
+        # "unbounded or infeasible": a feasible point makes the MIP unbounded
+        found, _ = _highs_run(replace(mat, c=np.zeros(mat.n)), options, integral)
+        status = SolveStatus.UNBOUNDED if found is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
+    objective, gap = highs.getInfo().objective_function_value, highs.getInfo().mip_gap
+    # an objective of +inf: no incumbent
+    if status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT) or objective == math.inf:
         return MipSolution(status, -math.inf, {}, math.inf)
-    values = dict(zip(mat.var_ids, res.x.tolist()))
-    gap = float(res.mip_gap) if res.mip_gap is not None else math.inf
+    values = dict(zip(mat.var_ids, highs.getSolution().col_value))
     if status is SolveStatus.OPTIMAL and gap > 1e-9:
         status = SolveStatus.FEASIBLE
-    return MipSolution(status, float(0.0 - res.fun), values, gap)
+    return MipSolution(status, 0.0 - objective, values, gap)

@@ -91,6 +91,10 @@ class SolveReport:
         return self.z_lp_star_slots * self.slot_rate_gbps / 1000.0
 
     @property
+    def z_ub_tbps(self) -> float:
+        return self.z_ub_slots * self.slot_rate_gbps / 1000.0
+
+    @property
     def z_ilp_tbps(self) -> float:
         return self.z_ilp_slots * self.slot_rate_gbps / 1000.0
 

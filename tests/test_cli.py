@@ -14,6 +14,7 @@ from eonrsa.cli import (
     EXIT_USAGE,
     main,
     report_row,
+    rows_to_csv,
     rows_to_markdown,
 )
 
@@ -396,13 +397,13 @@ def _report(**fields) -> SolveReport:
 
 
 CSV_HEADER = (
-    "instance,spectrum_slots,num_requests,offered_load_tbps,z_lp_star_tbps,z_ilp_tbps,"
-    "epsilon_pct,gos_pct,lp_sec,ilp_sec,total_sec,certified\r\n"
+    "instance,spectrum_slots,num_requests,offered_load_tbps,z_lp_star_tbps,z_ub_tbps,"
+    "z_ilp_tbps,epsilon_pct,gos_pct,lp_sec,ilp_sec,total_sec,certified\r\n"
 )
 MD_HEAD = (
-    "| Instance | \\|S\\| | \\|D\\| | Load (Tbps) | z_LP* (Tbps) | z_ILP (Tbps) | eps (%) "
-    "| GoS (%) | LP (s) | ILP (s) | Total (s) | Certified |\n"
-    "|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+    "| Instance | \\|S\\| | \\|D\\| | Load (Tbps) | z_LP* (Tbps) | z_UB (Tbps) | z_ILP (Tbps) "
+    "| eps (%) | GoS (%) | LP (s) | ILP (s) | Total (s) | Certified |\n"
+    "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
 )
 
 # Halfway cells: 0.25 Tbps, 0.25 %, 2.25 %, 0.35 s, 0.45 s, 0.75 s, 1.35 Tbps,
@@ -411,8 +412,8 @@ MD_HEAD = (
 GOLDEN = {
     "certified": (
         _report(),
-        CSV_HEADER + "golden,40,12,0.2,0.2,0.2,0.2,2.2,0.3,0.5,0.8,yes\r\n",
-        MD_HEAD + "| golden | 40 | 12 | 0.2 | 0.2 | 0.2 | 0.2 | 2.2 | 0.3 | 0.5 | 0.8 | yes |\n",
+        CSV_HEADER + "golden,40,12,0.2,0.2,0.3,0.2,0.2,2.2,0.3,0.5,0.8,yes\r\n",
+        MD_HEAD + "| golden | 40 | 12 | 0.2 | 0.2 | 0.3 | 0.2 | 0.2 | 2.2 | 0.3 | 0.5 | 0.8 | yes |\n",
     ),
     "uncertified": (
         _report(
@@ -429,8 +430,8 @@ GOLDEN = {
             certified=False,
             timings={"lp_phase": 2.25, "ilp_phase": 0.05, "total": 2.675},
         ),
-        CSV_HEADER + "instance,400,3,1.4,1.2,1.1,16.2,79.6,2.2,0.1,2.7,no\r\n",
-        MD_HEAD + "| instance | 400 | 3 | 1.4 | 1.2 | 1.1 | 16.2 | 79.6 | 2.2 | 0.1 | 2.7 | no |\n",
+        CSV_HEADER + "instance,400,3,1.4,1.2,1.5,1.1,16.2,79.6,2.2,0.1,2.7,no\r\n",
+        MD_HEAD + "| instance | 400 | 3 | 1.4 | 1.2 | 1.5 | 1.1 | 16.2 | 79.6 | 2.2 | 0.1 | 2.7 | no |\n",
     ),
 }
 
@@ -454,6 +455,16 @@ def test_report_files_are_golden(case, tmp_path, toy_instance_file, monkeypatch,
         "md": md_text,
         "json": (tmp_path / "run.json").read_text(),
     }
+
+
+def test_result_table_headers_show_the_upper_bound_after_z_lp():
+    assert rows_to_csv([]) == CSV_HEADER
+    assert rows_to_markdown([]) == MD_HEAD
+    header = MD_HEAD.splitlines()[0].split(" | ")
+    assert header[header.index("z_LP* (Tbps)") + 1] == "z_UB (Tbps)"
+    # z_ub_slots in Tbps, as the other bounds: 14 slots of 25 Gbps are 0.35 Tbps
+    cells = dict(zip(CSV_HEADER.strip().split(","), report_row(_report(z_ub_slots=14.0))))
+    assert cells["z_ub_tbps"] == f"{14.0 * 25.0 / 1000.0:.1f}" == "0.3"
 
 
 def test_markdown_preserves_input_order():

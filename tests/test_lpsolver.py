@@ -442,7 +442,8 @@ def test_import_loads_neither_scipy_sparse_nor_optimize():
     import eonrsa
 
     package_root = str(Path(eonrsa.__file__).resolve().parents[1])
-    # after the import, a bundled solve of a fixed four-node ring loads no scipy module at all
+    # after the import, a bundled solve of a fixed four-node ring loads no scipy module at all,
+    # and HiGHS solves load neither scipy.sparse nor scipy.optimize
     code = """
 import sys, eonrsa
 print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))
@@ -453,6 +454,12 @@ instance = Instance(topology=ring, spectrum_slots=4, requests=requests, name="ri
 report, _ = solve(instance, SolveConfig(backend="bundled"))
 print(report.certified, report.z_lp_star_slots)
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
+# a HiGHS LP and a HiGHS solve load HiGHS's compiled module alone
+lp = eonrsa.Model([1.0], "highs")
+lp.add_variable(obj=1.0, coeffs={0: 1.0})
+report, _ = solve(instance, SolveConfig(backend="highs"))
+print(lp.solve_lp().objective, report.certified, report.z_lp_star_slots)
+print(sorted(m for m in ('scipy', 'scipy.sparse', 'scipy.optimize') if m in sys.modules))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -462,7 +469,7 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True 6.0", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "True 6.0", "[]", "1.0 True 6.0", "[]"]
 
 
 @settings(max_examples=40, deadline=None)
