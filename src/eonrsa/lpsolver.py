@@ -234,11 +234,11 @@ class Model:
 
     # -- solving ----------------------------------------------------------
 
-    def solve_lp(self) -> LpSolution:
-        """The LP, warm from the last basis."""
+    def solve_lp(self, deadline: Optional[float] = None) -> LpSolution:
+        """The LP, warm from the last basis; TIME_LIMIT once time.monotonic() passes `deadline`."""
         if self.backend == "highs":
-            return _solve_lp_highs(self)
-        return _solve_lp_bundled(self)
+            return _solve_lp_highs(self, deadline)
+        return _solve_lp_bundled(self, deadline=deadline)
 
     def solve_mip(
         self,
@@ -402,14 +402,18 @@ class _SimplexRun:
 
     # -- pivot loop ---------------------------------------------------------
 
-    def run(self, c, basis, vstat, factor, xb):
-        """Pivot to optimality from basic values `xb`. Returns (status, xb, y, d, factor)."""
+    def run(self, c, basis, vstat, factor, xb, deadline: Optional[float]):
+        """Pivot from basic values `xb` to optimality, or until `deadline` passes.
+
+        Returns (status, xb, y, d, factor)."""
         lo, hi = self.lo, self.hi
         # cost and bounds of the basic columns, row by row; kept up to date per pivot
         cb, lob, hib = c[basis], lo[basis], hi[basis]
         degen_run = 0
         bland = self.bland
         for it in range(1, self.max_iter + 1):
+            if deadline is not None and time.monotonic() > deadline:
+                return SolveStatus.TIME_LIMIT, xb, None, None, factor
             if it % self.check_period == 0 and self._residual(basis, vstat, xb) > 1e-8:
                 factor = _Factor(self, basis)
                 xb = self._xb(basis, vstat, factor)
@@ -505,7 +509,9 @@ def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, factor) -> None:
 
 
 def _solve_lp_bundled(
-    model: Model, overrides: Optional[dict[int, tuple[float, float]]] = None
+    model: Model,
+    overrides: Optional[dict[int, tuple[float, float]]] = None,
+    deadline: Optional[float] = None,
 ) -> LpSolution:
     mat = model.arrays()
     lo, hi = mat.lo, mat.hi
@@ -517,7 +523,7 @@ def _solve_lp_bundled(
     for attempt in (0, 1):
         sx = _SimplexRun(mat, lo, hi, retry=attempt == 1)
         try:
-            sol = _simplex_solve(model, sx, try_warm=attempt == 0)
+            sol = _simplex_solve(model, sx, try_warm=attempt == 0, deadline=deadline)
         except np.linalg.LinAlgError:  # a singular basis; the second attempt starts cold
             sol = LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
         if sol.status is not SolveStatus.NUMERICAL_FAILURE:
@@ -525,7 +531,9 @@ def _solve_lp_bundled(
     return sol
 
 
-def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
+def _simplex_solve(
+    model: Model, sx: _SimplexRun, try_warm: bool, deadline: Optional[float]
+) -> LpSolution:
     n, m = sx.n, sx.m
     state = _warm_state(model, sx) if try_warm else None
     used_warm = state is not None
@@ -548,9 +556,10 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
         factor = _Factor(sx, basis)
         c1 = np.zeros(sx.ncols)
         c1[n + m :] = -1.0  # phase 1 maximizes minus the sum of the artificials
-        status, xb1, _, _, factor = sx.run(c1, basis, vstat, factor, sx._xb(basis, vstat, factor))
-        if status is not SolveStatus.OPTIMAL:
-            return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
+        xb = sx._xb(basis, vstat, factor)
+        status, xb1, _, _, factor = sx.run(c1, basis, vstat, factor, xb, deadline)
+        if status is not SolveStatus.OPTIMAL:  # phase 1 is bounded: a failure or the deadline
+            return LpSolution(status, -math.inf)
         infeasibility = float(np.sum(np.maximum(xb1[basis >= n + m], 0.0)))
         if infeasibility > FEAS_TOL:
             return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
@@ -558,11 +567,11 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
         xb = sx._xb(basis, vstat, factor)
 
     c = np.concatenate([sx.mat.c, np.zeros(sx.ncols - n)])
-    status, xb, y, d, factor = sx.run(c, basis, vstat, factor, xb)
+    status, xb, y, d, factor = sx.run(c, basis, vstat, factor, xb, deadline)
     if status is SolveStatus.UNBOUNDED:
         return LpSolution(SolveStatus.UNBOUNDED, math.inf)
-    if status is not SolveStatus.OPTIMAL:
-        return LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
+    if status is not SolveStatus.OPTIMAL:  # a failure or the deadline
+        return LpSolution(status, -math.inf)
 
     x = sx._nonbasic_x(vstat)
     x[basis] = xb
@@ -599,7 +608,7 @@ def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool) -> LpSolution:
 def _solve_mip_bundled(
     model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
-    root = _solve_lp_bundled(model)
+    root = _solve_lp_bundled(model, deadline=deadline)
     status = root.status
     if status is SolveStatus.UNBOUNDED:
         # as on HiGHS: an integral point makes the MIP unbounded, none makes it infeasible
@@ -614,7 +623,7 @@ def _solve_mip_bundled(
     inc_values: dict[int, float] = {}
     # DFS stack of (parent LP bound, branching bound overrides)
     stack: list[tuple[float, dict[int, tuple[float, float]]]] = [(root.objective, {})]
-    timed_out = False
+    timed_out = failed = False
 
     def global_ub() -> float:
         return max([inc_val] + [bound for bound, _ in stack]) if stack else inc_val
@@ -636,11 +645,14 @@ def _solve_mip_bundled(
         if bound <= inc_val + 1e-9:
             continue
         # the root node is the LP just solved; re-solving it changes nothing
-        sol = _solve_lp_bundled(model, overrides) if overrides else root
+        sol = _solve_lp_bundled(model, overrides, deadline) if overrides else root
         if sol.status is SolveStatus.INFEASIBLE:
             continue
-        if sol.status is not SolveStatus.OPTIMAL:
-            return MipSolution(SolveStatus.NUMERICAL_FAILURE, inc_val, inc_values, math.inf)
+        if sol.status is not SolveStatus.OPTIMAL:  # the search ends; the node stays open
+            stack.append((bound, overrides))
+            timed_out = sol.status is SolveStatus.TIME_LIMIT
+            failed = not timed_out
+            break
         if sol.objective <= inc_val + 1e-9:
             continue
         frac = [
@@ -659,10 +671,11 @@ def _solve_mip_bundled(
     gap = gap_of(global_ub())
     if inc_val == -math.inf:
         status = SolveStatus.TIME_LIMIT if timed_out else SolveStatus.INFEASIBLE
+        status = SolveStatus.NUMERICAL_FAILURE if failed else status
         return MipSolution(status, -math.inf, {}, math.inf)
     if timed_out and gap > relative_gap + 1e-12:
         status = SolveStatus.TIME_LIMIT
-    elif gap <= 1e-9:
+    elif gap <= 1e-9 and not failed:
         status = SolveStatus.OPTIMAL
     else:
         status = SolveStatus.FEASIBLE
@@ -735,7 +748,7 @@ def _highs_run(mat: ModelArrays, options: dict, integrality: Optional[np.ndarray
     return _HIGHS_STATUS.get(highs.getModelStatus().name), highs
 
 
-def _solve_lp_highs(model: Model) -> LpSolution:
+def _solve_lp_highs(model: Model, deadline: Optional[float] = None) -> LpSolution:
     mat = model.arrays()
     if mat.n == 0:
         if np.all(mat.b >= -FEAS_TOL):
@@ -743,11 +756,13 @@ def _solve_lp_highs(model: Model) -> LpSolution:
         return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
     options = {"presolve": "on", "highs_debug_level": 0, "log_to_console": False}  # as linprog
     options.update(output_flag=False, simplex_strategy=1)  # 1: the dual simplex
+    if deadline is not None:
+        options["time_limit"] = max(deadline - time.monotonic(), 0.0)
     status, highs = _highs_run(mat, options)
     if status in (None, SolveStatus.INFEASIBLE):
         # presolve may end at "infeasible or unbounded" or no verdict; the simplex alone tells
         status, highs = _highs_run(mat, {**options, "presolve": "off"})
-    if status is not SolveStatus.OPTIMAL:  # with no time limit set: None, or a verdict
+    if status is not SolveStatus.OPTIMAL:  # None, a verdict, or the deadline
         return LpSolution(status or SolveStatus.NUMERICAL_FAILURE, -math.inf)
     sol = highs.getSolution()
     # a column's dual is its min-sense reduced cost at a bound, and 0 elsewhere, as in linprog

@@ -17,6 +17,7 @@ them binary.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -179,6 +180,40 @@ def first_fit(
     return [Configuration(s, tuple(routes[s])) for s in sorted(routes)]
 
 
+def window_hits(sets: np.ndarray, widths: Sequence[int]) -> np.ndarray:
+    """hits_w(T) by set and width: the fewest slots of a set T, one boolean row of
+    `sets` over the spectrum, that a window of w slots inside the spectrum covers."""
+    slots = sets.shape[1]
+    covered = np.zeros((len(sets), slots + 1), dtype=np.int64)
+    np.cumsum(sets, axis=1, out=covered[:, 1:])
+    return np.array(
+        [(covered[:, w:] - covered[:, : slots + 1 - w]).min(axis=1) for w in widths], dtype=np.int64
+    ).reshape(len(widths), len(sets)).T
+
+
+def slot_set_rows(slots: int, widths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The slot sets T of the flow bound's link rows, as (hits_w(T) by set and width, |T|).
+
+    The candidates are the centred intervals of every length, the full spectrum
+    first, and for each width w the progressions {o, o + w, ...}. A row whose
+    hits_w(T) / |T| another row matches or exceeds at every width is implied by
+    that row and left out, and of two rows with equal ratios the later one.
+    """
+    slot = np.arange(slots)
+    sets = [(slot >= (slots - n) // 2) & (slot < (slots - n) // 2 + n) for n in range(slots, 0, -1)]
+    sets += [(slot >= o) & ((slot - o) % w == 0) for w in widths for o in range(w)]
+    sets = np.array(sets)
+    hits, size = window_hits(sets, widths), sets.sum(axis=1)
+    # a row implied by another has the smaller ratio sum, exactly so unless their
+    # ratios are equal; so each row need only be checked against those kept before it
+    kept: list[int] = []
+    for a in sorted(range(len(sets)), key=lambda a: (-(hits[a] / size[a]).sum(), a)):
+        if not (hits[a] * size[kept, None] <= hits[kept] * size[a]).all(axis=1).any():
+            kept.append(a)
+    kept.sort()
+    return hits[kept], size[kept]
+
+
 @dataclass(eq=False)
 class MasterDuals:
     """Dual snapshot: one value per request row, one per (link, slot) row.
@@ -218,8 +253,10 @@ class RestrictedMaster:
         instance: Instance,
         pricing_requests: Optional[Sequence[PricingRequest]] = None,
         backend: str = "bundled",
+        deadline: Optional[float] = None,
     ):
         self.instance = instance
+        self.deadline = deadline  # of the flow-bound LP, a time.monotonic() value
         self.atomics: dict[int, Request] = {r.id: r for r in instance.requests}
         if pricing_requests is None:
             pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
@@ -313,34 +350,64 @@ class RestrictedMaster:
         return value >= self.upper_bound - 1e-6 * (1.0 + abs(self.upper_bound))
 
     def _flow_bound(self) -> float:
-        """Optimum of the multicommodity-flow LP relaxation, a bound on every master LP.
+        """Optimum of a multicommodity-flow LP relaxation, a bound on every master LP.
 
-        Max sum d_k y_k, y_k in [0, 1]: request k ships d_k y_k slots of flow from
-        its source to its destination, and each link carries at most |S| slots
-        over both directions. Flow is grouped by source s, one row per other node v:
-        `d_k y_k + out_s(v) - in_s(v) <= 0` over the requests k from s to v (inflow
-        beyond that can be cut back along its paths, so no equality is needed). It
-        bounds the master only when every pricing request is one atomic request:
-        a fused window takes fewer slots than its members.
+        Max sum w_k y_k, y_k in [0, 1]: request k ships y_k lightpaths of width
+        w_k between its ends. Each link has one row per slot set T of
+        `slot_set_rows`, `sum_w hits_w(T) flow_w(link) <= |T|` over both
+        directions: a width-w lightpath takes at least hits_w(T) of the link's
+        cells in T, and each cell holds at most one lightpath.
+
+        Widths whose hits are proportional, hits_w = scale_w * unit, share one
+        commodity whose flow counts units. A commodity is rooted at one end of
+        each of its requests, greedily: the (node, unit) pair with the most
+        requests left. Its flow from the root splits into paths to the other
+        ends, so one row per other node v suffices: `sum_k scale_k y_k +
+        out(v) - in(v) <= 0` over its requests k ending at v (inflow beyond
+        that can be cut back along its paths), and no flow enters the root.
+        With the full spectrum's row alone this is the plain flow LP, each link
+        carrying at most |S| slots. It bounds the master only when every pricing
+        request is one atomic request: a fused window takes fewer slots than its
+        members. Cut by the deadline, it leaves the fitting demand.
         """
         topo, slots = self.instance.topology, self.instance.spectrum_slots
         requests = [p for p in self.pricing_requests.values() if p.width <= slots]
-        sources = sorted({p.source for p in requests})
-        pairs = [(s, v) for s in sources for v in topo.nodes if v != s]
-        row, cap = {pair: i for i, pair in enumerate(pairs)}, len(pairs)
-        model = Model([0.0] * cap + [float(slots)] * topo.num_links, self.model.backend)
+        widths = sorted({p.width for p in requests})
+        hits, size = slot_set_rows(slots, widths)
+        scale = {w: math.gcd(*col) for w, col in zip(widths, hits.T.tolist())}
+        unit = {w: tuple(h // scale[w] for h in col) for w, col in zip(widths, hits.T.tolist())}
+        commodity: dict[int, tuple] = {}  # request key -> (root, unit)
+        left = requests
+        while left:
+            count = Counter((n, unit[p.width]) for p in left for n in (p.source, p.dest))
+            root, u = max(count, key=count.__getitem__)
+            for p in left:
+                if unit[p.width] == u and root in (p.source, p.dest):
+                    commodity[p.key] = (root, u)
+            left = [p for p in left if p.key not in commodity]
+        commodities = sorted(set(commodity.values()))
+        targets = [(c, v) for c in commodities for v in topo.nodes if v != c[0]]
+        row, cap = {target: i for i, target in enumerate(targets)}, len(targets)
+        model = Model([0.0] * cap + size.tolist() * topo.num_links, self.model.backend)
         for p in requests:
-            model.add_variable(obj=float(p.width), hi=1.0, coeffs={row[p.source, p.dest]: p.width})
-        for s in sources:
+            c = commodity[p.key]
+            end = p.dest if p.source == c[0] else p.source
+            model.add_variable(obj=float(p.width), hi=1.0, coeffs={row[c, end]: scale[p.width]})
+        for c in commodities:
+            root, u = c
             for link, ends in enumerate(topo.links):
+                first = cap + link * len(size)
                 for a, b in (ends, ends[::-1]):  # flow from a to b leaves a, enters b
-                    coeffs = {cap + link: 1.0}
-                    if a != s:
-                        coeffs[row[s, a]] = 1.0
-                    if b != s:
-                        coeffs[row[s, b]] = -1.0
+                    if b == root:
+                        continue
+                    coeffs = {first + t: float(h) for t, h in enumerate(u) if h}
+                    coeffs[row[c, b]] = -1.0
+                    if a != root:
+                        coeffs[row[c, a]] = 1.0
                     model.add_variable(coeffs=coeffs)
-        sol = model.solve_lp()
+        sol = model.solve_lp(self.deadline)
+        if sol.status is SolveStatus.TIME_LIMIT:
+            return self.upper_bound
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"flow bound LP failed: {sol.status}")
         return sol.objective

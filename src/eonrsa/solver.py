@@ -169,7 +169,7 @@ def solve(
     """Full run: column generation, certification, final ILP, post-processing."""
     t0 = time.monotonic()
     deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
-    rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend)
+    rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend, deadline=deadline)
     slot_requests = list(rmp.pricing_requests.values())
     seed = first_fit(instance, slot_requests)  # in the first LP, and a floor of the plan
     for column in seed:

@@ -556,3 +556,62 @@ def test_kernel_factor_solves_like_the_dense_basis():
         check(_Factor(sx, basis), basis)
     assert exchanges == {(out, into) for out in ("unit", "structural") for into in ("unit", "structural")}
     assert mixed  # some bases held structurals, slacks and artificials at once
+
+
+def _set_packing_mip():
+    """A 26-column set packing whose branch and bound visits many nodes."""
+    rng = random.Random(5)
+    n = 26
+    objs = [rng.uniform(0.9, 1.1) for _ in range(n)]
+    rows = [rng.sample(range(n), 7) for _ in range(12)]
+    m = Model([3.0] * len(rows))
+    ids = [
+        m.add_variable(obj=objs[j], coeffs={i: 1.0 for i, picked in enumerate(rows) if j in picked})
+        for j in range(n)
+    ]
+    return m, ids
+
+
+@pytest.mark.parametrize("fail_at", ["after_an_incumbent", "first_node"])
+def test_failed_node_lp_keeps_the_incumbent(monkeypatch, fail_at):
+    import eonrsa.lpsolver as lpsolver
+
+    original = lpsolver._solve_lp_bundled
+    bounds, incumbents, failed = {}, [], []  # node LP values by branched ids; integral values
+
+    def node_lp(model, overrides=None, deadline=None):
+        if overrides and (fail_at == "first_node" or incumbents):
+            failed.append(tuple(overrides))
+            return lpsolver.LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
+        sol = original(model, overrides, deadline)
+        bounds[tuple(overrides or {})] = sol.objective
+        frac = [v for v in sol.values.values() if 1e-6 < v < 1.0 - 1e-6]
+        if sol.status is SolveStatus.OPTIMAL and not frac and overrides:
+            incumbents.append(sol.objective)
+        return sol
+
+    monkeypatch.setattr(lpsolver, "_solve_lp_bundled", node_lp)
+    m, ids = _set_packing_mip()
+    sol = m.solve_mip(0.0, ids)
+    if fail_at == "first_node":
+        assert sol.status is SolveStatus.NUMERICAL_FAILURE and sol.values == {}
+        return
+    assert sol.status is SolveStatus.FEASIBLE
+    assert sol.objective == pytest.approx(incumbents[0]) and len(sol.values) == len(ids)
+    assert all(min(v, 1.0 - v) <= 1e-6 for v in sol.values.values())
+    assert len(failed) == 1  # the search ended at the failed node
+    parent_bound = bounds[failed[0][:-1]]  # its last branched id is its own
+    assert parent_bound > sol.objective + 1e-9
+    assert sol.gap >= (parent_bound - sol.objective) / parent_bound - 1e-12
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lp_stops_at_a_passed_deadline(backend):
+    import time
+
+    m, ids = _set_packing_mip()
+    assert m.solve_lp(deadline=time.monotonic() - 1.0).status is SolveStatus.TIME_LIMIT
+    assert m.solve_lp(deadline=time.monotonic() + 60.0).status is SolveStatus.OPTIMAL
+    if backend == "bundled":  # so does the branch and bound, with no incumbent
+        mip = m.solve_mip(0.0, ids, use_warm_start=False, deadline=time.monotonic() - 1.0)
+        assert mip.status is SolveStatus.TIME_LIMIT and mip.values == {}

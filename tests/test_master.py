@@ -1,6 +1,9 @@
+import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +22,13 @@ from eonrsa import (
     Request,
     RestrictedMaster,
     SolveStatus,
+    builtin_topology,
+    generate_icton_style,
     validate_configuration,
     verify_plan,
 )
 from eonrsa.lpsolver import Model
+from eonrsa.master import slot_set_rows, window_hits
 from conftest import column_coefficients, column_ids, configurations, model_column, signature
 
 
@@ -426,3 +432,43 @@ def test_coefficients_rederivable_from_lightpaths(seed):
     cells = config.occupied_cells()
     expected = {(0, t) for t in range(s, s + width1)} | {(1, t) for t in range(s, s + width2)}
     assert cells == expected
+
+
+def test_window_hits_match_a_count_over_every_window():
+    for slots in range(1, 11):
+        sets = list(itertools.product((False, True), repeat=slots))
+        widths = list(range(1, slots + 1))
+        hits = window_hits(np.array(sets), widths)
+        for t, members in enumerate(sets):
+            for i, w in enumerate(widths):
+                fewest = min(sum(members[o : o + w]) for o in range(slots - w + 1))
+                assert hits[t, i] == fewest, (slots, members, w)
+
+
+@pytest.mark.parametrize("slots", [1, 4, 7, 12, 20, 50])
+def test_slot_set_rows_keep_every_candidate_implied_and_no_kept_row(slots):
+    rng = random.Random(slots)
+    for widths in ([1], [slots], sorted(rng.sample(range(1, slots + 1), min(slots, 4))), range(1, slots + 1)):
+        hits, size = slot_set_rows(slots, list(widths))
+        ratio = [[h / t for h in row] for row, t in zip(hits.tolist(), size.tolist())]
+        for a, b in itertools.permutations(range(len(size)), 2):
+            assert any(x > y for x, y in zip(ratio[a], ratio[b])), (slots, widths, a, b)
+        # the candidates: centred intervals of every length and width-step progressions
+        candidates = [range((slots - n) // 2, (slots - n) // 2 + n) for n in range(1, slots + 1)]
+        candidates += [range(o, slots, w) for w in widths for o in range(w)]
+        for members in candidates:
+            fewest = [
+                min(sum(o <= t < o + w for t in members) for o in range(slots - w + 1)) for w in widths
+            ]
+            assert any(
+                all(h / len(members) <= r + 1e-12 for h, r in zip(fewest, row)) for row in ratio
+            ), (slots, widths, list(members))
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_flow_bound_cut_by_the_deadline_leaves_the_fitting_demand(backend):
+    # the flow bound of spain21, 35 pairs, |S|=20 is 162 of a demand sum of 176
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
+    rmp = RestrictedMaster(inst, backend=backend, deadline=time.monotonic() - 1.0)
+    assert rmp.solve_lp_and_prune()[0] < 162.0
+    assert rmp.upper_bound == 176.0

@@ -353,16 +353,52 @@ def _equality_flow_bound(inst, backend):
     return model.solve_lp().objective
 
 
-@pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_flow_bound_equals_the_equality_flow_lp(backend):
-    # the flow bound keeps one `<=` conservation row per (source, node)
+def _flow_bound_cases():
     spain = builtin_topology("spain21")
-    cases = [make_random_tiny_instance(seed) for seed in range(40)] + [
+    return [make_random_tiny_instance(seed) for seed in range(40)] + [
         generate_icton_style(spain, num_pairs=35, seed=1, spectrum_slots=slots) for slots in (20, 50)
     ]
-    for inst in cases:
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_flow_bound_lies_below_the_equality_flow_lp(backend):
+    # the slot-set rows include the full spectrum's, which is the equality LP's link row
+    tighter = 0
+    for inst in _flow_bound_cases():
         bound = RestrictedMaster(inst, backend=backend)._flow_bound()
-        assert bound == pytest.approx(_equality_flow_bound(inst, backend), rel=1e-9), inst.name
+        flow = _equality_flow_bound(inst, backend)
+        assert bound <= flow + 1e-9 * (1.0 + flow), inst.name
+        tighter += bound < flow - 1e-6
+    assert tighter > 0
+
+
+# the certified LP value of spain21, 35 pairs, |S|=20, with the bound patched to the
+# demand sum: 162 on both engines, after 265 priced rounds on HiGHS and 37 on bundled
+PRICED_Z_LP_OF_SPAIN21_AT_20_SLOTS = 162.0
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_flow_bound_lies_above_the_lp_value_that_pricing_certifies(monkeypatch, backend):
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    no_incumbent = MipSolution(SolveStatus.TIME_LIMIT, math.nan, {}, math.inf)
+    bounds = {}
+    for inst in _flow_bound_cases():
+        bounds[inst.name, inst.spectrum_slots] = RestrictedMaster(inst, backend=backend)._flow_bound()
+    met = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(RestrictedMaster, "_flow_bound", lambda master: master.upper_bound)
+        patch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (0.0, [], no_incumbent))
+        for inst in _flow_bound_cases():
+            if inst.spectrum_slots == 20:
+                z_lp = PRICED_Z_LP_OF_SPAIN21_AT_20_SLOTS  # 30-80 s of pricing
+            else:
+                report = solve(inst, config)[0]
+                assert report.certified, inst.name
+                z_lp = report.z_lp_star_slots
+            bound = bounds[inst.name, inst.spectrum_slots]
+            assert z_lp <= bound + 1e-6 * (1.0 + bound), inst.name
+            met += z_lp >= bound - 1e-6 * (1.0 + bound)
+    assert met > 0
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -377,11 +413,13 @@ def test_triangle_meets_its_demand_without_pricing(triangle, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_fused_windows_keep_the_demand_bound(two_node, backend):
-    # the flow over atomics caps this pair at 4 slots, but one fused window grants 5
+    # the flow over atomics caps this pair at 3.5 slots, but one fused window grants 5:
+    # each atomic window covers a slot of {2, 3} and the 3-slot one both, so
+    # y_2 + 2 y_3 <= 2 next to 2 y_2 + 3 y_3 <= 4
     inst = Instance(
         topology=two_node, spectrum_slots=4, requests=(Request(0, "a", "b", 2), Request(1, "a", "b", 3))
     )
-    for requests, bound in ((None, 4.0), (derived_pricing_requests(inst), 5.0)):
+    for requests, bound in ((None, 3.5), (derived_pricing_requests(inst), 5.0)):
         rmp = RestrictedMaster(inst, requests, backend=backend)
         rmp.solve_lp_and_prune()
         rmp.solve_lp_and_prune()  # no column came, so the LP value stalls
@@ -401,13 +439,14 @@ def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_timed_out_run_that_meets_its_bound_is_certified(backend):
+def test_timed_out_run_that_meets_its_bound_is_certified(monkeypatch, backend):
     inst = make_random_tiny_instance(146)
-    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
-    unlimited = solve(inst, config)[0]
-    # one priced round, and the LP after it meets the bound unpriced
+    unlimited, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
+    # one priced round, and the LP after it meets the flow bound unpriced
     assert unlimited.outer_iterations == 1 and len(unlimited.lp_value_trace) == 2
-    report, _ = solve(inst, dataclasses.replace(config, max_wall_clock_seconds=1e-9))
+    assert unlimited.z_lp_star_slots < sum(r.demand for r in inst.requests)
+    # the deadline passes in the round's first slot, after the flow bound LP ran
+    report, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 1, 1)
     assert report.timed_out and report.outer_iterations == 1
     assert report.certified
     assert report.z_lp_star_slots == pytest.approx(unlimited.z_lp_star_slots)
@@ -526,14 +565,15 @@ def test_reported_upper_bound_holds_also_after_a_time_out(backend):
 
 
 def test_uncertified_epsilon_is_measured_against_the_upper_bound():
-    # timed out after one round: z_RMP 130 is below the descending first-fit plan of 132
+    # timed out after one round: z_RMP 130 is below the descending first-fit plan of 132;
+    # the deadline also cut the flow bound LP, so z_ub stays at the demand sum of 176
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
     config = SolveConfig(backend="highs", max_wall_clock_seconds=1e-9)
     report, plan = solve(inst, config)
     assert report.timed_out and not report.certified
-    assert report.z_lp_star_slots == pytest.approx(130.0) and report.z_ub_slots == pytest.approx(162.0)
+    assert report.z_lp_star_slots == pytest.approx(130.0) and report.z_ub_slots == pytest.approx(176.0)
     assert report.z_ilp_slots == plan.throughput_slots == 132
-    assert report.epsilon_lp == pytest.approx(30.0 / 162.0)
+    assert report.epsilon_lp == pytest.approx(44.0 / 176.0)
     verify_plan(inst, plan, expected_slots=132)
 
 
@@ -615,13 +655,13 @@ def test_a_round_stops_at_the_deadline_between_slots(monkeypatch, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_a_round_cut_before_any_improving_slot_is_not_certified(monkeypatch, backend):
-    # tiny-32's second round finds nothing at slot 1, whose LP bound is 0, and a
-    # column at slot 2; cut after slot 1, the round must not certify
-    inst = make_random_tiny_instance(32)
+    # tiny-95's third round finds nothing at slot 1, whose LP bound is 0, and a
+    # column at a later slot; cut after slot 1, the round must not certify
+    inst = make_random_tiny_instance(95)
     _, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
-    assert calls[1] > 1
-    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 2, 1)
-    assert calls[1:] == [1] and report.outer_iterations == 2
+    assert calls[2] > 1
+    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 3, 1)
+    assert calls[2:] == [1] and report.outer_iterations == 3
     assert report.timed_out and not report.certified
-    assert len(report.lp_value_trace) == 2  # no column, so no further LP
+    assert len(report.lp_value_trace) == 3  # no column, so no further LP
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
