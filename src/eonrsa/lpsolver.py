@@ -8,12 +8,13 @@ indexed by row. The engines are:
 
 * ``"bundled"`` — a bounded-variable revised simplex (the basis inverse held
   through a dense inverse of the basis kernel only, Dantzig pricing with a
-  Bland anti-cycling fallback) plus a depth-first branch-and-bound. Needs
-  numpy only, so the test suite is self-contained.
+  Bland anti-cycling fallback) plus a depth-first branch-and-bound, in numpy.
 * ``"highs"`` — HiGHS, through the compiled module that scipy ships
   (``scipy/optimize/_highspy/_core``), loaded on the first HiGHS solve;
-  scipy.optimize and scipy.sparse are never imported. Faster on large
-  models; does not report basis membership.
+  scipy.optimize and scipy.sparse are never imported. Faster on large models.
+
+Both engines report the basis of an optimal LP and start the model's next LP
+from it, new columns nonbasic at their lower bound.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
@@ -106,11 +107,11 @@ class MipSolution:
 
 @dataclass
 class _WarmState:
-    """Basis carried between LP solves of one model (bundled backend)."""
+    """Basis carried between LP solves of one model; HiGHS keeps no factor."""
 
-    basis_keys: list[int]  # row position -> var id, or -1 - row for a slack
+    basis_keys: list[int]  # var ids, and -1 - row for a slack; by row position when bundled
     at_upper: set[int]  # keys of nonbasic columns sitting at their upper bound
-    factor: _Factor
+    factor: Optional[_Factor]
 
 
 _BASIC, _AT_LO, _AT_UP = 0, 1, 2
@@ -164,13 +165,11 @@ class Model:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
         st = self._store
         coeffs = {row: float(v) for row, v in (coeffs or {}).items() if v != 0.0}
-        row_ids = range(st.m)
         for row in coeffs:
-            if row not in row_ids:
+            if row not in range(st.m):
                 raise UnknownId(f"row {row} does not exist")
         rows = sorted(coeffs)
-        vid = self._next_var
-        self._next_var += 1
+        vid, self._next_var = self._next_var, self._next_var + 1
         st.var_ids.append(vid)
         st.data = np.concatenate((st.data, [coeffs[row] for row in rows]))
         st.indices = np.concatenate((st.indices, np.array(rows, dtype=np.intp)))
@@ -192,28 +191,15 @@ class Model:
         st.data, st.indices = st.data[entries], st.indices[entries]
         st.indptr = np.concatenate([[0], np.cumsum(lengths[keep])]).astype(np.intp)
         st.c, st.lo, st.hi = st.c[keep], st.lo[keep], st.hi[keep]
-        for vid in ids:
-            if self._warm is not None:
-                self._warm.at_upper.discard(vid)
-                if vid in self._warm.basis_keys:
-                    self._warm = None  # removed a basic column; basis is stale
+        if self._warm is not None and set(ids).isdisjoint(self._warm.basis_keys):
+            self._warm.at_upper.difference_update(ids)
+        else:
+            self._warm = None  # none, or stale: a removed column was basic
 
     def prune(self, sol: LpSolution, candidates: Iterable[int]) -> list[int]:
-        """Remove the candidates that sit at zero outside the basis of `sol`.
-
-        When the engine hides the basis, a column with zero reduced cost may be
-        basic at a degenerate optimum and is kept. Returns the removed ids.
-        """
-        drop = []
-        for vid in candidates:
-            if sol.values.get(vid, 0.0) > INT_TOL:
-                continue
-            if sol.basic_variables is not None:
-                if vid in sol.basic_variables:
-                    continue
-            elif abs(sol.reduced_costs.get(vid, 0.0)) <= 1e-7:
-                continue
-            drop.append(vid)
+        """Remove the candidates that sit at zero outside the basis of `sol`; the removed ids."""
+        basic, values = sol.basic_variables, sol.values
+        drop = [vid for vid in candidates if values.get(vid, 0.0) <= INT_TOL and vid not in basic]
         if drop:
             self.remove_variables(drop)
         return drop
@@ -463,7 +449,7 @@ class _SimplexRun:
                 vstat[e] = _BASIC
 
             degen_run = degen_run + 1 if step < 1e-12 else 0
-            bland = bland or degen_run > 150
+            bland = self.bland or degen_run > 150  # Bland only while a degenerate run lasts
         return SolveStatus.NUMERICAL_FAILURE, xb, None, None, factor
 
 
@@ -727,8 +713,9 @@ def _native_stdout_silenced():
         os.close(saved)
 
 
-def _highs_run(mat: ModelArrays, options: dict, integrality: Optional[np.ndarray] = None):
-    """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`."""
+def _highs_run(mat: ModelArrays, options: dict, integrality=None, warm=None):
+    """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`;
+    an LP from the `_WarmState` basis `warm`, without presolve, if HiGHS finds it consistent."""
     h = _highs_core()
     lp = h.HighsLp()
     lp.num_col_, lp.num_row_ = mat.n, mat.m
@@ -744,6 +731,15 @@ def _highs_run(mat: ModelArrays, options: dict, integrality: Optional[np.ndarray
         for key, value in options.items():
             highs.setOptionValue(key, value)
         highs.passModel(lp)
+        if warm is not None:  # a nonbasic row, its slack at zero, is at its upper bound
+            st, basic, basis = h.HighsBasisStatus, set(warm.basis_keys), h.HighsBasis()
+            basis.col_status = [
+                st.kBasic if j in basic else st.kUpper if j in warm.at_upper else st.kLower
+                for j in mat.var_ids
+            ]
+            basis.row_status = [st.kBasic if -1 - r in basic else st.kUpper for r in range(mat.m)]
+            basis.valid = True
+            highs.setBasis(basis)
         highs.run()
     return _HIGHS_STATUS.get(highs.getModelStatus().name), highs
 
@@ -758,19 +754,23 @@ def _solve_lp_highs(model: Model, deadline: Optional[float] = None) -> LpSolutio
     options.update(output_flag=False, simplex_strategy=1)  # 1: the dual simplex
     if deadline is not None:
         options["time_limit"] = max(deadline - time.monotonic(), 0.0)
-    status, highs = _highs_run(mat, options)
+    status, highs = _highs_run(mat, options, warm=model._warm)
     if status in (None, SolveStatus.INFEASIBLE):
         # presolve may end at "infeasible or unbounded" or no verdict; the simplex alone tells
         status, highs = _highs_run(mat, {**options, "presolve": "off"})
     if status is not SolveStatus.OPTIMAL:  # None, a verdict, or the deadline
         return LpSolution(status or SolveStatus.NUMERICAL_FAILURE, -math.inf)
-    sol = highs.getSolution()
+    sol, basis, ids = highs.getSolution(), highs.getBasis(), mat.var_ids
+    col = [int(s) for s in basis.col_status]  # HighsBasisStatus: kLower 0, kBasic 1, kUpper 2
+    basic = [vid for vid, s in zip(ids, col) if s == 1]
+    rows = [-1 - r for r, s in enumerate(basis.row_status) if int(s) == 1]
+    model._warm = _WarmState(basic + rows, {vid for vid, s in zip(ids, col) if s == 2}, None)
     # a column's dual is its min-sense reduced cost at a bound, and 0 elsewhere, as in linprog
-    at_bound = [s.name in ("kLower", "kUpper") for s in highs.getBasis().col_status]
-    rc = (-np.where(at_bound, sol.col_dual, 0.0)).tolist()
-    values, rc = dict(zip(mat.var_ids, sol.col_value)), dict(zip(mat.var_ids, rc))
+    rc = (-np.where(np.isin(col, (0, 2)), sol.col_dual, 0.0)).tolist()
+    values, rc = dict(zip(ids, sol.col_value)), dict(zip(ids, rc))
     objective = 0.0 - highs.getInfo().objective_function_value  # 0.0, never -0.0, at 0
-    return LpSolution(SolveStatus.OPTIMAL, objective, values, -np.array(sol.row_dual), rc, None)
+    duals = -np.array(sol.row_dual)
+    return LpSolution(SolveStatus.OPTIMAL, objective, values, duals, rc, frozenset(basic))
 
 
 def _solve_mip_highs(

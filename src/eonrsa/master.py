@@ -143,22 +143,19 @@ def validate_configuration(
             raise InvalidConfiguration(f"{req} is not the master's request of key {req.key}")
 
 
-def first_fit(
-    instance: Instance, requests: Iterable[PricingRequest], keys_descending: bool = False
-) -> list[Configuration]:
+def first_fit(instance: Instance, order: Iterable[PricingRequest]) -> list[Configuration]:
     """A plan as columns, one configuration per start slot.
 
-    Requests go widest first, then by key (descending if `keys_descending`); one
-    whose members are already served is skipped. Each takes the lowest start slot
-    at which a fewest-hop path avoids every link busy over its window. Lightpaths
-    at one start slot all hold that slot's cell on each of their links, so they
-    are link-disjoint.
+    Requests go in `order`; one whose members are already served is skipped. Each
+    takes the lowest start slot at which a fewest-hop path avoids every link busy
+    over its window. Lightpaths at one start slot all hold that slot's cell on each
+    of their links, so they are link-disjoint.
     """
     topo, slots = instance.topology, instance.spectrum_slots
     busy = np.zeros((topo.num_links, slots), dtype=bool)
     served: set[int] = set()
     routes: dict[int, list[tuple[PricingRequest, Path]]] = {}
-    for req in sorted(requests, key=lambda p: (-p.width, -p.key if keys_descending else p.key)):
+    for req in order:
         if not served.isdisjoint(req.members):
             continue
         failed = None  # the blocked links of the last slot without a path
@@ -270,6 +267,7 @@ class RestrictedMaster:
             for row, req in enumerate(ordered)
         }
         self._columns: dict[int, Configuration] = {}
+        self.grants: dict[int, float] = {}  # y by atomic request id, from the last LP
         self.prune_checks: list[tuple[float, float]] = []
         # no LP value exceeds this; a request wider than the spectrum fits no window
         fitting = [r.demand for r in instance.requests if r.demand <= instance.spectrum_slots]
@@ -340,6 +338,7 @@ class RestrictedMaster:
             raise RuntimeError(
                 f"pruning changed the LP value: {sol.objective} -> {sol2.objective}"
             )
+        self.grants = {k: sol2.values[y] for k, y in self._y.items()}
         if self._flow_pending and not self.meets_bound(sol2.objective):
             self._flow_pending = False
             self.upper_bound = min(self.upper_bound, self._flow_bound())

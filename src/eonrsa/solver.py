@@ -1,40 +1,62 @@
 """Outer column-generation loop, optimality certification, and reporting.
 
-The master starts from the columns of a first-fit plan (`master.first_fit`).
-That plan, and a second first-fit plan with the opposite tie order that the
-master never sees, floor the returned plan. One outer round: solve the master
-LP (pruning dropped columns), snapshot the duals, price every starting slot
-against that snapshot, add every improving configuration. A run is certified,
-its final LP value a true upper bound, in one of two ways:
+The master starts from the columns of the best of several first-fit plans
+(`master.first_fit`), widest request first: ties by key ascending, then
+descending, then shuffled by `random.Random(0)`. The passes stop at the first
+plan that meets the master's `upper_bound`, once every order of equal widths
+has run, at the deadline, or after FIRST_FIT_PASSES. One outer round: solve the
+master LP (pruning dropped columns), snapshot the duals, price every starting
+slot against that snapshot, add every improving configuration, and offer each
+one at the other start slots where it prices too (at most SHARED_PER_SLOT a
+slot). A run is certified, its final LP value a true upper bound, in one of two
+ways:
 
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound, computed after the first LP that
   falls short of the demand), which no LP can beat; the run stops before
-  pricing those duals, also after a time-out, and when the first-fit plan
-  meets either bound, after 0 rounds;
+  pricing those duals, also after a time-out, and when the start plan meets
+  either bound, after 0 rounds;
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
 Slots of one round with equal window sums (`pricing_key`) share one inner solve,
 its column moved to each slot; a slot where no request gains needs none. A round
 stops after the slot that ends past the deadline, and then certifies nothing.
+
+The start plan floors the final ILP's plan, and so do first-fit passes that
+order the requests by the last LP's grants, until a plan meets the bound; the
+master never sees their columns.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .instance import Instance
-from .master import MasterDuals, PricingRequest, ProvisioningPlan, RestrictedMaster, first_fit
+from .master import (
+    Configuration,
+    MasterDuals,
+    PricingRequest,
+    ProvisioningPlan,
+    RestrictedMaster,
+    first_fit,
+)
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
 
 DEFAULT_FINAL_GAP = 0.1
 MAX_OUTER_ROUNDS = 10_000  # a run that needs more is cycling
+FIRST_FIT_PASSES = 20  # the most first-fit passes before pricing, and again after it
+SHARED_PER_SLOT = 8  # the most shared columns a start slot gets in one round
 
 
 @dataclass(frozen=True)
@@ -59,7 +81,8 @@ class SolveReport:
     Epsilons are fractions (table display multiplies by 100) against
     `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
-    columns; the first-fit columns the master starts from are in neither.
+    columns, shared ones included; the first-fit columns the master starts from
+    are in neither.
     """
 
     instance_name: str
@@ -161,6 +184,63 @@ def _price_round(
     return results
 
 
+def _shared_columns(
+    instance: Instance, duals: MasterDuals, improving: Sequence[Configuration]
+) -> list[Configuration]:
+    """Each improving configuration at the other start slots where its widest window
+    fits and its reduced cost under `duals` (clamped) exceeds IMPROVE_TOL; per slot at
+    most SHARED_PER_SLOT of them, highest reduced cost first, and no two alike."""
+    slots = instance.spectrum_slots
+    mu = np.zeros((instance.topology.num_links, slots + 1))
+    np.cumsum(duals.mu_cell, axis=1, out=mu[:, 1:])
+    # the routes of a configuration, as a set -> (the routes first seen, the slots they priced at)
+    priced: dict[frozenset, tuple[tuple, set[int]]] = {}
+    for config in improving:
+        routes = config.routes
+        priced.setdefault(frozenset(routes), (routes, set()))[1].add(config.start_slot)
+    offers: dict[int, list[tuple[float, int, tuple]]] = {}
+    for rank, (routes, at) in enumerate(priced.values()):
+        starts = slots - max(req.width for req, _ in routes) + 1
+        gain = sum(duals.mu_request.get(k, 0.0) for req, _ in routes for k in req.members)
+        rc = np.full(starts, gain)
+        for req, path in routes:
+            links = list(path.links)
+            rc -= (mu[links, req.width : req.width + starts] - mu[links, :starts]).sum(axis=0)
+        for i in np.flatnonzero(rc > IMPROVE_TOL).tolist():
+            if i + 1 not in at:
+                offers.setdefault(i + 1, []).append((-float(rc[i]), rank, routes))
+    return [
+        Configuration(s, routes)
+        for s in sorted(offers)
+        for _, _, routes in sorted(offers[s])[:SHARED_PER_SLOT]
+    ]
+
+
+def _first_fit_orders(
+    requests: Sequence[PricingRequest], rank: Callable[[PricingRequest], tuple], fixed=()
+) -> Iterator[list[PricingRequest]]:
+    """Distinct request orders by ascending `rank`: the `fixed` ones, then ties shuffled
+    by random.Random(0). They stop at FIRST_FIT_PASSES, or when none is left: there are
+    prod(n!) over the groups of n requests of equal rank."""
+    groups = Counter(rank(p) for p in requests).values()
+    limit = min(FIRST_FIT_PASSES, math.prod(math.factorial(n) for n in groups))
+    rng, seen = random.Random(0), set()
+
+    def shuffled() -> Iterator[list[PricingRequest]]:
+        while True:
+            order = list(requests)
+            rng.shuffle(order)
+            yield sorted(order, key=rank)  # a stable sort keeps the shuffled ties
+
+    for order in itertools.chain(fixed, shuffled()):
+        keys = tuple(p.key for p in order)
+        if keys not in seen:
+            seen.add(keys)
+            yield order
+            if len(seen) == limit:
+                return
+
+
 def solve(
     instance: Instance,
     config: SolveConfig = SolveConfig(),
@@ -171,7 +251,22 @@ def solve(
     deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
     rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend, deadline=deadline)
     slot_requests = list(rmp.pricing_requests.values())
-    seed = first_fit(instance, slot_requests)  # in the first LP, and a floor of the plan
+
+    def past_deadline() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
+    # the start plan: the best of first-fit passes, widest first; its columns seed the master
+    by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
+    start, tried = None, set()  # the best start pass; the orders run, as request keys
+    for order in _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key):
+        tried.add(tuple(p.key for p in order))
+        columns = first_fit(instance, order)
+        plan = rmp.post_process(columns)
+        if start is None or plan.throughput_slots > start[1].throughput_slots:
+            start = columns, plan
+        if rmp.meets_bound(plan.throughput_slots) or past_deadline():
+            break
+    seed, floor = start
     for column in seed:
         rmp.add_column(column)
 
@@ -193,13 +288,14 @@ def solve(
             raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")
         results = _price_round(instance, duals, slot_requests, deadline)
         timed_out = len(results) < instance.spectrum_slots  # a cut round certifies nothing
-        improving = [r for r in results if r.configuration is not None]
+        improving = [r.configuration for r in results if r.configuration is not None]
         if not improving:
             break
-        for res in improving:
-            rmp.add_column(res.configuration)
-        columns_generated += len(improving)
-        timed_out = timed_out or (deadline is not None and time.monotonic() > deadline)
+        added = improving + _shared_columns(instance, duals.clamped(), improving)
+        for column in added:
+            rmp.add_column(column)
+        columns_generated += len(added)
+        timed_out = timed_out or past_deadline()
 
     certified = met_bound or (not timed_out and certify(results))
     lp_seconds = time.monotonic() - t0
@@ -208,18 +304,28 @@ def solve(
     z_ilp, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
     plan = rmp.post_process(selected)
     ilp_seconds = time.monotonic() - t1
-
     verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
-    # the better of two first-fit tie orders floors a weak or timed-out final ILP
-    for columns in (seed, first_fit(instance, slot_requests, keys_descending=True)):
-        floor = rmp.post_process(columns)
+
+    # an uncertified z_lp is no bound, and a floor pass may exceed it
+    bound = z_lp_star if certified else rmp.upper_bound
+    # the start plan floors a weak or timed-out final ILP, and so do first-fit passes that
+    # take the requests the last LP grants most first, until a plan meets the bound; these
+    # passes never enter the master
+    grant = {p.key: sum(rmp.grants[k] for k in p.members) / len(p.members) for p in slot_requests}
+    by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
+    floors = (
+        rmp.post_process(first_fit(instance, order))
+        for order in by_grant
+        if tuple(p.key for p in order) not in tried  # its plan would be a start pass's again
+    )
+    for floor in itertools.chain([floor], floors):
         if floor.throughput_slots > plan.throughput_slots:
             verify_plan(instance, floor)
             plan = floor
+        if plan.throughput_slots >= math.floor(bound + 1e-6 * (1.0 + bound)) or past_deadline():
+            break
     z_ilp = plan.throughput_slots
 
-    # an uncertified z_lp is no bound, and the second first-fit plan may exceed it
-    bound = z_lp_star if certified else rmp.upper_bound
     eps = report_metrics(bound, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
     report = SolveReport(
         instance_name=instance.name,

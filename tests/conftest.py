@@ -50,6 +50,11 @@ def make_random_tiny_instance(
     )
 
 
+def widest_first(requests, keys_descending: bool = False) -> list:
+    """Pricing requests widest first, ties by key: the first two first-fit orders of a solve."""
+    return sorted(requests, key=lambda p: (-p.width, -p.key if keys_descending else p.key))
+
+
 def make_four_node_instance(seed: int) -> Instance:
     rng = random.Random(seed)
     nodes = ("a", "b", "c", "d")

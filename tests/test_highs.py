@@ -138,6 +138,38 @@ def test_driver_equals_milp_on_random_mips():
     assert {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED} <= statuses
 
 
+def test_lp_reports_its_basis_and_the_next_lp_starts_from_it(monkeypatch):
+    starts = []
+    run = lpsolver._highs_run
+
+    def recorded(mat, options, integrality=None, warm=None):
+        starts.append(warm)
+        return run(mat, options, integrality, warm)
+
+    monkeypatch.setattr(lpsolver, "_highs_run", recorded)
+    warm = 0
+    for seed in range(60):
+        m, _ = _random_lp_model(seed, "highs")
+        first = m.solve_lp()
+        if first.status is not SolveStatus.OPTIMAL:
+            continue
+        mat = m.arrays()
+        assert len(first.basic_variables) <= mat.m
+        for vid, lo, hi in zip(mat.var_ids, mat.lo, mat.hi):
+            if vid not in first.basic_variables:  # a nonbasic column sits at a bound
+                assert min(abs(first.values[vid] - lo), abs(first.values[vid] - hi)) <= 1e-9
+        new = m.add_variable(obj=1.0, hi=2.0, coeffs={i: 1.0 for i in range(mat.m)})
+        second = m.solve_lp()
+        assert starts[-1] is not None and set(first.basic_variables) <= set(starts[-1].basis_keys)
+        assert new not in starts[-1].basis_keys and new not in starts[-1].at_upper
+        ref = _linprog_reference(m)
+        assert second.status is ref.status
+        if ref.status is SolveStatus.OPTIMAL:
+            assert second.objective == pytest.approx(ref.objective, abs=1e-7)
+            warm += 1
+    assert warm > 10
+
+
 def test_driver_equals_linprog_on_unbounded_and_infeasible_lps():
     unbounded = Model([1.0], "highs")
     unbounded.add_variable(obj=1.0, coeffs={0: -1.0})
@@ -153,9 +185,9 @@ def test_lp_without_a_presolve_verdict_is_run_again_without_presolve(monkeypatch
     runs = []
     run = lpsolver._highs_run
 
-    def recorded(mat, options, integrality=None):
+    def recorded(mat, options, integrality=None, **kwargs):
         runs.append(options["presolve"])
-        return run(mat, options, integrality)
+        return run(mat, options, integrality, **kwargs)
 
     monkeypatch.setattr(lpsolver, "_highs_run", recorded)
     m, _ = _random_lp_model(998500, "highs")

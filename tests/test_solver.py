@@ -32,8 +32,15 @@ from eonrsa import (
 )
 from eonrsa.lpsolver import Model
 from eonrsa.master import first_fit
-from eonrsa.pricing import pricing_key
-from conftest import make_random_tiny_instance, recorded_master_duals
+from eonrsa.pricing import IMPROVE_TOL, pricing_key
+from eonrsa.solver import SHARED_PER_SLOT
+from conftest import (
+    make_random_tiny_instance,
+    master_reduced_cost,
+    recorded_master_duals,
+    signature,
+    widest_first,
+)
 
 
 def test_single_lightpath_run(two_node):
@@ -258,6 +265,84 @@ def test_highs_backend_agrees_on_lp_bound(monkeypatch):
         assert a.z_ilp_slots == pytest.approx(b.z_ilp_slots, abs=1e-5)
 
 
+def test_highs_certifies_the_known_cycles_when_no_bound_stops_them(monkeypatch):
+    # with the flow bound at the demand sum, only pricing certifies; tiny 57, 71 and 100
+    # cycled on a HiGHS master that solved cold and reported no basis
+    monkeypatch.setattr(solver_module, "MAX_OUTER_ROUNDS", 200)
+    monkeypatch.setattr(RestrictedMaster, "_flow_bound", lambda master: master.upper_bound)
+    config = SolveConfig(final_ilp_relative_gap=0.0)
+    for seed in (57, 71, 100):
+        inst = make_random_tiny_instance(seed)
+        bundled, _ = solve(inst, dataclasses.replace(config, backend="bundled"))
+        highs, _ = solve(inst, dataclasses.replace(config, backend="highs"))
+        assert bundled.certified and highs.certified, seed
+        assert highs.z_lp_star_slots == pytest.approx(bundled.z_lp_star_slots, abs=1e-6), seed
+
+
+def test_highs_prices_no_more_rounds_than_bundled_from_the_first_fit_start():
+    config = SolveConfig(final_ilp_relative_gap=0.0)
+    for seed in (9, 12):
+        inst = make_random_tiny_instance(seed)
+        bundled, _ = solve(inst, dataclasses.replace(config, backend="bundled"))
+        highs, _ = solve(inst, dataclasses.replace(config, backend="highs"))
+        assert highs.outer_iterations <= bundled.outer_iterations, seed
+
+
+def _shared_candidates(inst, duals, improving) -> dict[int, list[float]]:
+    """By start slot, the reduced cost of every improving configuration moved there from
+    another slot, recomputed cell by cell; highest first."""
+    offers: dict[int, list[float]] = {}
+    for routes in dict.fromkeys(frozenset(c.routes) for c in improving):
+        at = {c.start_slot for c in improving if frozenset(c.routes) == routes}
+        routes = tuple(routes)
+        widest = max(req.width for req, _ in routes)
+        for s in range(1, inst.spectrum_slots - widest + 2):
+            rc = master_reduced_cost(Configuration(s, routes), duals)
+            if s not in at and rc > IMPROVE_TOL:
+                offers.setdefault(s, []).append(rc)
+    return {s: sorted(rcs, reverse=True) for s, rcs in offers.items()}
+
+
+def _congested_spain21():
+    # some of its slots get more offers than SHARED_PER_SLOT; 16 s on the bundled engine
+    return generate_icton_style(builtin_topology("spain21"), num_pairs=20, seed=1, spectrum_slots=12)
+
+
+@pytest.mark.parametrize(
+    "backend, congested", [("bundled", []), ("highs", [_congested_spain21])], ids=["bundled", "highs"]
+)
+def test_shared_columns_are_the_best_priced_offers_at_each_slot(monkeypatch, backend, congested):
+    rounds = []
+    original = solver_module._shared_columns
+
+    def recording(instance, duals, improving):
+        shared = original(instance, duals, improving)
+        rounds.append((improving, shared))
+        return shared
+
+    monkeypatch.setattr(solver_module, "_shared_columns", recording)
+    capped = 0
+    for inst in [make_random_tiny_instance(seed) for seed in range(40)] + [f() for f in congested]:
+        rounds.clear()
+        with recorded_master_duals() as snapshots:
+            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        added = 0
+        # round r prices the duals of LP r
+        for (improving, shared), duals in zip(rounds, snapshots):
+            added += len(improving) + len(shared)
+            signatures = [signature(c) for c in [*improving, *shared]]
+            assert len(set(signatures)) == len(signatures), inst.name
+            offers = _shared_candidates(inst, duals, improving)
+            for s in range(1, inst.spectrum_slots + 1):
+                at_s = [master_reduced_cost(c, duals) for c in shared if c.start_slot == s]
+                assert all(rc > IMPROVE_TOL for rc in at_s), (inst.name, s)
+                best = offers.get(s, [])[:SHARED_PER_SLOT]
+                assert sorted(at_s, reverse=True) == pytest.approx(best, abs=1e-9), (inst.name, s)
+                capped += len(offers.get(s, [])) > SHARED_PER_SLOT
+        assert report.columns_generated == added, inst.name
+    assert (capped > 0) == bool(congested)
+
+
 def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
     # every slot whose pricing key appeared earlier in its round reuses that
     # result, its column moved to its own slot; it must equal pricing the slot directly
@@ -440,7 +525,7 @@ def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_timed_out_run_that_meets_its_bound_is_certified(monkeypatch, backend):
-    inst = make_random_tiny_instance(146)
+    inst = make_random_tiny_instance(32)
     unlimited, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
     # one priced round, and the LP after it meets the flow bound unpriced
     assert unlimited.outer_iterations == 1 and len(unlimited.lp_value_trace) == 2
@@ -466,7 +551,7 @@ def test_first_fit_columns_form_a_plan(triangle, backend):
     cases.append((gb, derived_pricing_requests(gb)))
     for inst, requests in cases:
         rmp = RestrictedMaster(inst, requests, backend=backend)
-        seed = first_fit(inst, rmp.pricing_requests.values())
+        seed = first_fit(inst, widest_first(rmp.pricing_requests.values()))
         members = [k for config in seed for k in config.served_atomics()]
         cells = [cell for config in seed for cell in config.occupied_cells()]
         assert len(members) == len(set(members)), inst.name
@@ -490,12 +575,26 @@ def test_acceptance_8_certifies_from_its_first_fit_start(backend):
     assert report.columns_generated == 0 and plan.throughput_slots == report.z_ilp_slots
 
 
+def _recorded_passes(patch, rmp):
+    """Patch the solver's first_fit to collect each pass's plan, as `rmp` post-processes it."""
+    plans, original = [], solver_module.first_fit
+
+    def recording(instance, order):
+        columns = original(instance, order)
+        plans.append(rmp.post_process(columns))
+        return columns
+
+    patch.setattr(solver_module, "first_fit", recording)
+    return plans
+
+
 def test_plan_is_never_below_the_first_fit_plan():
-    # the final ILP over the certified columns stops within its gap below this floor
+    # the final ILP over the certified columns stops within its gap below the best pass
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
     rmp = RestrictedMaster(inst)
-    assert rmp.post_process(first_fit(inst, rmp.pricing_requests.values())).throughput_slots == 130
-    floor = rmp.post_process(first_fit(inst, rmp.pricing_requests.values(), keys_descending=True))
+    requests = rmp.pricing_requests.values()
+    assert rmp.post_process(first_fit(inst, widest_first(requests))).throughput_slots == 130
+    floor = rmp.post_process(first_fit(inst, widest_first(requests, keys_descending=True)))
     assert floor.throughput_slots == 132
     ilp_values = []
     original = RestrictedMaster.solve_final_ilp
@@ -507,9 +606,13 @@ def test_plan_is_never_below_the_first_fit_plan():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RestrictedMaster, "solve_final_ilp", recording)
+        passes = _recorded_passes(patch, rmp)
         report, plan = solve(inst, SolveConfig(backend="highs"))
     assert report.certified and report.z_lp_star_slots == pytest.approx(162.0)
-    assert report.z_ilp_slots == plan.throughput_slots == max(round(ilp_values[0]), 132)
+    assert [p.throughput_slots for p in passes[:2]] == [130, 132]
+    best = max(p.throughput_slots for p in passes)
+    assert best > 132
+    assert report.z_ilp_slots == plan.throughput_slots == max(round(ilp_values[0]), best)
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
 
 
@@ -517,7 +620,7 @@ def test_plan_is_never_below_the_first_fit_plan():
 def test_final_ilp_without_an_incumbent_returns_the_first_fit_plan(monkeypatch, backend):
     inst = make_random_tiny_instance(9)
     rmp = RestrictedMaster(inst)
-    expected = rmp.post_process(first_fit(inst, rmp.pricing_requests.values()))
+    expected = rmp.post_process(first_fit(inst, widest_first(rmp.pricing_requests.values())))
     assert expected.throughput_slots > 0
     timed_out = MipSolution(SolveStatus.TIME_LIMIT, math.nan, {}, math.inf)
     monkeypatch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (0.0, [], timed_out))
@@ -529,26 +632,54 @@ def test_final_ilp_without_an_incumbent_returns_the_first_fit_plan(monkeypatch, 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_plan_is_floored_by_both_first_fit_orders(monkeypatch, backend):
+    # and by every other first-fit pass, each of which is a valid plan
     config = SolveConfig(backend=backend)
     no_incumbent = MipSolution(SolveStatus.TIME_LIMIT, math.nan, {}, math.inf)
     for seed in range(40):
         inst = make_random_tiny_instance(seed)
         rmp = RestrictedMaster(inst)
         floors = [
-            rmp.post_process(first_fit(inst, rmp.pricing_requests.values(), keys_descending=k))
+            rmp.post_process(first_fit(inst, widest_first(rmp.pricing_requests.values(), k)))
             for k in (False, True)
         ]
-        for floor in floors:
-            verify_plan(inst, floor)
-        _, plan = solve(inst, config)
-        assert plan.throughput_slots >= max(f.throughput_slots for f in floors), inst.name
+        for no_ilp in (False, True):
+            with monkeypatch.context() as patch:
+                if no_ilp:
+                    patch.setattr(
+                        RestrictedMaster, "solve_final_ilp", lambda *a, **kw: (0.0, [], no_incumbent)
+                    )
+                passes = _recorded_passes(patch, rmp)
+                _, plan = solve(inst, config)
+            for floor in passes:
+                verify_plan(inst, floor)
+            best = max(f.throughput_slots for f in passes)
+            assert best >= max(f.throughput_slots for f in floors), inst.name
+            assert plan.throughput_slots >= best, inst.name
+            if no_ilp:
+                assert plan.throughput_slots == best, inst.name
+            verify_plan(inst, plan, expected_slots=plan.throughput_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_start_passes_stop_when_the_tie_orders_run_out(monkeypatch, two_node, backend):
+    # one link of 4 slots: no plan meets the fitting demand, so the passes before the
+    # first LP stop only when each order of equal widths has been tried, once
+    for demands, orders in (((3, 2), 1), ((2, 1, 2), 2), ((2, 2, 2), 6), ((1,) * 5, 20)):
+        requests = tuple(Request(i, "a", "b", d) for i, d in enumerate(demands))
+        inst = Instance(topology=two_node, spectrum_slots=4, requests=requests)
+        started = []
+        solve_lp = RestrictedMaster.solve_lp_and_prune
+
+        def first_lp(master):
+            started.append(len(passes))
+            return solve_lp(master)
+
         with monkeypatch.context() as patch:
-            patch.setattr(
-                RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (0.0, [], no_incumbent)
-            )
-            _, plan = solve(inst, config)
-        assert plan.throughput_slots == max(f.throughput_slots for f in floors), inst.name
-        verify_plan(inst, plan, expected_slots=plan.throughput_slots)
+            passes = _recorded_passes(patch, RestrictedMaster(inst))
+            patch.setattr(RestrictedMaster, "solve_lp_and_prune", first_lp)
+            report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        assert started[0] == orders, demands  # 5! orders are cut at FIRST_FIT_PASSES
+        assert plan.throughput_slots == oracle_solve(inst).value_slots and report.certified
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -565,22 +696,23 @@ def test_reported_upper_bound_holds_also_after_a_time_out(backend):
 
 
 def test_uncertified_epsilon_is_measured_against_the_upper_bound():
-    # timed out after one round: z_RMP 130 is below the descending first-fit plan of 132;
-    # the deadline also cut the flow bound LP, so z_ub stays at the demand sum of 176
+    # timed out after one round, with one first-fit pass before the deadline: the plan is
+    # that pass's 130, as is z_RMP; the deadline also cut the flow bound LP, so z_ub stays
+    # at the demand sum of 176
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
     config = SolveConfig(backend="highs", max_wall_clock_seconds=1e-9)
     report, plan = solve(inst, config)
     assert report.timed_out and not report.certified
     assert report.z_lp_star_slots == pytest.approx(130.0) and report.z_ub_slots == pytest.approx(176.0)
-    assert report.z_ilp_slots == plan.throughput_slots == 132
-    assert report.epsilon_lp == pytest.approx(44.0 / 176.0)
-    verify_plan(inst, plan, expected_slots=132)
+    assert report.z_ilp_slots == plan.throughput_slots == 130
+    assert report.epsilon_lp == pytest.approx(46.0 / 176.0)
+    verify_plan(inst, plan, expected_slots=130)
 
 
 def test_flow_bound_is_set_by_the_first_lp_that_falls_short():
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=20)
     rmp = RestrictedMaster(inst, backend="highs")
-    for column in first_fit(inst, rmp.pricing_requests.values()):
+    for column in first_fit(inst, widest_first(rmp.pricing_requests.values())):
         rmp.add_column(column)
     assert rmp.upper_bound > 162.0
     assert rmp.solve_lp_and_prune()[0] < 162.0
