@@ -93,7 +93,6 @@ class LpSolution:
     objective: float
     values: dict[int, float] = field(default_factory=dict)
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by row
-    reduced_costs: Optional[dict[int, float]] = None
     basic_variables: Optional[frozenset[int]] = None
 
 
@@ -580,10 +579,9 @@ def _simplex_solve(
 
     ids = sx.mat.var_ids
     values = dict(zip(ids, x[:n].tolist()))
-    rc = dict(zip(ids, d[:n].tolist()))
     basic = frozenset(ids[j] for j in basis[basis < n].tolist())
     _store_warm(model, sx, basis, vstat, factor)
-    return LpSolution(SolveStatus.OPTIMAL, obj, values, y, rc, basic)
+    return LpSolution(SolveStatus.OPTIMAL, obj, values, y, basic)
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +763,10 @@ def _solve_lp_highs(model: Model, deadline: Optional[float] = None) -> LpSolutio
     basic = [vid for vid, s in zip(ids, col) if s == 1]
     rows = [-1 - r for r, s in enumerate(basis.row_status) if int(s) == 1]
     model._warm = _WarmState(basic + rows, {vid for vid, s in zip(ids, col) if s == 2}, None)
-    # a column's dual is its min-sense reduced cost at a bound, and 0 elsewhere, as in linprog
-    rc = (-np.where(np.isin(col, (0, 2)), sol.col_dual, 0.0)).tolist()
-    values, rc = dict(zip(ids, sol.col_value)), dict(zip(ids, rc))
+    values = dict(zip(ids, sol.col_value))
     objective = 0.0 - highs.getInfo().objective_function_value  # 0.0, never -0.0, at 0
     duals = -np.array(sol.row_dual)
-    return LpSolution(SolveStatus.OPTIMAL, objective, values, duals, rc, frozenset(basic))
+    return LpSolution(SolveStatus.OPTIMAL, objective, values, duals, frozenset(basic))
 
 
 def _solve_mip_highs(

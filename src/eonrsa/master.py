@@ -321,9 +321,8 @@ class RestrictedMaster:
         basis, the prune-invariance check; one that drops none leaves the model
         as it was, so the check is recorded as (v, v). The duals come from the
         solve before the prune: they stay optimal for the pruned LP, since only
-        nonbasic columns at zero go. An engine without warm start may answer
-        the re-solve with another optimal dual, under which a dropped column
-        prices out again and column generation cycles.
+        nonbasic columns at zero go. The re-solve may end at another optimal
+        dual, under which a dropped column would price out again.
 
         The first value that falls short of `upper_bound` lowers it to the flow
         bound, once, so a run can meet that bound before its first priced round.

@@ -87,8 +87,9 @@ def generate_lightpath(
 class _InnerProblem:
     """Pricing RMP for one slot: path columns, atomic request rows (by id), then link rows.
 
-    It always runs on the bundled engine: its LPs are tiny, so HiGHS's per-call
-    overhead would outweigh its speed whatever the master's backend.
+    It always runs on the bundled engine, whatever the master's backend. Warm
+    HiGHS took its LPs at |S|=50, 9 Tbps from 8.8 to 5.2 s; whether the inner
+    problem should take the master's engine, or HiGHS always, is not settled.
     """
 
     def __init__(

@@ -23,9 +23,11 @@ Slots of one round with equal window sums (`pricing_key`) share one inner solve,
 its column moved to each slot; a slot where no request gains needs none. A round
 stops after the slot that ends past the deadline, and then certifies nothing.
 
-The start plan floors the final ILP's plan, and so do first-fit passes that
-order the requests by the last LP's grants, until a plan meets the bound; the
-master never sees their columns.
+The returned plan is the first of the greatest value among the start plan, the
+final ILP's plan, and first-fit passes that take first the requests the last LP
+grants most, searched in that order until one meets the bound (the certified
+z_lp, else `upper_bound`). A start plan that meets it skips the final ILP; the
+master never sees the passes' columns.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class SolveReport:
     `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
     columns, shared ones included; the first-fit columns the master starts from
-    are in neither.
+    are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the final ILP's
+    proven gap and its time with post-processing; 0 where a start plan that meets
+    the bound skips it.
     """
 
     instance_name: str
@@ -246,7 +250,7 @@ def solve(
     config: SolveConfig = SolveConfig(),
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
 ) -> tuple[SolveReport, ProvisioningPlan]:
-    """Full run: column generation, certification, final ILP, post-processing."""
+    """Full run: column generation, certification, then the plan search."""
     t0 = time.monotonic()
     deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
     rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend, deadline=deadline)
@@ -254,6 +258,9 @@ def solve(
 
     def past_deadline() -> bool:
         return deadline is not None and time.monotonic() > deadline
+
+    def meets(plan: ProvisioningPlan, bound: float) -> bool:  # no plan within `bound` grants more
+        return plan.throughput_slots >= math.floor(bound + 1e-6 * (1.0 + bound))
 
     # the start plan: the best of first-fit passes, widest first; its columns seed the master
     by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
@@ -264,15 +271,14 @@ def solve(
         plan = rmp.post_process(columns)
         if start is None or plan.throughput_slots > start[1].throughput_slots:
             start = columns, plan
-        if rmp.meets_bound(plan.throughput_slots) or past_deadline():
+        if meets(plan, rmp.upper_bound) or past_deadline():
             break
-    seed, floor = start
+    seed, start = start
     for column in seed:
         rmp.add_column(column)
 
     lp_trace: list[float] = []
-    columns_generated = 0
-    outer = 0
+    columns_generated = outer = 0
     timed_out = met_bound = False
 
     while True:
@@ -298,32 +304,30 @@ def solve(
         timed_out = timed_out or past_deadline()
 
     certified = met_bound or (not timed_out and certify(results))
-    lp_seconds = time.monotonic() - t0
-
-    t1 = time.monotonic()
-    z_ilp, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
-    plan = rmp.post_process(selected)
-    ilp_seconds = time.monotonic() - t1
-    verify_plan(instance, plan, expected_slots=z_ilp)  # the one scan for reused cells
-
-    # an uncertified z_lp is no bound, and a floor pass may exceed it
-    bound = z_lp_star if certified else rmp.upper_bound
-    # the start plan floors a weak or timed-out final ILP, and so do first-fit passes that
-    # take the requests the last LP grants most first, until a plan meets the bound; these
-    # passes never enter the master
-    grant = {p.key: sum(rmp.grants[k] for k in p.members) / len(p.members) for p in slot_requests}
-    by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
-    floors = (
-        rmp.post_process(first_fit(instance, order))
-        for order in by_grant
-        if tuple(p.key for p in order) not in tried  # its plan would be a start pass's again
-    )
-    for floor in itertools.chain([floor], floors):
-        if floor.throughput_slots > plan.throughput_slots:
-            verify_plan(instance, floor)
-            plan = floor
-        if plan.throughput_slots >= math.floor(bound + 1e-6 * (1.0 + bound)) or past_deadline():
-            break
+    bound = z_lp_star if certified else rmp.upper_bound  # an uncertified z_lp is no bound
+    timings = {"lp_phase": time.monotonic() - t0, "ilp_phase": 0.0}
+    # the plan search of the module docstring; a start plan that meets the bound is optimal
+    plan, scanned, ilp_gap = start, False, 0.0
+    if not meets(plan, bound):
+        t1 = time.monotonic()  # the final ILP runs even past the deadline
+        z, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
+        ilp_plan = rmp.post_process(selected)
+        timings["ilp_phase"] = time.monotonic() - t1
+        ilp_gap = mip.gap if math.isfinite(mip.gap) else 1.0
+        verify_plan(instance, ilp_plan, expected_slots=z)
+        grant = {p.key: sum(map(rmp.grants.get, p.members)) / len(p.members) for p in slot_requests}
+        by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
+        passes = (  # a start pass's order would give its plan again
+            rmp.post_process(first_fit(instance, order))
+            for order in by_grant if tuple(p.key for p in order) not in tried
+        )
+        for candidate in itertools.chain([ilp_plan], passes):
+            if candidate.throughput_slots > plan.throughput_slots:
+                plan, scanned = candidate, candidate is ilp_plan
+            if meets(plan, bound) or past_deadline():
+                break
+    if not scanned:
+        verify_plan(instance, plan)  # the one scan of the returned plan for reused cells
     z_ilp = plan.throughput_slots
 
     eps = report_metrics(bound, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
@@ -343,12 +347,8 @@ def solve(
         timed_out=timed_out,
         outer_iterations=outer,
         columns_generated=columns_generated,
-        final_ilp_gap=mip.gap if math.isfinite(mip.gap) else 1.0,
-        timings={
-            "lp_phase": lp_seconds,
-            "ilp_phase": ilp_seconds,
-            "total": time.monotonic() - t0,
-        },
+        final_ilp_gap=ilp_gap,
+        timings={**timings, "total": time.monotonic() - t0},
         lp_value_trace=lp_trace,
         prune_checks=list(rmp.prune_checks),
     )

@@ -78,6 +78,16 @@ def model_column(model, vid: int) -> tuple[float, dict[int, float]]:
     return float(mat.c[j]), dict(zip(mat.indices[s:e].tolist(), mat.data[s:e].tolist()))
 
 
+def reduced_costs(model, sol) -> dict[int, float]:
+    """Each variable's reduced cost d = c - A^T y under the solution's row duals."""
+    mat = model.arrays()
+    d = mat.c.copy()
+    for j in range(mat.n):
+        s, e = mat.indptr[j], mat.indptr[j + 1]
+        d[j] -= mat.data[s:e] @ sol.duals[mat.indices[s:e]]
+    return dict(zip(mat.var_ids, d.tolist()))
+
+
 def column_ids(rmp: RestrictedMaster) -> list[int]:
     """The master's configuration columns, ascending."""
     return sorted(rmp._columns)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eonrsa import Model, SolveStatus, UnknownId
 from eonrsa.lpsolver import _cold_state, _Factor, _SimplexRun
-from conftest import model_column
+from conftest import model_column, reduced_costs
 
 BACKENDS = ("bundled", "highs")
 
@@ -195,8 +195,9 @@ def test_weak_duality_on_random_lps(seed):
         return
     # dual objective: y b + bound multipliers max(d,0)*hi + min(d,0)*lo
     dual = sum(sol.duals[i] * b[i] for i in range(len(b)))
+    rc = reduced_costs(m, sol)
     for j, v in enumerate(vids):
-        d = sol.reduced_costs[v]
+        d = rc[v]
         if math.isfinite(hi[j]):
             dual += max(d, 0.0) * hi[j]
         dual += min(d, 0.0) * lo[j]
@@ -314,7 +315,8 @@ def test_backends_agree_on_reduced_cost_signs():
         m = Model([1.0], backend)
         x, y, z = (m.add_variable(obj=v, lo=0.0, hi=1.0, coeffs={0: 1.0}) for v in (2.0, 1.0, 0.5))
         sol = m.solve_lp()
-        results[backend] = (sol.reduced_costs[x], sol.reduced_costs[y], sol.reduced_costs[z])
+        rc = reduced_costs(m, sol)
+        results[backend] = (rc[x], rc[y], rc[z])
     for a, b in zip(results["bundled"], results["highs"]):
         assert a == pytest.approx(b, abs=1e-7)
     # nonbasic-at-lower columns in a maximization have nonpositive reduced cost

@@ -188,17 +188,18 @@ def test_solve_rejects_a_request_wider_than_its_member():
         solve(inst, SolveConfig(final_ilp_relative_gap=0.0), [PricingRequest(0, "a", "c", 5, (0,))])
 
 
-def test_solve_rejects_a_conflicting_plan(two_node, monkeypatch):
-    requests = (Request(0, "a", "b", 1), Request(1, "a", "b", 1))
-    inst = Instance(topology=two_node, spectrum_slots=2, requests=requests)
-    link = Path(links=(0,), nodes=("a", "b"))
+def test_solve_rejects_a_conflicting_plan(monkeypatch):
+    # tiny 9's start plan grants 6 of its certified 7, so the final ILP runs; its plan
+    # routes requests 0 (n3-n0) and 2 (n3-n0-n1) over link 2 from slot 1
+    inst = make_random_tiny_instance(9)
+    routes = [(inst.requests[0], (2,), ("n3", "n0")), (inst.requests[2], (2, 0), ("n3", "n0", "n1"))]
     clash = [
-        Configuration(start_slot=1, routes=((PricingRequest.from_request(r), link),))
-        for r in inst.requests
+        Configuration(1, ((PricingRequest.from_request(r), Path(links=links, nodes=nodes)),))
+        for r, links, nodes in routes
     ]
-    mip = MipSolution(SolveStatus.OPTIMAL, 2.0, {}, 0.0)
-    monkeypatch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (2.0, clash, mip))
-    with pytest.raises(ConflictDetected, match=r"\(0, 1\)"):
+    mip = MipSolution(SolveStatus.OPTIMAL, 5.0, {}, 0.0)
+    monkeypatch.setattr(RestrictedMaster, "solve_final_ilp", lambda *args, **kw: (5.0, clash, mip))
+    with pytest.raises(ConflictDetected, match=r"\(2, 1\)"):
         solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
@@ -573,6 +574,44 @@ def test_acceptance_8_certifies_from_its_first_fit_start(backend):
     assert report.certified and report.z_lp_star_slots == pytest.approx(176.0)
     assert report.outer_iterations == 0 and len(report.lp_value_trace) == 1
     assert report.columns_generated == 0 and plan.throughput_slots == report.z_ilp_slots
+
+
+def _counted(patch, owner, name) -> list:
+    """Patch `owner.name` to record the arguments of each call, and return the record."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_final_ilp_runs_only_below_the_bound(monkeypatch, backend):
+    # a start plan of `most` slots, the floor of the bound, is optimal: no final ILP runs,
+    # and the plan is returned after one scan
+    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
+    scans = _counted(monkeypatch, solver_module, "verify_plan")
+    tiny = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    spain = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)
+    cases = [(make_random_tiny_instance(i), tiny) for i in range(40)]
+    calls = {}
+    for inst, config in cases + [(spain, SolveConfig(backend=backend))]:
+        ilp_calls.clear()
+        scans.clear()
+        report, plan = solve(inst, config)
+        calls[inst.name] = len(ilp_calls)
+        bound = report.z_lp_star_slots if report.certified else report.z_ub_slots
+        most = math.floor(bound + 1e-6 * (1.0 + bound))
+        assert len(ilp_calls) <= 1, inst.name
+        if not ilp_calls:
+            assert plan.throughput_slots == report.z_ilp_slots == most, inst.name
+            assert report.final_ilp_gap == 0.0 and report.timings["ilp_phase"] == 0.0
+            assert [args[1] for args in scans] == [plan], inst.name
+            verify_plan(inst, plan, expected_slots=most)
+    assert calls[spain.name] == 0 and calls["tiny9"] == 1  # plans of 176 of 176 and 6 of 7
 
 
 def _recorded_passes(patch, rmp):
