@@ -192,13 +192,15 @@ def slot_set_rows(slots: int, widths: Sequence[int]) -> tuple[np.ndarray, np.nda
     """The slot sets T of the flow bound's link rows, as (hits_w(T) by set and width, |T|).
 
     The candidates are the centred intervals of every length, the full spectrum
-    first, and for each width w the progressions {o, o + w, ...}. A row whose
+    first, for each width w the progressions {o, o + w, ...}, and for each width
+    w >= 2 their gap sets, the slots that a progression misses. A row whose
     hits_w(T) / |T| another row matches or exceeds at every width is implied by
     that row and left out, and of two rows with equal ratios the later one.
     """
     slot = np.arange(slots)
     sets = [(slot >= (slots - n) // 2) & (slot < (slots - n) // 2 + n) for n in range(slots, 0, -1)]
     sets += [(slot >= o) & ((slot - o) % w == 0) for w in widths for o in range(w)]
+    sets += [(slot < o) | ((slot - o) % w != 0) for w in widths if w >= 2 for o in range(w)]
     sets = np.array(sets)
     hits, size = window_hits(sets, widths), sets.sum(axis=1)
     # a row implied by another has the smaller ratio sum, exactly so unless their
@@ -325,7 +327,8 @@ class RestrictedMaster:
         dual, under which a dropped column would price out again.
 
         The first value that falls short of `upper_bound` lowers it to the flow
-        bound, once, so a run can meet that bound before its first priced round.
+        bound, once, so a run can meet that bound, and its any-order start passes
+        stop at it, before its first priced round.
         """
         sol = self._solve_lp_checked()
         dropped = self.model.prune(sol, self._columns)
@@ -352,7 +355,8 @@ class RestrictedMaster:
 
         Max sum w_k y_k, y_k in [0, 1]: request k ships y_k lightpaths of width
         w_k between its ends. Each link has one row per slot set T of
-        `slot_set_rows`, `sum_w hits_w(T) flow_w(link) <= |T|` over both
+        `slot_set_rows` (intervals, progressions and their gaps),
+        `sum_w hits_w(T) flow_w(link) <= |T|` over both
         directions: a width-w lightpath takes at least hits_w(T) of the link's
         cells in T, and each cell holds at most one lightpath.
 

@@ -4,7 +4,10 @@ The master starts from the columns of the best of several first-fit plans
 (`master.first_fit`), widest request first: ties by key ascending, then
 descending, then shuffled by `random.Random(0)`. The passes stop at the first
 plan that meets the master's `upper_bound`, once every order of equal widths
-has run, at the deadline, or after FIRST_FIT_PASSES. One outer round: solve the
+has run, at the deadline, or after FIRST_FIT_PASSES. Where those orders run out
+and the first LP falls short of the bound, the passes left take orders shuffled
+whole, with the same stops; a better plan's columns join the master, whose LP is
+solved again before any round is priced. One outer round: solve the
 master LP (pruning dropped columns), snapshot the duals, price every starting
 slot against that snapshot, add every improving configuration, and offer each
 one at the other start slots where it prices too (at most SHARED_PER_SLOT a
@@ -83,10 +86,10 @@ class SolveReport:
     Epsilons are fractions (table display multiplies by 100) against
     `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
-    columns, shared ones included; the first-fit columns the master starts from
-    are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the final ILP's
-    proven gap and its time with post-processing; 0 where a start plan that meets
-    the bound skips it.
+    columns, shared ones included; the start plans' columns, widest-first or
+    any-order, are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the
+    final ILP's proven gap and its time with post-processing; 0 where a start plan
+    that meets the bound skips it.
     """
 
     instance_name: str
@@ -221,14 +224,15 @@ def _shared_columns(
 
 
 def _first_fit_orders(
-    requests: Sequence[PricingRequest], rank: Callable[[PricingRequest], tuple], fixed=()
+    requests: Sequence[PricingRequest], rank: Callable[[PricingRequest], tuple], fixed=(), seen=None
 ) -> Iterator[list[PricingRequest]]:
-    """Distinct request orders by ascending `rank`: the `fixed` ones, then ties shuffled
-    by random.Random(0). They stop at FIRST_FIT_PASSES, or when none is left: there are
-    prod(n!) over the groups of n requests of equal rank."""
+    """Distinct request orders by ascending `rank`, none in `seen`: the `fixed` ones, then
+    ties shuffled by random.Random(0). Each order yielded joins `seen` (a new set if None);
+    they stop when it holds FIRST_FIT_PASSES orders, or none is left: there are prod(n!)
+    over the groups of n requests of equal rank."""
     groups = Counter(rank(p) for p in requests).values()
     limit = min(FIRST_FIT_PASSES, math.prod(math.factorial(n) for n in groups))
-    rng, seen = random.Random(0), set()
+    rng, seen = random.Random(0), set() if seen is None else seen
 
     def shuffled() -> Iterator[list[PricingRequest]]:
         while True:
@@ -237,12 +241,12 @@ def _first_fit_orders(
             yield sorted(order, key=rank)  # a stable sort keeps the shuffled ties
 
     for order in itertools.chain(fixed, shuffled()):
+        if len(seen) >= limit:
+            return
         keys = tuple(p.key for p in order)
         if keys not in seen:
             seen.add(keys)
             yield order
-            if len(seen) == limit:
-                return
 
 
 def solve(
@@ -262,19 +266,28 @@ def solve(
     def meets(plan: ProvisioningPlan, bound: float) -> bool:  # no plan within `bound` grants more
         return plan.throughput_slots >= math.floor(bound + 1e-6 * (1.0 + bound))
 
+    def passes(orders: Iterator[list[PricingRequest]]) -> Iterator[tuple[list, ProvisioningPlan]]:
+        for order in orders:
+            columns = first_fit(instance, order)
+            yield columns, rmp.post_process(columns)
+
+    def best_of(best: tuple, candidates: Iterator[tuple], bound: float) -> tuple:
+        """`best`, or the first (columns, plan) candidate of greater value than all before
+        it, searched until the best meets `bound`, the deadline passes or none is left."""
+        while not (meets(best[1], bound) or past_deadline()):
+            candidate = next(candidates, None)
+            if candidate is None:
+                break
+            if candidate[1].throughput_slots > best[1].throughput_slots:
+                best = candidate
+        return best
+
     # the start plan: the best of first-fit passes, widest first; its columns seed the master
     by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
-    start, tried = None, set()  # the best start pass; the orders run, as request keys
-    for order in _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key):
-        tried.add(tuple(p.key for p in order))
-        columns = first_fit(instance, order)
-        plan = rmp.post_process(columns)
-        if start is None or plan.throughput_slots > start[1].throughput_slots:
-            start = columns, plan
-        if meets(plan, rmp.upper_bound) or past_deadline():
-            break
-    seed, start = start
-    for column in seed:
+    tried: set[tuple] = set()  # the orders of the start passes, as request keys
+    starts = passes(_first_fit_orders(slot_requests, lambda p: (-p.width,), by_key, tried))
+    start = best_of(next(starts), starts, rmp.upper_bound)
+    for column in start[0]:
         rmp.add_column(column)
 
     lp_trace: list[float] = []
@@ -289,6 +302,14 @@ def solve(
         met_bound = rmp.meets_bound(z_lp_star)
         if met_bound or timed_out:
             break
+        if len(lp_trace) == 1:  # any order, in the passes the widest-first orders left
+            any_order = _first_fit_orders(slot_requests, lambda p: (), seen=tried)
+            found = best_of(start, passes(any_order), rmp.upper_bound)
+            if found is not start:
+                start = found
+                for column in start[0]:
+                    rmp.add_column(column)
+                continue
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
             raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")
@@ -307,7 +328,7 @@ def solve(
     bound = z_lp_star if certified else rmp.upper_bound  # an uncertified z_lp is no bound
     timings = {"lp_phase": time.monotonic() - t0, "ilp_phase": 0.0}
     # the plan search of the module docstring; a start plan that meets the bound is optimal
-    plan, scanned, ilp_gap = start, False, 0.0
+    plan, ilp_plan, ilp_gap = start[1], None, 0.0
     if not meets(plan, bound):
         t1 = time.monotonic()  # the final ILP runs even past the deadline
         z, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
@@ -317,16 +338,12 @@ def solve(
         verify_plan(instance, ilp_plan, expected_slots=z)
         grant = {p.key: sum(map(rmp.grants.get, p.members)) / len(p.members) for p in slot_requests}
         by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
-        passes = (  # a start pass's order would give its plan again
-            rmp.post_process(first_fit(instance, order))
-            for order in by_grant if tuple(p.key for p in order) not in tried
-        )
-        for candidate in itertools.chain([ilp_plan], passes):
-            if candidate.throughput_slots > plan.throughput_slots:
-                plan, scanned = candidate, candidate is ilp_plan
-            if meets(plan, bound) or past_deadline():
-                break
-    if not scanned:
+        # a start pass's order would give its plan again
+        untried = (order for order in by_grant if tuple(p.key for p in order) not in tried)
+        # max keeps the first of equal values, so the start plan wins a tie
+        best = max(start, (selected, ilp_plan), key=lambda c: c[1].throughput_slots)
+        plan = best_of(best, passes(untried), bound)[1]
+    if plan is not ilp_plan:
         verify_plan(instance, plan)  # the one scan of the returned plan for reused cells
     z_ilp = plan.throughput_slots
 

@@ -460,9 +460,13 @@ def test_slot_set_rows_keep_every_candidate_implied_and_no_kept_row(slots):
         ratio = [[h / t for h in row] for row, t in zip(hits.tolist(), size.tolist())]
         for a, b in itertools.permutations(range(len(size)), 2):
             assert any(x > y for x, y in zip(ratio[a], ratio[b])), (slots, widths, a, b)
-        # the candidates: centred intervals of every length and width-step progressions
+        # the candidates: centred intervals of every length, width-step progressions and
+        # the gaps of those of steps of 2 or more
         candidates = [range((slots - n) // 2, (slots - n) // 2 + n) for n in range(1, slots + 1)]
         candidates += [range(o, slots, w) for w in widths for o in range(w)]
+        candidates += [
+            [t for t in range(slots) if t < o or (t - o) % w] for w in widths if w >= 2 for o in range(w)
+        ]
         for members in candidates:
             fewest = [
                 min(sum(o <= t < o + w for t in members) for o in range(slots - w + 1)) for w in widths

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import time
 
@@ -441,7 +442,8 @@ def _equality_flow_bound(inst, backend):
 
 def _flow_bound_cases():
     spain = builtin_topology("spain21")
-    return [make_random_tiny_instance(seed) for seed in range(40)] + [
+    # at tiny 95 a gap row binds: the bound is 6.5, 7 without gap rows
+    return [make_random_tiny_instance(seed) for seed in (*range(40), 95)] + [
         generate_icton_style(spain, num_pairs=35, seed=1, spectrum_slots=slots) for slots in (20, 50)
     ]
 
@@ -485,6 +487,34 @@ def test_flow_bound_lies_above_the_lp_value_that_pricing_certifies(monkeypatch, 
             assert z_lp <= bound + 1e-6 * (1.0 + bound), inst.name
             met += z_lp >= bound - 1e-6 * (1.0 + bound)
     assert met > 0
+
+
+# (links, slots, requests) of base instances of the tiny-oracle benchmark workload,
+# perfbench/workloads.tiny_instance(g), over nodes n0..n5
+TINY_ORACLE_BASES = {
+    33: ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)], 4,
+         [(3, 5, 2), (5, 0, 2), (3, 2, 3), (3, 0, 3), (4, 3, 2)]),
+    130: ([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], 7, [(1, 4, 2), (1, 2, 3), (4, 0, 3)]),
+}
+
+
+def _tiny_oracle_base(g: int) -> Instance:
+    links, slots, requests = TINY_ORACLE_BASES[g]
+    n = [f"n{i}" for i in range(6)]
+    topology = Topology(f"tiny_g{g}", tuple(n), tuple((n[a], n[b]) for a, b in links))
+    requests = tuple(Request(i, n[a], n[b], d) for i, (a, b, d) in enumerate(requests))
+    return Instance(topology=topology, spectrum_slots=slots, requests=requests, name=f"tiny_g{g}")
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_gap_rows_bring_the_flow_bound_down_to_the_lp_value(backend):
+    # 7 slots, widths 2 and 3: the gap set {2, 3, 5, 6} of the progression {1, 4, 7}
+    # gives f2 + 2 f3 <= 4, and with the full spectrum's row a bound of 6.5
+    for inst in (make_random_tiny_instance(95), _tiny_oracle_base(130)):
+        assert RestrictedMaster(inst, backend=backend)._flow_bound() == pytest.approx(6.5)
+        report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        assert report.certified and report.outer_iterations == 1, inst.name
+        assert report.z_lp_star_slots == pytest.approx(6.5) == report.z_ub_slots, inst.name
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -721,6 +751,54 @@ def test_start_passes_stop_when_the_tie_orders_run_out(monkeypatch, two_node, ba
         assert plan.throughput_slots == oracle_solve(inst).value_slots and report.certified
 
 
+def _widest_first_orders(inst: Instance) -> list[list[PricingRequest]]:
+    """Every order of the instance's requests that takes the wider first."""
+    requests = [PricingRequest.from_request(r) for r in inst.requests]
+    orders = [list(order) for order in itertools.permutations(requests)]
+    return [order for order in orders if order == sorted(order, key=lambda p: -p.width)]
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_any_order_passes_certify_where_widest_first_runs_out(monkeypatch, backend):
+    # tiny-oracle base 33 has 3! 2! = 12 widest-first orders, each giving 6 slots; an
+    # any-order pass finds its optimum of 9, which meets the flow bound after one more LP
+    inst = _tiny_oracle_base(33)
+    rmp = RestrictedMaster(inst)
+    orders = _widest_first_orders(inst)
+    assert len(orders) == 12
+    assert {rmp.post_process(first_fit(inst, order)).throughput_slots for order in orders} == {6}
+    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+    assert report.certified and report.outer_iterations == 0 and ilp_calls == []
+    assert report.lp_value_trace == pytest.approx([6.0, 9.0])
+    assert report.z_ilp_slots == plan.throughput_slots == 9 == oracle_solve(inst).value_slots
+    # tiny 45: 3 slots from the widest-first orders, its optimum of 4 from an any-order pass
+    inst = make_random_tiny_instance(45)
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+    assert report.certified and report.outer_iterations == 0 and ilp_calls == []
+    assert report.lp_value_trace == pytest.approx([3.0, 4.0]) and plan.throughput_slots == 4
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_no_any_order_pass_runs_past_the_deadline(monkeypatch, backend):
+    # the deadline passes in base 33's first LP, after its 12 widest-first passes
+    inst = _tiny_oracle_base(33)
+    clock, solve_lp = _Clock(), RestrictedMaster.solve_lp_and_prune
+
+    def late_lp(master):
+        clock.offset = 1e6
+        return solve_lp(master)
+
+    config = SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1000.0, backend=backend)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "time", clock)
+        patch.setattr(RestrictedMaster, "solve_lp_and_prune", late_lp)
+        passes = _recorded_passes(patch, RestrictedMaster(inst))
+        report, _ = solve(inst, config)
+    assert len(passes) == 12 and report.timed_out
+    assert [p.throughput_slots for p in passes] == [6] * 12
+
+
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_reported_upper_bound_holds_also_after_a_time_out(backend):
     config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
@@ -826,9 +904,11 @@ def test_a_round_stops_at_the_deadline_between_slots(monkeypatch, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_a_round_cut_before_any_improving_slot_is_not_certified(monkeypatch, backend):
-    # tiny-95's third round finds nothing at slot 1, whose LP bound is 0, and a
-    # column at a later slot; cut after slot 1, the round must not certify
+    # under the flow bound without gap rows, 7, tiny-95's third round finds nothing at
+    # slot 1, whose LP bound is 0, and a column at a later slot; cut after slot 1, the
+    # round must not certify
     inst = make_random_tiny_instance(95)
+    monkeypatch.setattr(RestrictedMaster, "_flow_bound", lambda master: 7.0)
     _, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
     assert calls[2] > 1
     report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 3, 1)
