@@ -226,15 +226,12 @@ class Model:
         return _solve_lp_bundled(self, deadline=deadline)
 
     def solve_mip(
-        self,
-        relative_gap: float,
-        binaries: Iterable[int],
-        use_warm_start: bool = True,
-        deadline: Optional[float] = None,
+        self, relative_gap: float, binaries: Iterable[int], deadline: Optional[float] = None
     ) -> MipSolution:
-        """Branch-and-bound over `binaries` to the requested gap.
+        """Branch-and-bound over `binaries` to the requested gap, stopped at `deadline`.
 
-        The bounds of `binaries` are cut to [0, 1] in the model, and stay so.
+        The bounds of `binaries` are cut to [0, 1] in the model, and stay so. The
+        bundled root LP starts from the last basis; HiGHS starts its MIP from none.
         With no binaries the MIP is its LP, solved to a zero gap on both engines.
         """
         if not 0.0 <= relative_gap < 1.0:
@@ -243,10 +240,9 @@ class Model:
         j = np.array([self._position(vid) for vid in binaries], dtype=np.intp)
         st = self._store
         st.lo[j], st.hi[j] = np.maximum(st.lo[j], 0.0), np.minimum(st.hi[j], 1.0)
-        if not use_warm_start:
-            self._warm = None
         if not binaries:
-            lp = _solve_lp_highs(self) if self.backend == "highs" else _solve_lp_bundled(self)
+            engine = _solve_lp_highs if self.backend == "highs" else _solve_lp_bundled
+            lp = engine(self, deadline=deadline)
             if lp.status is not SolveStatus.OPTIMAL:
                 return MipSolution(lp.status, -math.inf, {}, math.inf)
             return MipSolution(SolveStatus.OPTIMAL, lp.objective, lp.values, 0.0)
@@ -711,9 +707,12 @@ def _native_stdout_silenced():
         os.close(saved)
 
 
-def _highs_run(mat: ModelArrays, options: dict, integrality=None, warm=None):
-    """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`;
-    an LP from the `_WarmState` basis `warm`, without presolve, if HiGHS finds it consistent."""
+def _highs_run(mat: ModelArrays, options: dict, deadline, integrality=None, warm=None):
+    """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`,
+    with what is left until `deadline` as its time limit; an LP from the `_WarmState` basis
+    `warm`, without presolve, if HiGHS finds it consistent."""
+    if deadline is not None:
+        options = {**options, "time_limit": max(deadline - time.monotonic(), 0.0)}
     h = _highs_core()
     lp = h.HighsLp()
     lp.num_col_, lp.num_row_ = mat.n, mat.m
@@ -750,12 +749,10 @@ def _solve_lp_highs(model: Model, deadline: Optional[float] = None) -> LpSolutio
         return LpSolution(SolveStatus.INFEASIBLE, -math.inf)
     options = {"presolve": "on", "highs_debug_level": 0, "log_to_console": False}  # as linprog
     options.update(output_flag=False, simplex_strategy=1)  # 1: the dual simplex
-    if deadline is not None:
-        options["time_limit"] = max(deadline - time.monotonic(), 0.0)
-    status, highs = _highs_run(mat, options, warm=model._warm)
+    status, highs = _highs_run(mat, options, deadline, warm=model._warm)
     if status in (None, SolveStatus.INFEASIBLE):
         # presolve may end at "infeasible or unbounded" or no verdict; the simplex alone tells
-        status, highs = _highs_run(mat, {**options, "presolve": "off"})
+        status, highs = _highs_run(mat, {**options, "presolve": "off"}, deadline)
     if status is not SolveStatus.OPTIMAL:  # None, a verdict, or the deadline
         return LpSolution(status or SolveStatus.NUMERICAL_FAILURE, -math.inf)
     sol, basis, ids = highs.getSolution(), highs.getBasis(), mat.var_ids
@@ -774,13 +771,11 @@ def _solve_mip_highs(
 ) -> MipSolution:
     mat = model.arrays()
     options: dict = {"log_to_console": False, "mip_rel_gap": relative_gap}
-    if deadline is not None:
-        options["time_limit"] = max(deadline - time.monotonic(), 0.01)
     integral = np.isin(mat.var_ids, binaries)
-    status, highs = _highs_run(mat, options, integral)
+    status, highs = _highs_run(mat, options, deadline, integral)
     if status is None:
         # "unbounded or infeasible": a feasible point makes the MIP unbounded
-        found, _ = _highs_run(replace(mat, c=np.zeros(mat.n)), options, integral)
+        found, _ = _highs_run(replace(mat, c=np.zeros(mat.n)), options, deadline, integral)
         status = SolveStatus.UNBOUNDED if found is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
     objective, gap = highs.getInfo().objective_function_value, highs.getInfo().mip_gap
     # an objective of +inf: no incumbent

@@ -255,7 +255,7 @@ class RestrictedMaster:
         deadline: Optional[float] = None,
     ):
         self.instance = instance
-        self.deadline = deadline  # of the flow-bound LP, a time.monotonic() value
+        self.deadline = deadline  # of the flow-bound LP and the final ILP, a time.monotonic() value
         self.atomics: dict[int, Request] = {r.id: r for r in instance.requests}
         if pricing_requests is None:
             pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]
@@ -430,14 +430,11 @@ class RestrictedMaster:
     # -- final ILP ------------------------------------------------------------
 
     def solve_final_ilp(
-        self,
-        relative_gap: float,
-        deadline: Optional[float] = None,
+        self, relative_gap: float
     ) -> tuple[float, list[Configuration], MipSolution]:
-        """Restrict columns to {0,1} and solve from a fresh start; y integrality must emerge."""
-        mip = self.model.solve_mip(
-            relative_gap, self._columns, use_warm_start=False, deadline=deadline
-        )
+        """Restrict columns to {0,1} and solve until `deadline`, on the bundled engine from
+        the last LP's basis; y integrality must emerge."""
+        mip = self.model.solve_mip(relative_gap, self._columns, self.deadline)
         if mip.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE):
             raise RuntimeError(f"final ILP failed: {mip.status}")
         if not mip.values:  # timed out before any incumbent

@@ -135,7 +135,7 @@ class _InnerProblem:
         integral LP of the current columns is the optimum, without branch and bound."""
         sol = self._lp
         if sol is None or any(INT_TOL < sol.values[vid] < 1 - INT_TOL for vid in self._columns):
-            sol = self.model.solve_mip(0.0, self._columns, use_warm_start=True)
+            sol = self.model.solve_mip(0.0, self._columns)
             if sol.status is not SolveStatus.OPTIMAL:
                 raise RuntimeError(f"pricing ILP failed: {sol.status}")
         chosen = [

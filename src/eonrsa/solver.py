@@ -29,8 +29,9 @@ stops after the slot that ends past the deadline, and then certifies nothing.
 The returned plan is the first of the greatest value among the start plan, the
 final ILP's plan, and first-fit passes that take first the requests the last LP
 grants most, searched in that order until one meets the bound (the certified
-z_lp, else `upper_bound`). A start plan that meets it skips the final ILP; the
-master never sees the passes' columns.
+z_lp, else `upper_bound`) or the deadline passes. A start plan that meets it
+skips the final ILP, and so does a deadline that has passed; a final ILP that
+starts stops at the deadline. The master never sees the passes' columns.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class SolveReport:
     columns, shared ones included; the start plans' columns, widest-first or
     any-order, are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the
     final ILP's proven gap and its time with post-processing; 0 where a start plan
-    that meets the bound skips it.
+    that meets the bound skips it, and a gap of 1.0 in 0 s where the deadline does.
     """
 
     instance_name: str
@@ -170,16 +171,15 @@ def _price_round(
     slot_requests: Sequence[PricingRequest],
     deadline: Optional[float],
 ) -> list[PricingResult]:
-    """Price the starting slots in order against one duals snapshot, one inner solve
-    per distinct pricing key; slot s's result is in place s - 1, its column moved to
-    slot s. The round stops after the first slot that ends past `deadline`."""
-    clamped = duals.clamped()
+    """Price the starting slots in order against one clamped duals snapshot, one inner
+    solve per distinct pricing key; slot s's result is in place s - 1, its column moved
+    to slot s. The round stops after the first slot that ends past `deadline`."""
     priced: dict[tuple, PricingResult] = {}
     results = []
     for s in range(1, instance.spectrum_slots + 1):
-        key = pricing_key(instance, s, clamped, slot_requests)
+        key = pricing_key(instance, s, duals, slot_requests)
         if key not in priced:
-            priced[key] = price_slot(instance, s, clamped, pricing_requests=slot_requests)
+            priced[key] = price_slot(instance, s, duals, pricing_requests=slot_requests)
         res = priced[key]
         if res.configuration is not None:
             res = dataclasses.replace(
@@ -195,7 +195,7 @@ def _shared_columns(
     instance: Instance, duals: MasterDuals, improving: Sequence[Configuration]
 ) -> list[Configuration]:
     """Each improving configuration at the other start slots where its widest window
-    fits and its reduced cost under `duals` (clamped) exceeds IMPROVE_TOL; per slot at
+    fits and its reduced cost under the clamped `duals` exceeds IMPROVE_TOL; per slot at
     most SHARED_PER_SLOT of them, highest reduced cost first, and no two alike."""
     slots = instance.spectrum_slots
     mu = np.zeros((instance.topology.num_links, slots + 1))
@@ -313,12 +313,13 @@ def solve(
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
             raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")
-        results = _price_round(instance, duals, slot_requests, deadline)
+        clamped = duals.clamped()  # one snapshot for the round's slots and shared columns
+        results = _price_round(instance, clamped, slot_requests, deadline)
         timed_out = len(results) < instance.spectrum_slots  # a cut round certifies nothing
         improving = [r.configuration for r in results if r.configuration is not None]
         if not improving:
             break
-        added = improving + _shared_columns(instance, duals.clamped(), improving)
+        added = improving + _shared_columns(instance, clamped, improving)
         for column in added:
             rmp.add_column(column)
         columns_generated += len(added)
@@ -328,10 +329,12 @@ def solve(
     bound = z_lp_star if certified else rmp.upper_bound  # an uncertified z_lp is no bound
     timings = {"lp_phase": time.monotonic() - t0, "ilp_phase": 0.0}
     # the plan search of the module docstring; a start plan that meets the bound is optimal
-    plan, ilp_plan, ilp_gap = start[1], None, 0.0
-    if not meets(plan, bound):
-        t1 = time.monotonic()  # the final ILP runs even past the deadline
-        z, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap, deadline=deadline)
+    plan, ilp_plan = start[1], None
+    short = not meets(plan, bound)
+    ilp_gap = 1.0 if short else 0.0  # a short plan has no gap proved until a final ILP ends
+    if short and not past_deadline():
+        t1 = time.monotonic()
+        z, selected, mip = rmp.solve_final_ilp(config.final_ilp_relative_gap)
         ilp_plan = rmp.post_process(selected)
         timings["ilp_phase"] = time.monotonic() - t1
         ilp_gap = mip.gap if math.isfinite(mip.gap) else 1.0

@@ -58,7 +58,7 @@ def _milp_reference(model: Model, binaries, relative_gap, deadline=None) -> MipS
     a = csc_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.m, mat.n))
     options: dict = {"mip_rel_gap": relative_gap}
     if deadline is not None:
-        options["time_limit"] = max(deadline - time.monotonic(), 0.01)
+        options["time_limit"] = max(deadline - time.monotonic(), 0.0)
     problem = {
         "constraints": LinearConstraint(a, -np.inf, mat.b) if mat.m else None,
         "integrality": np.isin(mat.var_ids, binaries),
@@ -137,9 +137,9 @@ def test_lp_reports_its_basis_and_the_next_lp_starts_from_it(monkeypatch):
     starts = []
     run = lpsolver._highs_run
 
-    def recorded(mat, options, integrality=None, warm=None):
+    def recorded(mat, options, deadline, integrality=None, warm=None):
         starts.append(warm)
-        return run(mat, options, integrality, warm)
+        return run(mat, options, deadline, integrality, warm)
 
     monkeypatch.setattr(lpsolver, "_highs_run", recorded)
     warm = 0
@@ -180,9 +180,9 @@ def test_lp_without_a_presolve_verdict_is_run_again_without_presolve(monkeypatch
     runs = []
     run = lpsolver._highs_run
 
-    def recorded(mat, options, integrality=None, **kwargs):
+    def recorded(mat, options, deadline, integrality=None, **kwargs):
         runs.append(options["presolve"])
-        return run(mat, options, integrality, **kwargs)
+        return run(mat, options, deadline, integrality, **kwargs)
 
     monkeypatch.setattr(lpsolver, "_highs_run", recorded)
     m, _ = _random_lp_model(998500, "highs")
@@ -201,7 +201,7 @@ def test_driver_equals_milp_when_stopped_by_its_time_limit():
         column = {i: a[i][j] for i in range(4)}
         m.add_variable(coeffs={**column, **{4 + i: -v for i, v in column.items()}})
     ids = m.arrays().var_ids
-    deadline = time.monotonic()  # already passed: HiGHS gets its floor of 0.01 s
+    deadline = time.monotonic()  # already passed: HiGHS gets a time limit of 0 s
     new = m.solve_mip(0.0, ids, deadline=deadline)
     assert new.status is SolveStatus.TIME_LIMIT
     _assert_same_mip(new, _milp_reference(m, ids, 0.0, deadline))

@@ -560,13 +560,13 @@ def test_kernel_factor_solves_like_the_dense_basis():
     assert mixed  # some bases held structurals, slacks and artificials at once
 
 
-def _set_packing_mip():
+def _set_packing_mip(backend="bundled"):
     """A 26-column set packing whose branch and bound visits many nodes."""
     rng = random.Random(5)
     n = 26
     objs = [rng.uniform(0.9, 1.1) for _ in range(n)]
     rows = [rng.sample(range(n), 7) for _ in range(12)]
-    m = Model([3.0] * len(rows))
+    m = Model([3.0] * len(rows), backend)
     ids = [
         m.add_variable(obj=objs[j], coeffs={i: 1.0 for i, picked in enumerate(rows) if j in picked})
         for j in range(n)
@@ -611,9 +611,19 @@ def test_failed_node_lp_keeps_the_incumbent(monkeypatch, fail_at):
 def test_lp_stops_at_a_passed_deadline(backend):
     import time
 
-    m, ids = _set_packing_mip()
+    m, ids = _set_packing_mip(backend)
     assert m.solve_lp(deadline=time.monotonic() - 1.0).status is SolveStatus.TIME_LIMIT
     assert m.solve_lp(deadline=time.monotonic() + 60.0).status is SolveStatus.OPTIMAL
     if backend == "bundled":  # so does the branch and bound, with no incumbent
-        mip = m.solve_mip(0.0, ids, use_warm_start=False, deadline=time.monotonic() - 1.0)
+        mip = m.solve_mip(0.0, ids, deadline=time.monotonic() - 1.0)
         assert mip.status is SolveStatus.TIME_LIMIT and mip.values == {}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mip_without_binaries_stops_at_a_passed_deadline(backend):
+    import time
+
+    m, _ = _set_packing_mip(backend)
+    mip = m.solve_mip(0.0, [], deadline=time.monotonic() - 1.0)
+    assert mip.status is SolveStatus.TIME_LIMIT and mip.values == {}
+    assert m.solve_mip(0.0, [], deadline=time.monotonic() + 60.0).status is SolveStatus.OPTIMAL

@@ -271,7 +271,7 @@ def test_final_ilp_single_column_covers_all(small_instance):
 
 def test_final_ilp_value_counts_every_request_its_columns_serve(small_instance, monkeypatch):
     # a HiGHS incumbent cut by its time limit selected a column and left each y at 0
-    rmp = RestrictedMaster(small_instance)
+    rmp = RestrictedMaster(small_instance, deadline=0.0)
     config = Configuration(
         start_slot=1,
         routes=(_route(0, (0,), ("a", "b"), 4), _route(2, (2,), ("a", "c"), 3)),
@@ -280,7 +280,7 @@ def test_final_ilp_value_counts_every_request_its_columns_serve(small_instance, 
     values = {vid: 1.0, **{y: 0.0 for y in rmp._y.values()}}
     lazy = MipSolution(SolveStatus.TIME_LIMIT, 0.0, values, math.inf)
     monkeypatch.setattr(Model, "solve_mip", lambda *args, **kwargs: lazy)
-    value, selected, mip = rmp.solve_final_ilp(0.1, deadline=0.0)
+    value, selected, mip = rmp.solve_final_ilp(0.1)
     assert value == 7.0 and selected == [config] and mip is lazy
     verify_plan(small_instance, rmp.post_process(selected), expected_slots=value)
 

@@ -800,6 +800,30 @@ def test_no_any_order_pass_runs_past_the_deadline(monkeypatch, backend):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_no_final_ilp_starts_past_the_deadline(monkeypatch, backend):
+    # tiny 9's start plan of 6 falls short of its bound of 7; the deadline passes in its
+    # first LP, so no final ILP runs and no gap is proved
+    inst = make_random_tiny_instance(9)
+    rmp = RestrictedMaster(inst)
+    start = rmp.post_process(first_fit(inst, widest_first(rmp.pricing_requests.values())))
+    clock, solve_lp = _Clock(), RestrictedMaster.solve_lp_and_prune
+
+    def late_lp(master):
+        clock.offset = 1e6
+        return solve_lp(master)
+
+    config = SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1000.0, backend=backend)
+    with monkeypatch.context() as patch:
+        ilp_calls = _counted(patch, RestrictedMaster, "solve_final_ilp")
+        patch.setattr(solver_module, "time", clock)
+        patch.setattr(RestrictedMaster, "solve_lp_and_prune", late_lp)
+        report, plan = solve(inst, config)
+    assert report.timed_out and report.z_ub_slots == 7.0 and ilp_calls == []
+    assert plan == start and report.z_ilp_slots == start.throughput_slots == 6
+    assert report.final_ilp_gap == 1.0 and report.timings["ilp_phase"] == 0.0
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_reported_upper_bound_holds_also_after_a_time_out(backend):
     config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
     timed = dataclasses.replace(config, max_wall_clock_seconds=1e-9)
