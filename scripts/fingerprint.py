@@ -23,7 +23,11 @@ results. The cases are:
                        beats the final ILP;
   desk-highs, tiny-oracle
                        the seed-1 batches of perfbench/workloads.py, solved in
-                       order with the workload's settings.
+                       order with the workload's settings;
+  guardband-tri-<backend>
+                       triangle a-b-c, 3 slots, requests (a,c,2), (a,b,2) and
+                       (c,a,3), with derived_pricing_requests at gap 0: no flow
+                       bound, so it certifies by pricing, below its demand of 7.
 """
 
 from __future__ import annotations
@@ -39,33 +43,54 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 from conftest import make_random_tiny_instance  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from eonrsa import SolveConfig, builtin_topology, generate_icton_style, solve  # noqa: E402
+from eonrsa import (  # noqa: E402
+    Instance,
+    Request,
+    SolveConfig,
+    Topology,
+    builtin_topology,
+    derived_pricing_requests,
+    generate_icton_style,
+    solve,
+)
 
 BACKENDS = ("bundled", "highs")
 TINY_SEEDS = range(40)
 
 
+def _guardband_triangle(config: SolveConfig) -> tuple:
+    """The `solve` arguments of the guardband-tri case under `config`."""
+    links = (("a", "b"), ("b", "c"), ("a", "c"))
+    requests = (Request(0, "a", "c", 2), Request(1, "a", "b", 2), Request(2, "c", "a", 3))
+    topology = Topology(name="triangle", nodes=("a", "b", "c"), links=links)
+    inst = Instance(topology=topology, spectrum_slots=3, requests=requests)
+    return inst, config, derived_pricing_requests(inst)
+
+
 def cases():
-    """(name, thunk) pairs; each thunk returns the (instances, config) to solve."""
+    """(name, thunk) pairs; each thunk returns the argument tuples of its `solve` calls."""
     tiny = SolveConfig(final_ilp_relative_gap=0.0)
     for i in TINY_SEEDS:
         for backend in BACKENDS:
-            yield f"tiny-{i}-{backend}", lambda i=i, b=backend: (
-                [make_random_tiny_instance(i)],
-                dataclasses.replace(tiny, backend=b),
-            )
+            yield f"tiny-{i}-{backend}", lambda i=i, b=backend: [
+                (make_random_tiny_instance(i), dataclasses.replace(tiny, backend=b))
+            ]
     for backend in BACKENDS:
-        yield f"acceptance-8-{backend}", lambda b=backend: (
-            [generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)],
+        yield f"acceptance-8-{backend}", lambda b=backend: [(
+            generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50),
             SolveConfig(backend=b),
-        )
+        )]
     for backend, pairs, slots in (("bundled", 20, 12), ("highs", 25, 16)):
-        yield f"congested-{backend}", lambda b=backend, n=pairs, s=slots: (
-            [generate_icton_style(builtin_topology("spain21"), num_pairs=n, seed=1, spectrum_slots=s)],
+        yield f"congested-{backend}", lambda b=backend, n=pairs, s=slots: [(
+            generate_icton_style(builtin_topology("spain21"), num_pairs=n, seed=1, spectrum_slots=s),
             SolveConfig(backend=b),
-        )
+        )]
     for name in ("desk-highs", "tiny-oracle"):
-        yield name, lambda w=WORKLOADS[name]: (w.instances(1), w.config)
+        yield name, lambda w=WORKLOADS[name]: [(inst, w.config) for inst in w.instances(1)]
+    for backend in BACKENDS:
+        yield f"guardband-tri-{backend}", lambda b=backend: [
+            _guardband_triangle(dataclasses.replace(tiny, backend=b))
+        ]
 
 
 def fingerprint(report, plan) -> str:
@@ -89,10 +114,9 @@ def main(words: list[str]) -> int:
     for name, build in cases():
         if words and not any(word in name for word in words):
             continue
-        instances, config = build()
         digest = hashlib.sha256()
-        for inst in instances:
-            digest.update(fingerprint(*solve(inst, config)).encode())
+        for args in build():
+            digest.update(fingerprint(*solve(*args)).encode())
         print(f"{name} {digest.hexdigest()}", flush=True)
     return 0
 

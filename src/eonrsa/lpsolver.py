@@ -1,10 +1,9 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
 A ``Model`` keeps one column store, numpy CSC arrays plus objective and bound
-vectors, and two interchangeable engines read it behind the same contract.
-A model's rows are fixed when it is built, from their right-hand sides; only
-columns are added and removed afterwards, and duals come back as one array
-indexed by row. The engines are:
+vectors, which the LP and MIP engines of each backend (`_ENGINES`) read behind one
+contract. Its rows are fixed, from their right-hand sides, when it is built;
+columns come and go, and duals come back as one array by row. The backends are:
 
 * ``"bundled"`` — a bounded-variable revised simplex (the basis inverse held
   through a dense inverse of the basis kernel only, Dantzig pricing with a
@@ -14,7 +13,8 @@ indexed by row. The engines are:
   scipy.optimize and scipy.sparse are never imported. Faster on large models.
 
 Both engines report the basis of an optimal LP and start the model's next LP
-from it, new columns nonbasic at their lower bound.
+from it, new columns nonbasic at their lower bound. `Model.solve_mip` holds the
+one unboundedness probe that serves both MIP engines.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
@@ -47,8 +47,6 @@ FEAS_TOL = 1e-6
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-9
 INT_TOL = 1e-6
-
-BACKENDS = ("bundled", "highs")
 
 
 class SolveStatus(enum.Enum):
@@ -206,10 +204,6 @@ class Model:
     # -- introspection ----------------------------------------------------
 
     @property
-    def num_variables(self) -> int:
-        return self._store.n
-
-    @property
     def num_constraints(self) -> int:
         return self._store.m
 
@@ -221,18 +215,18 @@ class Model:
 
     def solve_lp(self, deadline: Optional[float] = None) -> LpSolution:
         """The LP, warm from the last basis; TIME_LIMIT once time.monotonic() passes `deadline`."""
-        if self.backend == "highs":
-            return _solve_lp_highs(self, deadline)
-        return _solve_lp_bundled(self, deadline=deadline)
+        return _ENGINES[self.backend][0](self, deadline=deadline)
 
     def solve_mip(
         self, relative_gap: float, binaries: Iterable[int], deadline: Optional[float] = None
     ) -> MipSolution:
         """Branch-and-bound over `binaries` to the requested gap, stopped at `deadline`.
 
-        The bounds of `binaries` are cut to [0, 1] in the model, and stay so. The
-        bundled root LP starts from the last basis; HiGHS starts its MIP from none.
-        With no binaries the MIP is its LP, solved to a zero gap on both engines.
+        The bounds of `binaries` are cut to [0, 1] in the model, and stay so. The bundled
+        root LP starts from the last basis; HiGHS starts its MIP from none. With no binaries
+        the MIP is its LP, solved to a zero gap on both engines. An UNBOUNDED MIP verdict is
+        probed by re-solving a zero-objective copy, gap 0, on the same engine: OPTIMAL makes
+        it UNBOUNDED, UNBOUNDED (no verdict) INFEASIBLE, and any other status is returned.
         """
         if not 0.0 <= relative_gap < 1.0:
             raise ValueError("relative_gap must lie in [0, 1)")
@@ -240,15 +234,20 @@ class Model:
         j = np.array([self._position(vid) for vid in binaries], dtype=np.intp)
         st = self._store
         st.lo[j], st.hi[j] = np.maximum(st.lo[j], 0.0), np.minimum(st.hi[j], 1.0)
+        solve_lp, solve_mip = _ENGINES[self.backend]
         if not binaries:
-            engine = _solve_lp_highs if self.backend == "highs" else _solve_lp_bundled
-            lp = engine(self, deadline=deadline)
+            lp = solve_lp(self, deadline=deadline)
             if lp.status is not SolveStatus.OPTIMAL:
                 return MipSolution(lp.status, -math.inf, {}, math.inf)
             return MipSolution(SolveStatus.OPTIMAL, lp.objective, lp.values, 0.0)
-        if self.backend == "highs":
-            return _solve_mip_highs(self, binaries, relative_gap, deadline)
-        return _solve_mip_bundled(self, binaries, relative_gap, deadline)
+        mip = solve_mip(self, binaries, relative_gap, deadline)
+        if mip.status is not SolveStatus.UNBOUNDED:
+            return mip
+        probe = Model(st.b, self.backend)  # solved by the engine: model calls never nest
+        probe._store = replace(st, c=np.zeros(st.n))
+        found = solve_mip(probe, binaries, 0.0, deadline).status
+        verdict = {SolveStatus.OPTIMAL: mip.status, SolveStatus.UNBOUNDED: SolveStatus.INFEASIBLE}
+        return MipSolution(verdict.get(found, found), -math.inf, {}, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +588,8 @@ def _solve_mip_bundled(
     model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
 ) -> MipSolution:
     root = _solve_lp_bundled(model, deadline=deadline)
-    status = root.status
-    if status is SolveStatus.UNBOUNDED:
-        # as on HiGHS: an integral point makes the MIP unbounded, none makes it infeasible
-        probe = Model(model.arrays().b)
-        probe._store = replace(model.arrays(), c=np.zeros(model.num_variables))
-        found = _solve_mip_bundled(probe, binaries, 0.0, deadline).status
-        status = SolveStatus.UNBOUNDED if found is SolveStatus.OPTIMAL else found
-    if status is not SolveStatus.OPTIMAL:
-        return MipSolution(status, -math.inf, {}, math.inf)
+    if root.status is not SolveStatus.OPTIMAL:  # UNBOUNDED: Model.solve_mip probes
+        return MipSolution(root.status, -math.inf, {}, math.inf)
 
     inc_val = -math.inf
     inc_values: dict[int, float] = {}
@@ -771,17 +763,19 @@ def _solve_mip_highs(
 ) -> MipSolution:
     mat = model.arrays()
     options: dict = {"log_to_console": False, "mip_rel_gap": relative_gap}
-    integral = np.isin(mat.var_ids, binaries)
-    status, highs = _highs_run(mat, options, deadline, integral)
-    if status is None:
-        # "unbounded or infeasible": a feasible point makes the MIP unbounded
-        found, _ = _highs_run(replace(mat, c=np.zeros(mat.n)), options, deadline, integral)
-        status = SolveStatus.UNBOUNDED if found is SolveStatus.OPTIMAL else SolveStatus.INFEASIBLE
+    status, highs = _highs_run(mat, options, deadline, np.isin(mat.var_ids, binaries))
     objective, gap = highs.getInfo().objective_function_value, highs.getInfo().mip_gap
-    # an objective of +inf: no incumbent
+    # an objective of +inf: no incumbent; no verdict (None) is UNBOUNDED, for solve_mip to probe
     if status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT) or objective == math.inf:
-        return MipSolution(status, -math.inf, {}, math.inf)
+        return MipSolution(status or SolveStatus.UNBOUNDED, -math.inf, {}, math.inf)
     values = dict(zip(mat.var_ids, highs.getSolution().col_value))
     if status is SolveStatus.OPTIMAL and gap > 1e-9:
         status = SolveStatus.FEASIBLE
     return MipSolution(status, 0.0 - objective, values, gap)
+
+
+_ENGINES = {  # each backend's (LP engine, MIP engine): the one place a Model finds them
+    "bundled": (_solve_lp_bundled, _solve_mip_bundled),
+    "highs": (_solve_lp_highs, _solve_mip_highs),
+}
+BACKENDS = tuple(_ENGINES)

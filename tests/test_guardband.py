@@ -96,7 +96,7 @@ def test_extended_rmp_prices_three_requests(one_pair_instance):
     widths = sorted(p.width for p in rmp.pricing_requests.values())
     assert widths == [2, 3, 4]
     # grant rows stay per atomic
-    assert rmp.model.num_variables == 2
+    assert rmp.model.arrays().n == 2
 
 
 def test_singletons_only_reduces_to_base(one_pair_instance):

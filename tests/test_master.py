@@ -61,7 +61,7 @@ def small_instance(triangle):
 def test_fresh_rmp_shape(small_instance):
     rmp = RestrictedMaster(small_instance)
     # 3 grant variables, 3 coverage rows, |L| * |S| occupancy rows
-    assert rmp.model.num_variables == 3
+    assert rmp.model.arrays().n == 3
     assert rmp.model.num_constraints == 3 + 3 * 10
     value, duals = rmp.solve_lp_and_prune()
     assert value == 0.0

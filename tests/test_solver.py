@@ -547,6 +547,26 @@ def test_fused_windows_keep_the_demand_bound(two_node, backend):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_guard_band_run_certifies_by_pricing(monkeypatch, triangle, backend):
+    # a guard-band run gets no flow bound, so its LP value of 5 stays below the demand
+    # bound of 7: only pricing, every slot's LP bound at zero, can certify it
+    requests = (Request(0, "a", "c", 2), Request(1, "a", "b", 2), Request(2, "c", "a", 3))
+    inst = Instance(topology=triangle, spectrum_slots=3, requests=requests)
+    derived = derived_pricing_requests(inst)
+    verdicts = []
+
+    def counting(results):
+        verdicts.append(certify(results))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver_module, "certify", counting)
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend), derived)
+    assert report.certified and verdicts == [True]
+    assert report.z_lp_star_slots < report.z_ub_slots - 1e-6 and report.outer_iterations >= 1
+    assert report.z_ilp_slots == plan.throughput_slots == oracle_solve(inst, derived).value_slots
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
     inst = Instance(topology=two_node, spectrum_slots=2, requests=(Request(0, "a", "b", 3),))
     report, _ = solve(inst, SolveConfig(backend=backend))
