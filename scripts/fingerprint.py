@@ -27,7 +27,15 @@ results. The cases are:
   guardband-tri-<backend>
                        triangle a-b-c, 3 slots, requests (a,c,2), (a,b,2) and
                        (c,a,3), with derived_pricing_requests at gap 0: no flow
-                       bound, so it certifies by pricing, below its demand of 7.
+                       bound, so it certifies by pricing, below its demand of 7;
+  check-oracle, check-desk
+                       the tiny-oracle and desk-highs batches of seeds 1..10;
+  check-small-<backend>
+                       make_random_tiny_instance(i), i in 0..199, gap 0.
+
+The four check-* cases are the 2,520 check solves, one hash each over their
+solves in order; their names contain none of the words tiny, acceptance and
+congested, so those words select what they did before.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ from eonrsa import (  # noqa: E402
 
 BACKENDS = ("bundled", "highs")
 TINY_SEEDS = range(40)
+CHECK_SEEDS = range(1, 11)  # workload seeds of check-oracle and check-desk
+CHECK_SMALL = range(200)  # tiny instances of check-small-<backend>
 
 
 def _guardband_triangle(config: SolveConfig) -> tuple:
@@ -90,6 +100,14 @@ def cases():
     for backend in BACKENDS:
         yield f"guardband-tri-{backend}", lambda b=backend: [
             _guardband_triangle(dataclasses.replace(tiny, backend=b))
+        ]
+    for name, workload in (("check-oracle", "tiny-oracle"), ("check-desk", "desk-highs")):
+        yield name, lambda w=WORKLOADS[workload]: [
+            (inst, w.config) for seed in CHECK_SEEDS for inst in w.instances(seed)
+        ]
+    for backend in BACKENDS:
+        yield f"check-small-{backend}", lambda b=backend: [
+            (make_random_tiny_instance(i), dataclasses.replace(tiny, backend=b)) for i in CHECK_SMALL
         ]
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eonrsa import (  # noqa: E402
+    BUILTIN_TOPOLOGIES,
     Instance,
     SolveConfig,
     aggregate_per_node_pair,
@@ -35,6 +36,7 @@ from eonrsa.cli import (  # noqa: E402
     report_row,
     rows_to_markdown,
 )
+from eonrsa.lpsolver import BACKENDS  # noqa: E402
 from eonrsa.solver import DEFAULT_FINAL_GAP  # noqa: E402
 
 CONFERENCE_LADDER = [(35, 50), (45, 60), (60, 75), (64, 85), (70, 100)]
@@ -63,7 +65,7 @@ def backbone_instances(topology, loads_tbps, spectrum, seed):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--topology", default="spain21", choices=("spain21", "usa24"))
+    parser.add_argument("--topology", default="spain21", choices=BUILTIN_TOPOLOGIES)
     parser.add_argument("--suite", default="conference", choices=("conference", "backbone"))
     parser.add_argument("--loads", type=_positive_float, nargs="*", default=[2.0, 4.0],
                         help="offered loads in Tbps (backbone suite)")
@@ -72,7 +74,7 @@ def main() -> int:
     parser.add_argument(
         "--gap", type=_gap, default=DEFAULT_FINAL_GAP, help="final ILP relative gap, in [0, 1)"
     )
-    parser.add_argument("--backend", default="highs", choices=("bundled", "highs"))
+    parser.add_argument("--backend", default="highs", choices=BACKENDS)
     args = parser.parse_args()
 
     topology = builtin_topology(args.topology)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -86,27 +87,14 @@ def plan_to_json_obj(instance: Instance, plan: ProvisioningPlan) -> dict:
 
 
 def report_to_json_obj(report: SolveReport) -> dict:
+    """run.json: every report field but `prune_checks`, then the two values in Tbps."""
+    fields = dataclasses.asdict(report)
+    del fields["prune_checks"]  # its second values are `lp_value_trace`
     return {
-        "instance": report.instance_name,
-        "spectrum_slots": report.spectrum_slots,
-        "num_requests": report.num_requests,
-        "offered_load_gbps": report.offered_load_gbps,
-        "slot_rate_gbps": report.slot_rate_gbps,
-        "z_lp_star_slots": report.z_lp_star_slots,
-        "z_ilp_slots": report.z_ilp_slots,
-        "z_ub_slots": report.z_ub_slots,
+        "instance": fields.pop("instance_name"),
+        **fields,
         "z_lp_star_tbps": report.z_lp_star_tbps,
         "z_ilp_tbps": report.z_ilp_tbps,
-        "epsilon_lp": report.epsilon_lp,
-        "epsilon_tab": report.epsilon_tab,
-        "gos_percent": report.gos_percent,
-        "certified": report.certified,
-        "timed_out": report.timed_out,
-        "outer_iterations": report.outer_iterations,
-        "columns_generated": report.columns_generated,
-        "final_ilp_gap": report.final_ilp_gap,
-        "timings": report.timings,
-        "lp_value_trace": report.lp_value_trace,
     }
 
 
@@ -117,32 +105,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
-    return value
+def _number_in(kind: type, accepts, reason: str):
+    """An argparse type for a `kind` (int or float) value that `accepts(value)` holds for."""
 
-
-_positive_int.__name__ = "int"  # argparse names the type in "invalid int value"
-
-
-def _float_in(accepts, reason: str):
-    """An argparse type for a float that `accepts(value)` holds for."""
-
-    def parse(text: str) -> float:
-        value = float(text)
+    def parse(text: str):
+        value = kind(text)
         if not accepts(value):
             raise argparse.ArgumentTypeError(f"must be {reason}, not {value}")
         return value
 
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
-_positive_float = _float_in(lambda v: 0 < v < math.inf, "a positive finite number")
-_gap = _float_in(lambda v: 0 <= v < 1, "a fraction in [0, 1)")
-_time_limit = _float_in(lambda v: 0 <= v < math.inf, "finite and non-negative")
+_positive_int = _number_in(int, lambda v: v > 0, "a positive integer")
+_positive_float = _number_in(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_gap = _number_in(float, lambda v: 0 <= v < 1, "a fraction in [0, 1)")
+_time_limit = _number_in(float, lambda v: 0 <= v < math.inf, "finite and non-negative")
 
 
 def _build_parser() -> _Parser:
@@ -165,10 +144,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--spectrum", type=_positive_int, help="spectrum size override (slots)")
 
     gen = sub.add_parser("generate", help="write a seeded instance file")
+    gen.set_defaults(run=cmd_generate)
     add_instance_source(gen, from_file=False)
     gen.add_argument("--out-dir", default=".", help="output directory")
 
     slv = sub.add_parser("solve", help="solve an instance and emit result files")
+    slv.set_defaults(run=cmd_solve)
     add_instance_source(slv)
     slv.add_argument(
         "--gap", type=_gap, default=DEFAULT_FINAL_GAP, help="final ILP relative gap, in [0, 1)"
@@ -181,6 +162,7 @@ def _build_parser() -> _Parser:
     slv.add_argument("--time-limit", type=_time_limit, default=0.0, help="wall-clock seconds, 0 = none")
 
     ver = sub.add_parser("verify", help="solve a tiny instance and check it against the oracle")
+    ver.set_defaults(run=cmd_verify)
     add_instance_source(ver)
     ver.add_argument("--gap", type=_gap, default=0.0, help="final ILP relative gap, in [0, 1)")
     ver.add_argument("--backend", choices=BACKENDS, default="bundled")
@@ -264,19 +246,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return args.run(args)  # the subcommand's cmd_* function
     except LimitsExceeded as exc:
         print(f"instance too large for the oracle: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (EonRsaError, OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -449,10 +449,14 @@ class RestrictedMaster:
             if mip.values.get(vid, 0.0) > 0.5
         ]
         # the value of what the columns serve: a timed-out incumbent may leave such a y at 0
-        served = {k for config in selected for k in config.served_atomics()}
-        return float(sum(self.atomics[k].demand for k in served)), selected, mip
+        return float(self.served_slots(selected)), selected, mip
 
     # -- post-processing ---------------------------------------------------
+
+    def served_slots(self, columns: Iterable[Configuration]) -> int:
+        """The demand of the atomic requests `columns` serve: their post-processed plan's value."""
+        served = {k for config in columns for k in config.served_atomics()}
+        return sum(self.atomics[k].demand for k in served)
 
     def post_process(self, selected: Iterable[Configuration]) -> ProvisioningPlan:
         """Collapse multiple grants per request down to a single lightpath.
@@ -479,10 +483,9 @@ class RestrictedMaster:
             kept.add(chosen)
             assignments[k] = chosen
 
-        throughput = sum(self.atomics[k].demand for k in assignments)
         return ProvisioningPlan(
             assignments=assignments,
-            throughput_slots=throughput,
+            throughput_slots=sum(self.atomics[k].demand for k in assignments),
             slot_rate_gbps=self.instance.slot_rate_gbps,
         )
 

@@ -31,7 +31,8 @@ final ILP's plan, and first-fit passes that take first the requests the last LP
 grants most, searched in that order until one meets the bound (the certified
 z_lp, else `upper_bound`) or the deadline passes. A start plan that meets it
 skips the final ILP, and so does a deadline that has passed; a final ILP that
-starts stops at the deadline. The master never sees the passes' columns.
+starts stops at the deadline. The master never sees the passes' columns. The LP
+value trace is the second value of each prune check.
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ class SolveReport:
     any-order, are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the
     final ILP's proven gap and its time with post-processing; 0 where a start plan
     that meets the bound skips it, and a gap of 1.0 in 0 s where the deadline does.
+    `lp_value_trace` is the second value of each `prune_checks` pair.
     """
 
     instance_name: str
@@ -263,51 +265,46 @@ def solve(
     def past_deadline() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
-    def meets(plan: ProvisioningPlan, bound: float) -> bool:  # no plan within `bound` grants more
-        return plan.throughput_slots >= math.floor(bound + 1e-6 * (1.0 + bound))
+    def meets(slots: int, bound: float) -> bool:  # no plan within `bound` grants more
+        return slots >= math.floor(bound + 1e-6 * (1.0 + bound))
 
-    def passes(orders: Iterator[list[PricingRequest]]) -> Iterator[tuple[list, ProvisioningPlan]]:
-        for order in orders:
-            columns = first_fit(instance, order)
-            yield columns, rmp.post_process(columns)
-
-    def best_of(best: tuple, candidates: Iterator[tuple], bound: float) -> tuple:
-        """`best`, or the first (columns, plan) candidate of greater value than all before
+    def best_of(best: list, candidates: Iterator[list], bound: float) -> list:
+        """`best`, or the first candidate plan, as columns, that serves more than all before
         it, searched until the best meets `bound`, the deadline passes or none is left."""
-        while not (meets(best[1], bound) or past_deadline()):
+        value = rmp.served_slots(best)
+        while not (meets(value, bound) or past_deadline()):
             candidate = next(candidates, None)
             if candidate is None:
                 break
-            if candidate[1].throughput_slots > best[1].throughput_slots:
-                best = candidate
+            if (slots := rmp.served_slots(candidate)) > value:
+                best, value = candidate, slots
         return best
 
     # the start plan: the best of first-fit passes, widest first; its columns seed the master
     by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
     tried: set[tuple] = set()  # the orders of the start passes, as request keys
-    starts = passes(_first_fit_orders(slot_requests, lambda p: (-p.width,), by_key, tried))
+    orders = _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key, tried)
+    starts = (first_fit(instance, order) for order in orders)
     start = best_of(next(starts), starts, rmp.upper_bound)
-    for column in start[0]:
+    for column in start:
         rmp.add_column(column)
 
-    lp_trace: list[float] = []
     columns_generated = outer = 0
     timed_out = met_bound = False
 
     while True:
         # after a timed-out round, this solve gives the bound of the final RMP
         z_lp_star, duals = rmp.solve_lp_and_prune()
-        lp_trace.append(z_lp_star)
         # no LP can beat this value, so no column can raise it, time-out or not
         met_bound = rmp.meets_bound(z_lp_star)
         if met_bound or timed_out:
             break
-        if len(lp_trace) == 1:  # any order, in the passes the widest-first orders left
+        if len(rmp.prune_checks) == 1:  # any order, in the passes the widest-first orders left
             any_order = _first_fit_orders(slot_requests, lambda p: (), seen=tried)
-            found = best_of(start, passes(any_order), rmp.upper_bound)
+            found = best_of(start, (first_fit(instance, o) for o in any_order), rmp.upper_bound)
             if found is not start:
                 start = found
-                for column in start[0]:
+                for column in start:
                     rmp.add_column(column)
                 continue
         outer += 1
@@ -329,8 +326,8 @@ def solve(
     bound = z_lp_star if certified else rmp.upper_bound  # an uncertified z_lp is no bound
     timings = {"lp_phase": time.monotonic() - t0, "ilp_phase": 0.0}
     # the plan search of the module docstring; a start plan that meets the bound is optimal
-    plan, ilp_plan = start[1], None
-    short = not meets(plan, bound)
+    chosen, selected = start, None
+    short = not meets(rmp.served_slots(start), bound)
     ilp_gap = 1.0 if short else 0.0  # a short plan has no gap proved until a final ILP ends
     if short and not past_deadline():
         t1 = time.monotonic()
@@ -342,11 +339,11 @@ def solve(
         grant = {p.key: sum(map(rmp.grants.get, p.members)) / len(p.members) for p in slot_requests}
         by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
         # a start pass's order would give its plan again
-        untried = (order for order in by_grant if tuple(p.key for p in order) not in tried)
+        untried = (first_fit(instance, o) for o in by_grant if tuple(p.key for p in o) not in tried)
         # max keeps the first of equal values, so the start plan wins a tie
-        best = max(start, (selected, ilp_plan), key=lambda c: c[1].throughput_slots)
-        plan = best_of(best, passes(untried), bound)[1]
-    if plan is not ilp_plan:
+        chosen = best_of(max(start, selected, key=rmp.served_slots), untried, bound)
+    plan = rmp.post_process(chosen)
+    if chosen is not selected:
         verify_plan(instance, plan)  # the one scan of the returned plan for reused cells
     z_ilp = plan.throughput_slots
 
@@ -369,7 +366,7 @@ def solve(
         columns_generated=columns_generated,
         final_ilp_gap=ilp_gap,
         timings={**timings, "total": time.monotonic() - t0},
-        lp_value_trace=lp_trace,
+        lp_value_trace=[after for _, after in rmp.prune_checks],
         prune_checks=list(rmp.prune_checks),
     )
     return report, plan

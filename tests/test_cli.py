@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from eonrsa import Instance, ProvisioningPlan, Request, SolveReport, load_instance, save_instance
+from eonrsa import (
+    Instance,
+    ProvisioningPlan,
+    Request,
+    SolveReport,
+    load_instance,
+    save_instance,
+    solve,
+)
 from eonrsa.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -89,6 +98,34 @@ def test_run_json_reports_the_upper_bound(tmp_path, toy_instance_file):
     # both requests fit the spectrum, so their demand sum bounds every plan
     assert run["z_ub_slots"] == 4.0
     assert run["z_ilp_slots"] <= run["z_lp_star_slots"] <= run["z_ub_slots"]
+
+
+def test_run_json_holds_every_report_field_but_the_prune_checks(
+    tmp_path, toy_instance_file, monkeypatch
+):
+    import eonrsa.cli as cli
+
+    solved = []
+
+    def recording(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve", recording)
+    argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    run = json.loads((tmp_path / "run.json").read_text())
+    report = solved[0][0]
+    names = [f.name for f in dataclasses.fields(SolveReport)]
+    assert names[0] == "instance_name" and "prune_checks" in names
+    expected = {
+        "instance": report.instance_name,
+        **{name: getattr(report, name) for name in names[1:] if name != "prune_checks"},
+        "z_lp_star_tbps": report.z_lp_star_tbps,
+        "z_ilp_tbps": report.z_ilp_tbps,
+    }
+    # the same keys in the same order, with the report's values
+    assert list(run) == list(expected) and run == expected
 
 
 def test_solve_require_certified_passes_on_certified(tmp_path, toy_instance_file):

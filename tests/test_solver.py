@@ -617,6 +617,47 @@ def test_first_fit_columns_form_a_plan(triangle, backend):
         assert rmp.solve_lp_and_prune()[0] >= plan.throughput_slots - 1e-6, inst.name
 
 
+def test_served_slots_is_the_value_of_the_post_processed_plan(triangle):
+    # the plan search ranks column lists by served_slots and post-processes only the winner
+    cases = []
+    for seed in range(40):
+        inst = make_random_tiny_instance(seed)
+        rmp = RestrictedMaster(inst)
+        orders = [widest_first(rmp.pricing_requests.values(), k) for k in (False, True)]
+        cases += [(rmp, first_fit(inst, order)) for order in orders]
+    # an incumbent may select two columns that serve one request, as here request 0
+    small = Instance(triangle, 10, (Request(0, "a", "b", 4), Request(1, "b", "c", 2)))
+    rmp = RestrictedMaster(small)
+    ab, bc = (PricingRequest.from_request(r) for r in small.requests)
+    two_hop = Configuration(1, ((ab, Path((2, 1), ("a", "c", "b"))),))
+    both = Configuration(5, ((ab, Path((0,), ("a", "b"))), (bc, Path((1,), ("b", "c")))))
+    cases.append((rmp, [two_hop, both]))
+    # guard-band columns, some of a fused window, alone and over-covering in pairs
+    gb = _guardband_instance(triangle)
+    rmp = RestrictedMaster(gb, derived_pricing_requests(gb))
+    plans = [first_fit(gb, order) for order in itertools.permutations(rmp.pricing_requests.values())]
+    assert any(len(req.members) > 1 for plan in plans for c in plan for req, _ in c.routes)
+    cases += [(rmp, plan) for plan in plans] + [(rmp, a + b) for a, b in zip(plans, plans[1:])]
+    for rmp, columns in cases:
+        assert rmp.served_slots(columns) == rmp.post_process(columns).throughput_slots
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_post_process_runs_once_per_solve_and_once_per_final_ilp(monkeypatch, backend):
+    # the returned plan's columns are post-processed once, and a final ILP's selection
+    # once more for its own scan; no candidate plan is
+    post = _counted(monkeypatch, RestrictedMaster, "post_process")
+    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
+    ilps = 0
+    for i in range(40):
+        post.clear()
+        ilp_calls.clear()
+        solve(make_random_tiny_instance(i), SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        assert len(post) == 1 + len(ilp_calls), i
+        ilps += len(ilp_calls)
+    assert ilps > 0  # tiny9's start plan falls short of its bound
+
+
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_acceptance_8_certifies_from_its_first_fit_start(backend):
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)
