@@ -13,6 +13,7 @@ Examples:
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -21,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from eonrsa import (  # noqa: E402
     BUILTIN_TOPOLOGIES,
-    Instance,
     SolveConfig,
     aggregate_per_node_pair,
     builtin_topology,
@@ -54,17 +54,13 @@ def backbone_instances(topology, loads_tbps, spectrum, seed):
             topology, target_load_gbps=load * 1000.0, seed=seed, spectrum_slots=spectrum
         )
         aggregated, _ = aggregate_per_node_pair(inst.requests)
-        yield Instance(
-            topology=topology,
-            spectrum_slots=spectrum,
-            requests=tuple(aggregated),
-            slot_rate_gbps=inst.slot_rate_gbps,
-            name=f"{topology.name}_{int(load)}",
-        )
+        yield dataclasses.replace(inst, requests=tuple(aggregated))
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--topology", default="spain21", choices=BUILTIN_TOPOLOGIES)
     parser.add_argument("--suite", default="conference", choices=("conference", "backbone"))
     parser.add_argument("--loads", type=_positive_float, nargs="*", default=[2.0, 4.0],

@@ -33,7 +33,7 @@ from .master import (
     validate_configuration,
 )
 from .oracle import OracleSolution, oracle_max_reduced_cost, oracle_solve, verify_plan
-from .pricing import PricingResult, generate_lightpath, price_slot
+from .pricing import PricingResult, price_slot
 from .solver import Metrics, SolveConfig, SolveReport, certify, report_metrics, solve
 from .topology import (
     BUILTIN_TOPOLOGIES,

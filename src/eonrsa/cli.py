@@ -172,16 +172,13 @@ def _build_parser() -> _Parser:
 def _load_or_generate(args) -> Instance:
     if args.instance:
         inst = load_instance(FsPath(args.instance).read_bytes())
-        return inst if args.spectrum is None else inst.with_spectrum(args.spectrum)
-    if args.topology is None or args.load_tbps is None:
+    elif args.topology is None or args.load_tbps is None:
         print(f"{args.command} requires {args.sources}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return generate_inoc_style(
-        builtin_topology(args.topology),
-        target_load_gbps=args.load_tbps * 1000.0,
-        seed=args.seed,
-        spectrum_slots=400 if args.spectrum is None else args.spectrum,
-    )
+    else:
+        topology = builtin_topology(args.topology)
+        inst = generate_inoc_style(topology, args.load_tbps * 1000.0, args.seed)
+    return dataclasses.replace(inst, spectrum_slots=args.spectrum or inst.spectrum_slots)
 
 
 def cmd_generate(args) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParseError, UnknownNode
@@ -72,9 +72,6 @@ class Instance:
     def offered_load_gbps(self) -> float:
         return self.slot_rate_gbps * self.total_demand_slots
 
-    def with_spectrum(self, spectrum_slots: int) -> "Instance":
-        return replace(self, spectrum_slots=spectrum_slots)
-
 
 def aggregate_per_node_pair(
     requests: Sequence[Request],
@@ -134,7 +131,7 @@ def generate_inoc_style(
         topology=topology,
         spectrum_slots=spectrum_slots,
         requests=tuple(requests),
-        name=f"{topology.name}_{int(round(target_load_gbps / 1000.0))}",
+        name=f"{topology.name}_{target_load_gbps / 1000.0:g}",
     )
 
 
@@ -174,10 +171,11 @@ def save_instance(instance: Instance) -> bytes:
     }
     if instance.name:
         payload["name"] = instance.name
-    if instance.topology.name in BUILTIN_TOPOLOGIES:
-        payload["topology_id"] = instance.topology.name
+    topology = instance.topology
+    if topology.name in BUILTIN_TOPOLOGIES and topology == builtin_topology(topology.name):
+        payload["topology_id"] = topology.name
     else:
-        payload["topology"] = _topology_to_dict(instance.topology)
+        payload["topology"] = _topology_to_dict(topology)
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 

@@ -76,10 +76,6 @@ class Lightpath:
     def members(self) -> tuple[int, ...]:
         return self.request.members
 
-    @property
-    def end_slot(self) -> int:
-        return self.start_slot + self.width - 1
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -119,9 +115,10 @@ def validate_configuration(
     seen_links: set[int] = set()
     for lp in config.lightpaths:
         req = lp.request
-        if lp.start_slot < 1 or lp.end_slot > spectrum_slots:
+        end = lp.start_slot + req.width - 1
+        if lp.start_slot < 1 or end > spectrum_slots:
             raise InvalidConfiguration(
-                f"window [{lp.start_slot}, {lp.end_slot}] outside spectrum 1..{spectrum_slots}"
+                f"window [{lp.start_slot}, {end}] outside spectrum 1..{spectrum_slots}"
             )
         if req.key in seen_keys:
             raise InvalidConfiguration(f"request {req.key} appears twice")

@@ -67,23 +67,6 @@ def pricing_key(
     return tuple((w, win.tobytes()) for w, win in windows.items())
 
 
-def generate_lightpath(
-    instance: Instance, request: PricingRequest, gain: float, weights: np.ndarray
-) -> Optional[tuple[Path, float]]:
-    """Cheapest path for one request under per-link weights, with its reduced cost
-    gain - dist, if that exceeds IMPROVE_TOL."""
-    if gain <= IMPROVE_TOL:
-        return None  # no positive weight can be beaten by a non-negative distance
-    found = shortest_path(instance.topology, request.source, request.dest, weights)
-    if found is None:
-        return None
-    path, dist = found
-    rc = gain - dist
-    if rc <= IMPROVE_TOL:
-        return None
-    return path, rc
-
-
 class _InnerProblem:
     """Pricing RMP for one slot: path columns, atomic request rows (by id), then link rows.
 
@@ -163,6 +146,7 @@ def price_slot(
         return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=0.0)  # no path can gain
 
     inner = _InnerProblem(instance, eligible, mu_gain, windows)
+    eligible.sort(key=lambda p: p.key)
     rc_lp_star = 0.0
     converged = False
     for _ in range(MAX_INNER_ROUNDS):
@@ -171,15 +155,17 @@ def price_slot(
         nu_link = np.maximum(nu_link, 0.0)
         weights = {w: win + nu_link for w, win in windows.items()}
         added = 0
-        for request in sorted(eligible, key=lambda p: p.key):
+        for request in eligible:
             gain = mu_gain[request.key] - sum(nu_request.get(k, 0.0) for k in request.members)
-            gen = generate_lightpath(instance, request, gain, weights[request.width])
-            if gen is None:
-                continue
+            if gain <= IMPROVE_TOL:
+                continue  # no positive weight can be beaten by a non-negative distance
+            weight = weights[request.width]
+            found = shortest_path(instance.topology, request.source, request.dest, weight)
             # a live column's reduced cost is at most OPT_TOL, and the clamped link
             # weights only lower it, so a path priced above IMPROVE_TOL is new
-            inner.add_path(request, gen[0])
-            added += 1
+            if found is not None and gain - found[1] > IMPROVE_TOL:
+                inner.add_path(request, found[0])
+                added += 1
         if added == 0:
             converged = True
             break

@@ -347,7 +347,7 @@ def solve(
         verify_plan(instance, plan)  # the one scan of the returned plan for reused cells
     z_ilp = plan.throughput_slots
 
-    eps = report_metrics(bound, z_ilp, instance.offered_load_gbps / instance.slot_rate_gbps)
+    eps = report_metrics(bound, z_ilp, instance.total_demand_slots)
     report = SolveReport(
         instance_name=instance.name,
         spectrum_slots=instance.spectrum_slots,

@@ -12,6 +12,8 @@ from eonrsa import (
     ProvisioningPlan,
     Request,
     SolveReport,
+    builtin_topology,
+    generate_inoc_style,
     load_instance,
     save_instance,
     solve,
@@ -21,6 +23,8 @@ from eonrsa.cli import (
     EXIT_OK,
     EXIT_UNCERTIFIED,
     EXIT_USAGE,
+    _build_parser,
+    _load_or_generate,
     main,
     report_row,
     rows_to_csv,
@@ -60,6 +64,26 @@ def test_generate_writes_instance(tmp_path):
     assert out.exists()
     inst = load_instance(out.read_bytes())
     assert inst.total_demand_slots >= 2000  # 50 Tbps at 25 Gbps per slot
+
+
+def test_generate_gives_fractional_loads_their_own_files(tmp_path):
+    for load in ("1.5", "2.5"):
+        source = ["--topology", "spain21", "--load-tbps", load]
+        assert main(["generate", *source, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spain21_1.5.json", "spain21_2.5.json"]
+
+
+def test_spectrum_override_gives_one_instance_from_a_file_or_a_topology(tmp_path):
+    expected = generate_inoc_style(builtin_topology("spain21"), 2000.0, seed=3, spectrum_slots=16)
+    source = ["--topology", "spain21", "--load-tbps", "2", "--seed", "3"]
+    assert main(["generate", *source, "--out-dir", str(tmp_path / "full")]) == EXIT_OK
+    (full,) = (tmp_path / "full").iterdir()
+    assert load_instance(full.read_bytes()).spectrum_slots == 400  # the generator's default
+    assert main(["generate", *source, "--spectrum", "16", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert load_instance((tmp_path / "spain21_2.json").read_bytes()) == expected
+    for argv in (["--instance", str(full)], source):
+        args = _build_parser().parse_args(["solve", *argv, "--spectrum", "16"])
+        assert _load_or_generate(args) == expected
 
 
 def test_solve_writes_all_outputs(tmp_path, toy_instance_file, capsys):
@@ -546,3 +570,15 @@ def test_run_benchmark_out_of_range_value_is_usage_error_with_reason(flag, value
     assert "Traceback" not in proc.stderr
     assert f"argument {flag}: must be" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_run_benchmark_help_keeps_the_lines_of_its_description():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_benchmark.py"
+    argv = [sys.executable, str(script), "--help"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert "  conference  - one request per sampled node pair, demands 1..8 slots," in lines
+    assert "  backbone    - load spread over all node pairs, demands {4,8,16} slots with" in lines
+    assert "  python scripts/run_benchmark.py --suite conference --backend highs" in lines
+    assert "  python scripts/run_benchmark.py --suite backbone --loads 5 10 --spectrum 100" in lines

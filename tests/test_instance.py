@@ -121,6 +121,23 @@ def test_round_trip_uses_builtin_topology_id():
     assert load_instance(raw) == inst
 
 
+def test_round_trip_keeps_a_custom_topology_named_like_a_builtin(two_node):
+    topo = Topology(name="spain21", nodes=two_node.nodes, links=two_node.links)
+    inst = Instance(topology=topo, spectrum_slots=4, requests=(Request(0, "a", "b", 2),))
+    raw = save_instance(inst)
+    assert "topology_id" not in json.loads(raw)
+    assert load_instance(raw) == inst
+
+
+@pytest.mark.parametrize(
+    "load_tbps, name",
+    [(0.5, "spain21_0.5"), (1.5, "spain21_1.5"), (2, "spain21_2"), (50, "spain21_50")],
+)
+def test_generator_names_the_instance_by_its_load(load_tbps, name):
+    inst = generate_inoc_style(builtin_topology("spain21"), load_tbps * 1000.0, seed=1)
+    assert inst.name == name
+
+
 def test_unknown_node_rejected(triangle):
     with pytest.raises(UnknownNode):
         Instance(topology=triangle, spectrum_slots=4, requests=(Request(0, "a", "zz", 1),))

@@ -16,9 +16,9 @@ from eonrsa import (
     SolveConfig,
     certify,
     enumerate_simple_paths,
-    generate_lightpath,
     oracle_max_reduced_cost,
     price_slot,
+    shortest_path,
     solve,
     validate_configuration,
 )
@@ -66,32 +66,55 @@ def test_eligible_window_arithmetic(tri_instance):
     assert eligible(one, 10) == [0]
 
 
-def test_generate_lightpath_fewest_hops(tri_instance):
-    req = PricingRequest.from_request(tri_instance.requests[0])
-    path, rc = generate_lightpath(tri_instance, req, 3.0, np.zeros(3))
+def test_price_slot_takes_the_fewest_hop_path(tri_instance):
+    duals = _zero_duals(tri_instance)
+    duals.mu_request[0] = 3.0
+    path, dist = shortest_path(tri_instance.topology, "a", "b", np.zeros(3))
+    rc = 3.0 - dist
     assert path.links == (0,)
     assert abs(rc - 3.0) < 1e-12
+    res = price_slot(tri_instance, 1, duals)
+    (lp,) = res.configuration.lightpaths
+    assert lp.path.links == (0,)
+    assert abs(res.rc_ilp - 3.0) < 1e-12
 
 
-def test_generate_lightpath_zero_gain_is_none(tri_instance):
-    # mu = 4 cancelled by the inner request dual nu = 4
-    req = PricingRequest.from_request(tri_instance.requests[0])
-    assert generate_lightpath(tri_instance, req, 4.0 - 4.0, np.zeros(3)) is None
+def test_price_slot_queries_no_path_for_a_cancelled_gain(tri_instance, monkeypatch):
+    # mu = 4 on a-b; once a column routes the request, its inner dual nu = 4 cancels
+    # mu, so the last inner round makes no shortest-path query and adds no column
+    duals = _zero_duals(tri_instance)
+    duals.mu_request[0] = 4.0
+    queries, columns = [], []
+    query, add_path = pricing_module.shortest_path, pricing_module._InnerProblem.add_path
+
+    def recorded_query(topology, source, dest, weights):
+        queries.append((source, dest))
+        return query(topology, source, dest, weights)
+
+    def recorded_add_path(inner, request, path):
+        columns.append((request.key, path.links))
+        return add_path(inner, request, path)
+
+    monkeypatch.setattr(pricing_module, "shortest_path", recorded_query)
+    monkeypatch.setattr(pricing_module._InnerProblem, "add_path", recorded_add_path)
+    res = price_slot(tri_instance, 1, duals)
+    assert queries and len(queries) == len(columns)  # every query priced a new column
+    assert set(queries) == {("a", "b")}  # request 1 has no gain at all
+    assert res.rc_ilp == pytest.approx(4.0) and res.rc_lp_star == pytest.approx(4.0)
 
 
-def test_generate_lightpath_takes_priced_detour(tri_instance):
+def test_price_slot_takes_the_priced_detour(tri_instance):
     # direct link a-b costs 10 through its window, detour a-c-b costs 1
     duals = _zero_duals(tri_instance)
     duals.mu_request[0] = 5.0
     duals.mu_cell[0, :] = 10.0 / 4.0  # link 0 window sum = 10
     duals.mu_cell[1, :] = 0.5 / 4.0
     duals.mu_cell[2, :] = 0.5 / 4.0
-    req = PricingRequest.from_request(tri_instance.requests[0])
     weights = duals.mu_cell[:, :4].sum(axis=1)
-    path, rc = generate_lightpath(tri_instance, req, 5.0, weights)
+    path, dist = shortest_path(tri_instance.topology, "a", "b", weights)
     assert path.links == (2, 1)
     # hand enumeration over both simple paths: direct 5 - 10, detour 5 - 1
-    assert rc == pytest.approx(max(5.0 - 10.0, 5.0 - 1.0))
+    assert 5.0 - dist == pytest.approx(max(5.0 - 10.0, 5.0 - 1.0))
     # the slot's inner column generation routes the request the same way
     res = price_slot(tri_instance, 1, duals)
     (lp,) = res.configuration.lightpaths

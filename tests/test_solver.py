@@ -65,6 +65,15 @@ def test_empty_instance(two_node):
     assert plan.assignments == {}
 
 
+def test_a_full_grant_reports_a_gos_of_exactly_100(two_node):
+    # 7 of 7 slots; the offered load in Gbps, 0.3 * 7, is not 7 slots once divided back
+    requests = (Request(0, "a", "b", 3), Request(1, "a", "b", 4))
+    inst = Instance(topology=two_node, spectrum_slots=7, requests=requests, slot_rate_gbps=0.3)
+    report, _plan = solve(inst)
+    assert report.z_ilp_slots == 7
+    assert report.gos_percent == 100.0
+
+
 def test_metrics_table_arithmetic():
     m = report_metrics(50.2, 42.6, 50.2)
     assert m.gos_percent == pytest.approx(84.9, abs=0.05)
@@ -246,7 +255,7 @@ def test_oversized_demand_never_eligible(two_node):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_run_without_columns_reports_a_zero_ilp_gap(two_node, backend):
-    # no window fits, so the final ILP has no binaries and is solved as its LP
+    # no window fits, so the bound is 0 and the empty start plan meets it: no final ILP runs
     inst = Instance(topology=two_node, spectrum_slots=2, requests=(Request(0, "a", "b", 3),))
     report, plan = solve(inst, SolveConfig(backend=backend))
     assert report.columns_generated == 0
