@@ -18,7 +18,7 @@ results. The cases are:
                        spain21, 35 pairs, 50 slots, seed 1, default settings;
   congested-bundled    spain21, 20 pairs, 12 slots, seed 1, default settings;
   congested-highs      spain21, 25 pairs, 16 slots, seed 1, default settings;
-                       they price 11 and 8 rounds, each meets the flow
+                       they price 8 and 4 rounds, each meets the flow
                        bound (79.5 and 104), and on HiGHS the start plan
                        beats the final ILP;
   desk-highs, tiny-oracle

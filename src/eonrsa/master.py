@@ -174,6 +174,24 @@ def first_fit(instance: Instance, order: Iterable[PricingRequest]) -> list[Confi
     return [Configuration(s, tuple(routes[s])) for s in sorted(routes)]
 
 
+def lightpath_columns(
+    instance: Instance, requests: Iterable[PricingRequest]
+) -> list[Configuration]:
+    """One single-lightpath column per request and start slot where its window fits.
+
+    Each column takes the request's fewest-hop path, the one `first_fit` takes on
+    an empty spectrum. Every such column is a configuration of its own.
+    """
+    topo, slots = instance.topology, instance.spectrum_slots
+    columns = []
+    for req in requests:
+        found = shortest_path(topo, req.source, req.dest, [1.0] * topo.num_links)
+        if found is not None:
+            route = (req, found[0])
+            columns += [Configuration(s, (route,)) for s in range(1, slots - req.width + 2)]
+    return columns
+
+
 def window_hits(sets: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     """hits_w(T) by set and width: the fewest slots of a set T, one boolean row of
     `sets` over the spectrum, that a window of w slots inside the spectrum covers."""
@@ -430,11 +448,12 @@ class RestrictedMaster:
         self, relative_gap: float
     ) -> tuple[float, list[Configuration], MipSolution]:
         """Restrict columns to {0,1} and solve until `deadline`, on the bundled engine from
-        the last LP's basis; y integrality must emerge."""
+        the last LP's basis; y integrality must emerge. A search that ends, by the deadline
+        or a numerical failure, before any incumbent selects no column."""
         mip = self.model.solve_mip(relative_gap, self._columns, self.deadline)
-        if mip.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL_FAILURE):
+        if mip.status is SolveStatus.INFEASIBLE:  # the zero point is always feasible
             raise RuntimeError(f"final ILP failed: {mip.status}")
-        if not mip.values:  # timed out before any incumbent
+        if not mip.values:  # timed out, or failed numerically, before any incumbent
             return 0.0, [], mip
         for k, y in self._y.items():
             yv = mip.values[y]

@@ -6,8 +6,10 @@ descending, then shuffled by `random.Random(0)`. The passes stop at the first
 plan that meets the master's `upper_bound`, once every order of equal widths
 has run, at the deadline, or after FIRST_FIT_PASSES. Where those orders run out
 and the first LP falls short of the bound, the passes left take orders shuffled
-whole, with the same stops; a better plan's columns join the master, whose LP is
-solved again before any round is priced. One outer round: solve the
+whole, with the same stops. In that step, unless the deadline has passed, the
+master also gets every single-lightpath column (`master.lightpath_columns`) and
+a better plan's columns, and its LP is solved again before any round is priced;
+its prune drops the seeded columns that are not basic. One outer round: solve the
 master LP (pruning dropped columns), snapshot the duals, price every starting
 slot against that snapshot, add every improving configuration, and offer each
 one at the other start slots where it prices too (at most SHARED_PER_SLOT a
@@ -17,8 +19,8 @@ ways:
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound, computed after the first LP that
   falls short of the demand), which no LP can beat; the run stops before
-  pricing those duals, also after a time-out, and when the start plan meets
-  either bound, after 0 rounds;
+  pricing those duals, also after a time-out, and when the start plan or the
+  LP with the seeded columns meets either bound, after 0 rounds;
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
@@ -56,6 +58,7 @@ from .master import (
     ProvisioningPlan,
     RestrictedMaster,
     first_fit,
+    lightpath_columns,
 )
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
@@ -89,9 +92,11 @@ class SolveReport:
     `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
     columns, shared ones included; the start plans' columns, widest-first or
-    any-order, are in neither. `final_ilp_gap` and `timings["ilp_phase"]` are the
-    final ILP's proven gap and its time with post-processing; 0 where a start plan
-    that meets the bound skips it, and a gap of 1.0 in 0 s where the deadline does.
+    any-order, and the seeded single-lightpath columns are in neither.
+    `final_ilp_gap` and `timings["ilp_phase"]` are the final ILP's proven gap and
+    its time with post-processing; 0 where a start plan that meets the bound skips
+    it, a gap of 1.0 in 0 s where the deadline does, and a gap of 1.0 where it
+    ends with no incumbent.
     `lp_value_trace` is the second value of each `prune_checks` pair.
     """
 
@@ -299,14 +304,18 @@ def solve(
         met_bound = rmp.meets_bound(z_lp_star)
         if met_bound or timed_out:
             break
-        if len(rmp.prune_checks) == 1:  # any order, in the passes the widest-first orders left
+        if len(rmp.prune_checks) == 1 and not past_deadline():
+            # any-order passes in what the widest-first orders left, and every single-lightpath
+            # column; the LP is solved once more, unpriced
             any_order = _first_fit_orders(slot_requests, lambda p: (), seen=tried)
             found = best_of(start, (first_fit(instance, o) for o in any_order), rmp.upper_bound)
+            seeded = lightpath_columns(instance, slot_requests)
             if found is not start:
                 start = found
-                for column in start:
-                    rmp.add_column(column)
-                continue
+                seeded += start
+            for column in seeded:
+                rmp.add_column(column)
+            continue
         outer += 1
         if outer > MAX_OUTER_ROUNDS:
             raise RuntimeError(f"column generation exceeded {MAX_OUTER_ROUNDS} rounds")

@@ -32,7 +32,7 @@ from eonrsa import (
     verify_plan,
 )
 from eonrsa.lpsolver import Model
-from eonrsa.master import first_fit
+from eonrsa.master import first_fit, lightpath_columns
 from eonrsa.pricing import IMPROVE_TOL, pricing_key
 from eonrsa.solver import SHARED_PER_SLOT
 from conftest import (
@@ -154,15 +154,21 @@ def test_lp_trace_monotone_and_bounds_ordered():
         verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
 
 
-def test_time_limit_flags_partial_result():
-    inst = make_random_tiny_instance(9)  # the first-fit start does not certify it
+def _guard_band_triangle(triangle) -> tuple[Instance, list[PricingRequest]]:
+    """The guard-band triangle of test_a_guard_band_run_certifies_by_pricing and its derived
+    requests: it gets no flow bound, so it still prices rounds after its seeded LP."""
+    requests = (Request(0, "a", "c", 2), Request(1, "a", "b", 2), Request(2, "c", "a", 3))
+    inst = Instance(topology=triangle, spectrum_slots=3, requests=requests)
+    return inst, derived_pricing_requests(inst)
+
+
+def test_time_limit_flags_partial_result(triangle):
+    inst, derived = _guard_band_triangle(triangle)  # the first-fit start does not certify it
     for backend in ("bundled", "highs"):
-        unlimited = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))[0]
+        config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+        unlimited = solve(inst, config, derived)[0]
         assert unlimited.outer_iterations >= 2
-        report, _ = solve(
-            inst,
-            SolveConfig(final_ilp_relative_gap=0.0, max_wall_clock_seconds=1e-9, backend=backend),
-        )
+        report, _ = solve(inst, dataclasses.replace(config, max_wall_clock_seconds=1e-9), derived)
         assert report.timed_out
         assert not report.certified
         # the round that passed the deadline added columns; one more LP solve gives the bound
@@ -181,12 +187,12 @@ def test_gap_config_validation():
     SolveConfig(max_wall_clock_seconds=0.0)  # 0 s = unlimited
 
 
-def test_round_cap_stops_a_run(monkeypatch):
-    inst = make_random_tiny_instance(9)  # needs 5 pricing rounds
-    assert solve(inst, SolveConfig(final_ilp_relative_gap=0.0))[0].outer_iterations >= 2
+def test_round_cap_stops_a_run(monkeypatch, triangle):
+    inst, derived = _guard_band_triangle(triangle)  # needs 3 pricing rounds
+    assert solve(inst, SolveConfig(final_ilp_relative_gap=0.0), derived)[0].outer_iterations >= 2
     monkeypatch.setattr(solver_module, "MAX_OUTER_ROUNDS", 1)
     with pytest.raises(RuntimeError, match="exceeded 1 rounds"):
-        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0), derived)
 
 
 def test_solve_rejects_a_request_wider_than_its_member():
@@ -322,7 +328,9 @@ def _congested_spain21():
 @pytest.mark.parametrize(
     "backend, congested", [("bundled", []), ("highs", [_congested_spain21])], ids=["bundled", "highs"]
 )
-def test_shared_columns_are_the_best_priced_offers_at_each_slot(monkeypatch, backend, congested):
+def test_shared_columns_are_the_best_priced_offers_at_each_slot(
+    monkeypatch, triangle, backend, congested
+):
     rounds = []
     original = solver_module._shared_columns
 
@@ -333,13 +341,14 @@ def test_shared_columns_are_the_best_priced_offers_at_each_slot(monkeypatch, bac
 
     monkeypatch.setattr(solver_module, "_shared_columns", recording)
     capped = 0
-    for inst in [make_random_tiny_instance(seed) for seed in range(40)] + [f() for f in congested]:
+    for inst, requests in [_guard_band_triangle(triangle)] + [(f(), None) for f in congested]:
         rounds.clear()
         with recorded_master_duals() as snapshots:
-            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+            config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+            report, _ = solve(inst, config, requests)
         added = 0
-        # round r prices the duals of LP r
-        for (improving, shared), duals in zip(rounds, snapshots):
+        # round r prices the duals of LP r + 1: the LP with the seeded columns is LP 2
+        for (improving, shared), duals in zip(rounds, snapshots[1:]):
             added += len(improving) + len(shared)
             signatures = [signature(c) for c in [*improving, *shared]]
             assert len(set(signatures)) == len(signatures), inst.name
@@ -354,12 +363,13 @@ def test_shared_columns_are_the_best_priced_offers_at_each_slot(monkeypatch, bac
     assert (capped > 0) == bool(congested)
 
 
-def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
+def test_shared_pricing_keys_give_the_direct_result(monkeypatch, triangle):
     # every slot whose pricing key appeared earlier in its round reuses that
     # result, its column moved to its own slot; it must equal pricing the slot directly
-    spain = generate_icton_style(builtin_topology("spain21"), num_pairs=10, seed=1, spectrum_slots=12)
+    spain = generate_icton_style(builtin_topology("spain21"), num_pairs=10, seed=1, spectrum_slots=10)
+    spain_requests = [PricingRequest.from_request(r) for r in spain.requests]
     shared = 0
-    for inst in [make_random_tiny_instance(seed) for seed in range(12)] + [spain]:
+    for inst, requests in [_guard_band_triangle(triangle), (spain, spain_requests)]:
         calls = []
 
         def counted(*args, **kwargs):
@@ -368,12 +378,12 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch):
 
         monkeypatch.setattr(solver_module, "price_slot", counted)
         with recorded_master_duals() as snapshots:
-            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0), requests)
         monkeypatch.undo()
-        requests = [PricingRequest.from_request(r) for r in inst.requests]
         distinct = 0
-        # a run that meets its upper bound stops before pricing its last duals
-        for duals in snapshots[: report.outer_iterations]:
+        # rounds price from the LP with the seeded columns, the second; a run that meets
+        # its upper bound stops before pricing its last duals
+        for duals in snapshots[1 : 1 + report.outer_iterations]:
             clamped = duals.clamped()
             first = {}
             for s in range(1, inst.spectrum_slots + 1):
@@ -522,8 +532,95 @@ def test_gap_rows_bring_the_flow_bound_down_to_the_lp_value(backend):
     for inst in (make_random_tiny_instance(95), _tiny_oracle_base(130)):
         assert RestrictedMaster(inst, backend=backend)._flow_bound() == pytest.approx(6.5)
         report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
-        assert report.certified and report.outer_iterations == 1, inst.name
+        assert report.certified and report.outer_iterations == 0, inst.name
         assert report.z_lp_star_slots == pytest.approx(6.5) == report.z_ub_slots, inst.name
+
+
+# tiny instance: (z_lp, plan value); without the single-lightpath columns each prices 1-4 rounds
+SEEDED_TINY = {9: (7.0, 6), 12: (5.5, 5), 27: (5.5, 5), 32: (3.5, 3), 95: (6.5, 6)}
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_seeded_lightpaths_certify_tiny_runs_without_pricing(backend):
+    for seed, (z_lp, value) in SEEDED_TINY.items():
+        inst = make_random_tiny_instance(seed)
+        report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        assert report.certified and report.outer_iterations == 0, seed
+        assert report.columns_generated == 0 and len(report.lp_value_trace) == 2, seed
+        assert report.z_lp_star_slots == pytest.approx(z_lp) == report.z_ub_slots, seed
+        assert report.z_ilp_slots == plan.throughput_slots == value, seed
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_run_without_a_flow_bound_certifies_by_pricing(monkeypatch, backend):
+    # with the flow bound at the demand sum, the seeded LP's value is no bound until one
+    # round, every slot's pricing LP bound zero, certifies it
+    monkeypatch.setattr(RestrictedMaster, "_flow_bound", lambda master: master.upper_bound)
+    verdicts = _counted(monkeypatch, solver_module, "certify")
+    for seed, (z_lp, value) in SEEDED_TINY.items():
+        inst = make_random_tiny_instance(seed)
+        verdicts.clear()
+        report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        assert report.certified and len(verdicts) == 1, seed
+        assert report.outer_iterations == 1 and report.columns_generated == 0, seed
+        assert report.z_lp_star_slots == pytest.approx(z_lp), seed
+        assert report.z_lp_star_slots < report.z_ub_slots - 1e-6, seed
+        assert report.z_ilp_slots == plan.throughput_slots == value, seed
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_the_seeded_lp_keeps_no_nonbasic_lightpath_column(monkeypatch, backend):
+    prunes, prune = [], Model.prune
+
+    def recording(model, sol, candidates):
+        offered = dict(candidates)
+        dropped = prune(model, sol, candidates)
+        prunes.append((sol, offered, set(dropped)))
+        return dropped
+
+    monkeypatch.setattr(Model, "prune", recording)
+    for seed in SEEDED_TINY:
+        inst = make_random_tiny_instance(seed)
+        prunes.clear()
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        sol, offered, dropped = prunes[1]  # the master's second LP, the seeded one
+        seeded = lightpath_columns(inst, [PricingRequest.from_request(r) for r in inst.requests])
+        lightpaths = {vid for vid, c in offered.items() if len(c.routes) == 1}
+        assert len(lightpaths) >= len(seeded) and dropped, seed
+        assert all(vid in sol.basic_variables for vid in lightpaths - dropped), seed
+
+
+def test_lightpath_columns_take_each_fitting_window_on_the_fewest_hop_path(triangle):
+    requests = (Request(0, "a", "c", 2), Request(1, "a", "b", 1), Request(2, "b", "c", 4))
+    inst = Instance(topology=triangle, spectrum_slots=3, requests=requests)
+    columns = lightpath_columns(inst, [PricingRequest.from_request(r) for r in requests])
+    assert [signature(c) for c in columns] == [
+        (1, ((0, (2,)),)), (2, ((0, (2,)),)),  # the direct link a-c, not a-b-c
+        (1, ((1, (0,)),)), (2, ((1, (0,)),)), (3, ((1, (0,)),)),
+    ]  # the 4-slot request fits no window
+    for column in columns:
+        validate_configuration(column, inst.spectrum_slots)
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_final_ilp_that_fails_numerically_keeps_the_best_plan(monkeypatch, backend):
+    inst = make_random_tiny_instance(9)  # its start plan of 6 falls short of its bound of 7
+    failed = MipSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, math.inf)
+    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
+    monkeypatch.setattr(Model, "solve_mip", lambda *args, **kwargs: failed)
+    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+    assert len(ilp_calls) == 1 and report.final_ilp_gap == 1.0
+    assert report.z_ilp_slots == plan.throughput_slots == 6
+    verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
+
+
+def test_a_final_ilp_without_a_feasible_point_raises(monkeypatch):
+    # the zero point is always feasible, so an infeasible final ILP is a defect
+    inst = make_random_tiny_instance(9)
+    infeasible = MipSolution(SolveStatus.INFEASIBLE, -math.inf, {}, math.inf)
+    monkeypatch.setattr(Model, "solve_mip", lambda *args, **kwargs: infeasible)
+    with pytest.raises(RuntimeError, match="final ILP failed"):
+        solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -585,13 +682,16 @@ def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_timed_out_run_that_meets_its_bound_is_certified(monkeypatch, backend):
-    inst = make_random_tiny_instance(32)
-    unlimited, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
-    # one priced round, and the LP after it meets the flow bound unpriced
-    assert unlimited.outer_iterations == 1 and len(unlimited.lp_value_trace) == 2
+    # tiny 155 under guard bands: 2 slots, so its 3-slot request fits no window and the
+    # bound is the fitting demand of 5
+    inst = make_random_tiny_instance(155)
+    derived = derived_pricing_requests(inst)
+    unlimited, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0, derived)
+    # the first LP, the seeded one, one priced round, and the LP after it meets the bound
+    assert unlimited.outer_iterations == 1 and len(unlimited.lp_value_trace) == 3
     assert unlimited.z_lp_star_slots < sum(r.demand for r in inst.requests)
-    # the deadline passes in the round's first slot, after the flow bound LP ran
-    report, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 1, 1)
+    # the deadline passes in the round's first slot
+    report, _, _ = _solve_with_a_cut(monkeypatch, inst, backend, 1, 1, derived)
     assert report.timed_out and report.outer_iterations == 1
     assert report.certified
     assert report.z_lp_star_slots == pytest.approx(unlimited.z_lp_star_slots)
@@ -956,18 +1056,21 @@ class _Clock:
         return time.monotonic() + self.offset
 
 
-def _solve_with_a_cut(monkeypatch, inst, backend, cut_round, cut_call):
+def _solve_with_a_cut(monkeypatch, inst, backend, cut_round, cut_call, requests=None):
     """Solve under a 1000 s limit whose clock jumps past the deadline at price_slot
-    call `cut_call` of round `cut_round` (0: never); the report, the plan and the
-    price_slot calls of each priced round."""
-    clock, calls = _Clock(), []
+    call `cut_call` of priced round `cut_round` (0: never); the report, the plan and
+    the price_slot calls of each priced round."""
+    clock, calls, fresh = _Clock(), [], [True]
     solve_lp, price = RestrictedMaster.solve_lp_and_prune, solver_module.price_slot
 
     def counting_lp(master):
-        calls.append(0)
+        fresh[0] = True  # the next price_slot call opens a round
         return solve_lp(master)
 
     def counting_price(*args, **kwargs):
+        if fresh[0]:
+            calls.append(0)
+            fresh[0] = False
         calls[-1] += 1
         if (len(calls), calls[-1]) == (cut_round, cut_call):
             clock.offset = 1e6
@@ -978,35 +1081,38 @@ def _solve_with_a_cut(monkeypatch, inst, backend, cut_round, cut_call):
         patch.setattr(solver_module, "time", clock)
         patch.setattr(RestrictedMaster, "solve_lp_and_prune", counting_lp)
         patch.setattr(solver_module, "price_slot", counting_price)
-        report, plan = solve(inst, config)
-    return report, plan, calls[: report.outer_iterations]
+        report, plan = solve(inst, config, requests)
+    assert len(calls) == report.outer_iterations
+    return report, plan, calls
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_a_round_stops_at_the_deadline_between_slots(monkeypatch, backend):
-    # tiny-9 prices 3 distinct slots in its first round; the clock passes the
-    # deadline during the 2nd, so the round stops there and its columns are added
-    inst = make_random_tiny_instance(9)
-    unlimited, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
+def test_a_round_stops_at_the_deadline_between_slots(monkeypatch, triangle, backend):
+    # the guard-band triangle prices 3 distinct slots in its first round; the clock passes
+    # the deadline during the 2nd, so the round stops there and its columns are added
+    inst, derived = _guard_band_triangle(triangle)
+    unlimited, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0, derived)
     assert calls[0] == 3 and unlimited.certified and not unlimited.timed_out
-    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 1, 2)
+    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 1, 2, derived)
     assert calls == [2]
     assert report.timed_out and not report.certified
-    assert report.columns_generated > 0 and len(report.lp_value_trace) == 2
+    # the first LP, the seeded one, and the one after the cut round
+    assert report.columns_generated > 0 and len(report.lp_value_trace) == 3
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_a_round_cut_before_any_improving_slot_is_not_certified(monkeypatch, backend):
-    # under the flow bound without gap rows, 7, tiny-95's third round finds nothing at
+    # under guard bands, which give no flow bound, tiny-68's first round finds nothing at
     # slot 1, whose LP bound is 0, and a column at a later slot; cut after slot 1, the
     # round must not certify
-    inst = make_random_tiny_instance(95)
-    monkeypatch.setattr(RestrictedMaster, "_flow_bound", lambda master: 7.0)
-    _, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0)
-    assert calls[2] > 1
-    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 3, 1)
-    assert calls[2:] == [1] and report.outer_iterations == 3
+    inst = make_random_tiny_instance(68)
+    derived = derived_pricing_requests(inst)
+    _, _, calls = _solve_with_a_cut(monkeypatch, inst, backend, 0, 0, derived)
+    assert calls[0] > 1
+    report, plan, calls = _solve_with_a_cut(monkeypatch, inst, backend, 1, 1, derived)
+    assert calls == [1] and report.outer_iterations == 1
     assert report.timed_out and not report.certified
-    assert len(report.lp_value_trace) == 3  # no column, so no further LP
+    # the first LP and the seeded one; no column, so no further LP
+    assert len(report.lp_value_trace) == 2
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
