@@ -19,8 +19,10 @@ ways:
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound, computed after the first LP that
   falls short of the demand), which no LP can beat; the run stops before
-  pricing those duals, also after a time-out, and when the start plan or the
-  LP with the seeded columns meets either bound, after 0 rounds;
+  pricing those duals, also after a time-out, and when the LP with the start
+  plan or the seeded columns meets either bound, after 0 rounds. A start plan
+  that grants all the demand that fits fixes that value (plan <= LP <= demand),
+  so no LP runs at all and the LP traces stay empty;
 - no slot produces a column (the pricing ILP values are all zero) and every
   slot's pricing LP bound is zero too.
 
@@ -97,7 +99,10 @@ class SolveReport:
     its time with post-processing; 0 where a start plan that meets the bound skips
     it, a gap of 1.0 in 0 s where the deadline does, and a gap of 1.0 where it
     ends with no incumbent.
-    `lp_value_trace` is the second value of each `prune_checks` pair.
+    `lp_value_trace` is the second value of each `prune_checks` pair. Where the
+    start plan grants all the demand that fits, no LP runs: both are empty,
+    `z_lp_star_slots` equals `z_ub_slots`, and `timings["lp_phase"]` covers only
+    the start passes.
     """
 
     instance_name: str
@@ -295,9 +300,12 @@ def solve(
         rmp.add_column(column)
 
     columns_generated = outer = 0
-    timed_out = met_bound = False
+    timed_out = False
+    # plan value <= LP <= the demand that fits: a start plan that meets it fixes the LP value
+    z_lp_star = rmp.upper_bound
+    met_bound = meets(rmp.served_slots(start), z_lp_star)
 
-    while True:
+    while not met_bound:
         # after a timed-out round, this solve gives the bound of the final RMP
         z_lp_star, duals = rmp.solve_lp_and_prune()
         # no LP can beat this value, so no column can raise it, time-out or not

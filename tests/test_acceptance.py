@@ -39,7 +39,8 @@ from conftest import (
 )
 
 N_TINY = 200
-N_SNAPSHOT_RUNS = 40  # batch prefix whose recorded master duals criterion 7 re-prices
+N_SNAPSHOT_RUNS = N_TINY  # runs whose recorded master duals criterion 7 re-prices; a run
+# whose start plan meets its bound solves no master LP and records none
 TOL = 1e-6
 
 

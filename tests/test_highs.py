@@ -221,11 +221,12 @@ def test_missing_highs_module_names_the_folder_and_the_scipy_floor(monkeypatch, 
     assert str(tmp_path / "optimize" / "_highspy") in message and "scipy>=1.15" in message
 
 
+# the ring's start plan grants 4 of its 6 slots, so the solve runs HiGHS LPs
 _RING_SOLVE = """
 import sys
 from eonrsa import Instance, Request, SolveConfig, Topology, solve
 ring = Topology("ring4", ("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")))
-requests = (Request(0, "a", "c", 2), Request(1, "b", "d", 1), Request(2, "a", "b", 3))
+requests = (Request(0, "a", "c", 1), Request(1, "b", "d", 3), Request(2, "a", "b", 2))
 instance = Instance(topology=ring, spectrum_slots=4, requests=requests, name="ring4")
 report, _ = solve(instance, SolveConfig(backend="highs"))
 print(report.certified, report.z_lp_star_slots)
@@ -265,3 +266,36 @@ def test_highs_and_scipy_optimize_share_one_highs_module(order, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == expected + ["1"]
+
+
+_TRIANGLE_SOLVE = """
+from eonrsa import Instance, Request, SolveConfig, Topology, solve
+triangle = Topology("triangle", ("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+requests = (Request(0, "a", "b", 2), Request(1, "b", "c", 1), Request(2, "a", "c", 3))
+instance = Instance(topology=triangle, spectrum_slots=4, requests=requests)
+report, _ = solve(instance, SolveConfig(backend="highs"))
+print(report.certified, report.z_lp_star_slots)
+"""
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        # its start plan grants the demand sum of 6, which fixes the LP value: no LP runs
+        (_TRIANGLE_SOLVE, ["True 6.0", "False"]),
+        (_RING_SOLVE, ["True 6.0", "True"]),
+    ],
+    ids=["triangle", "ring4"],
+)
+def test_a_highs_run_loads_the_highs_module_only_to_solve_an_lp(code, expected):
+    check = "import sys\nprint('scipy.optimize._highspy._core' in sys.modules)\n"
+    package_root = str(Path(eonrsa.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code + check],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

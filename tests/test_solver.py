@@ -219,8 +219,10 @@ def test_solve_rejects_a_conflicting_plan(monkeypatch):
         solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
 
 
-def test_solve_rejects_an_ilp_above_its_bound(two_node, monkeypatch):
-    inst = Instance(topology=two_node, spectrum_slots=4, requests=(Request(0, "a", "b", 2),))
+def test_solve_rejects_an_ilp_above_its_bound(monkeypatch):
+    # tiny 7's start plan grants 2 of the 6 slots that fit, so its LP runs; one below its
+    # value of 2, the LP bound falls under the plan
+    inst = make_random_tiny_instance(7)
     original = RestrictedMaster.solve_lp_and_prune
 
     def one_below(rmp):
@@ -405,24 +407,16 @@ def test_shared_pricing_keys_give_the_direct_result(monkeypatch, triangle):
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
 def test_lp_value_lies_between_the_optimum_and_the_upper_bound(backend):
-    original = RestrictedMaster.solve_lp_and_prune
     flow_stops = 0
     for seed in range(40):
         inst = make_random_tiny_instance(seed)
-        masters = []
-
-        def recording(rmp):
-            masters.append(rmp)
-            return original(rmp)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RestrictedMaster, "solve_lp_and_prune", recording)
-            report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
+        report, _ = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
         flow = RestrictedMaster(inst, backend=backend)._flow_bound()
         z_lp, tol = report.z_lp_star_slots, 1e-6 * (1.0 + report.z_lp_star_slots)
         assert report.certified, seed
         assert oracle_solve(inst).value_slots <= z_lp + tol, seed
-        assert z_lp <= min(masters[-1].upper_bound, flow) + tol, seed
+        # z_ub is the master's last upper_bound, also where no master LP ran
+        assert z_lp <= min(report.z_ub_slots, flow) + tol, seed
         # stopped unpriced below the demand sum: the flow bound certified it
         demand = sum(r.demand for r in inst.requests if r.demand <= inst.spectrum_slots)
         flow_stops += len(report.lp_value_trace) > report.outer_iterations and z_lp < demand - tol
@@ -624,12 +618,15 @@ def test_a_final_ilp_without_a_feasible_point_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_triangle_meets_its_demand_without_pricing(triangle, backend):
+def test_triangle_meets_its_demand_without_pricing(monkeypatch, triangle, backend):
+    # the start plan grants the demand sum of 6, which fixes the LP value: no LP runs
+    lps = _counted(monkeypatch, Model, "solve_lp")
     requests = (Request(0, "a", "b", 2), Request(1, "b", "c", 1), Request(2, "a", "c", 3))
     inst = Instance(topology=triangle, spectrum_slots=4, requests=requests)
     report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
-    assert report.certified and report.outer_iterations == 0
-    assert len(report.lp_value_trace) == 1 and report.z_lp_star_slots == pytest.approx(6.0)
+    assert report.certified and report.outer_iterations == 0 and lps == []
+    assert report.lp_value_trace == report.prune_checks == []
+    assert report.z_lp_star_slots == report.z_ub_slots == 6.0
     assert type(report.z_ilp_slots) is int and report.z_ilp_slots == plan.throughput_slots == 6
 
 
@@ -673,11 +670,13 @@ def test_a_guard_band_run_certifies_by_pricing(monkeypatch, triangle, backend):
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_run_where_no_request_fits_certifies_without_pricing(two_node, backend):
+def test_run_where_no_request_fits_certifies_without_pricing(monkeypatch, two_node, backend):
+    lps = _counted(monkeypatch, Model, "solve_lp")
     inst = Instance(topology=two_node, spectrum_slots=2, requests=(Request(0, "a", "b", 3),))
     report, _ = solve(inst, SolveConfig(backend=backend))
-    assert report.certified and report.outer_iterations == 0
-    assert report.lp_value_trace == [0.0] and report.z_ilp_slots == 0
+    assert report.certified and report.outer_iterations == 0 and lps == []
+    assert report.lp_value_trace == report.prune_checks == []
+    assert report.z_lp_star_slots == report.z_ub_slots == 0.0 and report.z_ilp_slots == 0
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
@@ -768,12 +767,48 @@ def test_post_process_runs_once_per_solve_and_once_per_final_ilp(monkeypatch, ba
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_acceptance_8_certifies_from_its_first_fit_start(backend):
+def test_acceptance_8_certifies_from_its_first_fit_start(monkeypatch, backend):
+    lps = _counted(monkeypatch, Model, "solve_lp")
     inst = generate_icton_style(builtin_topology("spain21"), num_pairs=35, seed=1, spectrum_slots=50)
     report, plan = solve(inst, SolveConfig(backend=backend))
-    assert report.certified and report.z_lp_star_slots == pytest.approx(176.0)
-    assert report.outer_iterations == 0 and len(report.lp_value_trace) == 1
+    assert report.certified and report.z_lp_star_slots == report.z_ub_slots == 176.0
+    assert report.outer_iterations == 0 and lps == []
+    assert report.lp_value_trace == report.prune_checks == []
     assert report.columns_generated == 0 and plan.throughput_slots == report.z_ilp_slots
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_guard_band_start_plan_that_serves_every_request_solves_no_lp(
+    monkeypatch, two_node, backend
+):
+    # 2 + 3 slots fit 4 only as one fused window; the start plan takes it, serving both
+    # atomic requests, so the demand that fits, 5, is the LP value
+    lps = _counted(monkeypatch, Model, "solve_lp")
+    requests = (Request(0, "a", "b", 2), Request(1, "a", "b", 3))
+    inst = Instance(topology=two_node, spectrum_slots=4, requests=requests)
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    report, plan = solve(inst, config, derived_pricing_requests(inst))
+    assert report.certified and report.outer_iterations == 0 and lps == []
+    assert report.lp_value_trace == report.prune_checks == []
+    assert report.z_lp_star_slots == report.z_ub_slots == 5.0
+    assert report.z_ilp_slots == plan.throughput_slots == 5 and report.final_ilp_gap == 0.0
+
+
+@pytest.mark.parametrize("backend", ["bundled", "highs"])
+def test_a_short_start_plan_still_solves_its_lps(monkeypatch, backend):
+    # tiny 9's start plan grants 6 of the 10 slots that fit, so its LPs run: the first LP
+    # (6), the flow-bound LP (7), and the LP with the seeded columns and its prune's
+    # re-solve (7); the final ILP proves 6 optimal
+    lps = _counted(monkeypatch, Model, "solve_lp")
+    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    report, plan = solve(make_random_tiny_instance(9), config)
+    assert report.certified and report.outer_iterations == 0 and len(lps) == 4
+    assert report.lp_value_trace == pytest.approx([6.0, 7.0])
+    assert [v for check in report.prune_checks for v in check] == pytest.approx([6, 6, 7, 7])
+    assert report.z_lp_star_slots == pytest.approx(7.0) and report.z_ub_slots == 7.0
+    assert len(ilp_calls) == 1 and report.final_ilp_gap == 0.0
+    assert report.z_ilp_slots == plan.throughput_slots == 6
 
 
 def _counted(patch, owner, name) -> list:
