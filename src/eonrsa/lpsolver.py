@@ -1,9 +1,11 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
-A ``Model`` keeps one column store, numpy CSC arrays plus objective and bound
-vectors, which the LP and MIP engines of each backend (`_ENGINES`) read behind one
-contract. Its rows are fixed, from their right-hand sides, when it is built;
-columns come and go, and duals come back as one array by row. The backends are:
+A ``Model`` keeps its columns as plain Python records by id, and its rows, fixed
+from their right-hand sides when it is built, as a list; columns come and go.
+The LP and MIP engines of each backend (`_ENGINES`) read one CSC form of them,
+`Model.arrays()`, built on demand and kept until the next edit. numpy is loaded
+then, at the first LP or MIP, and duals come back as one numpy array by row.
+The backends are:
 
 * ``"bundled"`` — a bounded-variable revised simplex (the basis inverse held
   through a dense inverse of the basis kernel only, Dantzig pricing with a
@@ -36,12 +38,11 @@ import os
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import UnknownId
+from .lazy import np
 
 FEAS_TOL = 1e-6
 PIVOT_TOL = 1e-9
@@ -60,11 +61,12 @@ class SolveStatus(enum.Enum):
 
 @dataclass(eq=False)
 class ModelArrays:
-    """A model's column store: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
+    """A model's columns as both engines read them: ``max c x  s.t.  a x <= b,  lo <= x <= hi``.
 
     `a` is held in CSC form: column j has the values `data[indptr[j]:indptr[j+1]]`
     in the rows `indices[indptr[j]:indptr[j+1]]`, ascending. Columns follow
     `var_ids`, ascending; the rows, and so `b`, are fixed when the model is built.
+    `Model.arrays()` builds them from the model's records when first asked after an edit.
     """
 
     var_ids: list[int]
@@ -112,8 +114,6 @@ class _WarmState:
 
 
 _BASIC, _AT_LO, _AT_UP = 0, 1, 2
-# by status: a nonbasic column may enter iff _IMPROVING_SIGN[vstat] * d > OPT_TOL
-_IMPROVING_SIGN = np.array([0.0, 1.0, -1.0])
 
 
 class Model:
@@ -122,29 +122,15 @@ class Model:
     def __init__(self, rhs: Sequence[float], backend: str = "bundled"):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; available: {BACKENDS}")
-        b = np.array(rhs, dtype=float)
-        if not np.isfinite(b).all():
+        self._b = [float(v) for v in rhs]
+        if not all(map(math.isfinite, self._b)):
             raise ValueError("right-hand side must be finite")
         self.backend = backend
-        self._store = ModelArrays(
-            var_ids=[],
-            data=np.zeros(0),
-            indices=np.zeros(0, dtype=np.intp),
-            indptr=np.zeros(1, dtype=np.intp),
-            b=b,
-            c=np.zeros(0),
-            lo=np.zeros(0),
-            hi=np.zeros(0),
-        )
+        # by id, ascending (ids only grow): [obj, lo, hi, rows ascending, values by row]
+        self._columns: dict[int, list] = {}
+        self._arrays: Optional[ModelArrays] = None  # built from the records, until an edit
         self._next_var = 0
         self._warm: Optional[_WarmState] = None
-
-    def _position(self, vid: int) -> int:
-        ids = self._store.var_ids
-        j = bisect_left(ids, vid)
-        if j == len(ids) or ids[j] != vid:
-            raise UnknownId(f"variable {vid} does not exist")
-        return j
 
     # -- editing ---------------------------------------------------------
 
@@ -160,34 +146,28 @@ class Model:
             raise ValueError("lower bound must be finite")
         if hi < lo:
             raise ValueError(f"empty bound interval [{lo}, {hi}]")
-        st = self._store
         coeffs = {row: float(v) for row, v in (coeffs or {}).items() if v != 0.0}
         for row in coeffs:
-            if row not in range(st.m):
+            if row not in range(len(self._b)):
                 raise UnknownId(f"row {row} does not exist")
         rows = sorted(coeffs)
         vid, self._next_var = self._next_var, self._next_var + 1
-        st.var_ids.append(vid)
-        st.data = np.concatenate((st.data, [coeffs[row] for row in rows]))
-        st.indices = np.concatenate((st.indices, np.array(rows, dtype=np.intp)))
-        st.indptr = np.concatenate((st.indptr, [st.indptr[-1] + len(rows)]))
-        st.c = np.concatenate((st.c, [obj]))
-        st.lo = np.concatenate((st.lo, [lo]))
-        st.hi = np.concatenate((st.hi, [hi]))
+        self._columns[vid] = [float(obj), float(lo), float(hi), rows, [coeffs[r] for r in rows]]
+        self._arrays = None
         return vid
 
+    def _known(self, ids: list[int]) -> list[int]:
+        """`ids`, each a variable of the model; UnknownId at the first that is not."""
+        for vid in ids:
+            if vid not in self._columns:
+                raise UnknownId(f"variable {vid} does not exist")
+        return ids
+
     def remove_variables(self, ids: Iterable[int]) -> None:
-        ids = list(ids)
-        positions = [self._position(vid) for vid in ids]
-        st = self._store
-        keep = np.ones(st.n, dtype=bool)
-        keep[positions] = False
-        lengths = np.diff(st.indptr)
-        entries = np.repeat(keep, lengths)
-        st.var_ids = [vid for vid, kept in zip(st.var_ids, keep.tolist()) if kept]
-        st.data, st.indices = st.data[entries], st.indices[entries]
-        st.indptr = np.concatenate([[0], np.cumsum(lengths[keep])]).astype(np.intp)
-        st.c, st.lo, st.hi = st.c[keep], st.lo[keep], st.hi[keep]
+        ids = self._known(list(ids))
+        for vid in set(ids):
+            del self._columns[vid]
+        self._arrays = None
         if self._warm is not None and set(ids).isdisjoint(self._warm.basis_keys):
             self._warm.at_upper.difference_update(ids)
         else:
@@ -205,11 +185,23 @@ class Model:
 
     @property
     def num_constraints(self) -> int:
-        return self._store.m
+        return len(self._b)
 
     def arrays(self) -> ModelArrays:
-        """The column store that both engines read; valid until the next edit."""
-        return self._store
+        """The columns as the arrays both engines read, built once after each edit."""
+        if self._arrays is None:
+            cols = self._columns.values()
+            self._arrays = ModelArrays(
+                var_ids=list(self._columns),
+                data=np.array([v for col in cols for v in col[4]], dtype=float),
+                indices=np.array([r for col in cols for r in col[3]], dtype=np.intp),
+                indptr=np.cumsum([0] + [len(col[3]) for col in cols], dtype=np.intp),
+                b=np.array(self._b, dtype=float),
+                c=np.array([col[0] for col in cols], dtype=float),
+                lo=np.array([col[1] for col in cols], dtype=float),
+                hi=np.array([col[2] for col in cols], dtype=float),
+            )
+        return self._arrays
 
     # -- solving ----------------------------------------------------------
 
@@ -230,10 +222,11 @@ class Model:
         """
         if not 0.0 <= relative_gap < 1.0:
             raise ValueError("relative_gap must lie in [0, 1)")
-        binaries = sorted(binaries)
-        j = np.array([self._position(vid) for vid in binaries], dtype=np.intp)
-        st = self._store
-        st.lo[j], st.hi[j] = np.maximum(st.lo[j], 0.0), np.minimum(st.hi[j], 1.0)
+        binaries = self._known(sorted(binaries))
+        for vid in binaries:
+            col = self._columns[vid]
+            col[1], col[2] = max(col[1], 0.0), min(col[2], 1.0)
+        self._arrays = None
         solve_lp, solve_mip = _ENGINES[self.backend]
         if not binaries:
             lp = solve_lp(self, deadline=deadline)
@@ -243,8 +236,8 @@ class Model:
         mip = solve_mip(self, binaries, relative_gap, deadline)
         if mip.status is not SolveStatus.UNBOUNDED:
             return mip
-        probe = Model(st.b, self.backend)  # solved by the engine: model calls never nest
-        probe._store = replace(st, c=np.zeros(st.n))
+        probe = Model(self._b, self.backend)  # solved by the engine: model calls never nest
+        probe._columns = {vid: [0.0, *col[1:]] for vid, col in self._columns.items()}
         found = solve_mip(probe, binaries, 0.0, deadline).status
         verdict = {SolveStatus.OPTIMAL: mip.status, SolveStatus.UNBOUNDED: SolveStatus.INFEASIBLE}
         return MipSolution(verdict.get(found, found), -math.inf, {}, math.inf)
@@ -389,6 +382,8 @@ class _SimplexRun:
         lo, hi = self.lo, self.hi
         # cost and bounds of the basic columns, row by row; kept up to date per pivot
         cb, lob, hib = c[basis], lo[basis], hi[basis]
+        # by status: a nonbasic column may enter iff improving_sign[vstat] * d > OPT_TOL
+        improving_sign = np.array([0.0, 1.0, -1.0])
         degen_run = 0
         bland = self.bland
         for it in range(1, self.max_iter + 1):
@@ -399,7 +394,7 @@ class _SimplexRun:
                 xb = self._xb(basis, vstat, factor)
             y = factor.btran(self, basis, cb)
             d = c - self._aty(y)
-            cand = _IMPROVING_SIGN[vstat] * d > OPT_TOL
+            cand = improving_sign[vstat] * d > OPT_TOL
             if not cand.any():
                 return SolveStatus.OPTIMAL, xb, y, d, factor
             # Bland: the first candidate; Dantzig: the first of the largest |d|

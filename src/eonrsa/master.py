@@ -21,10 +21,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidConfiguration, InvariantViolation
 from .instance import Instance, Request
+from .lazy import np
 from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
 from .topology import Path, shortest_path
 
@@ -149,25 +148,27 @@ def first_fit(instance: Instance, order: Iterable[PricingRequest]) -> list[Confi
     of their links, so they are link-disjoint.
     """
     topo, slots = instance.topology, instance.spectrum_slots
-    busy = np.zeros((topo.num_links, slots), dtype=bool)
+    busy = [0] * topo.num_links  # per link, bit s - 1 set when slot s is taken
     served: set[int] = set()
     routes: dict[int, list[tuple[PricingRequest, Path]]] = {}
     for req in order:
         if not served.isdisjoint(req.members):
             continue
-        failed = None  # the blocked links of the last slot without a path
+        failed = None  # the link weights of the last slot without a path
         for s in range(1, slots - req.width + 2):
-            blocked = busy[:, s - 1 : s - 1 + req.width].any(axis=1)
-            if failed is not None and np.array_equal(blocked, failed):
+            window = ((1 << req.width) - 1) << (s - 1)
+            weights = [math.inf if cells & window else 1.0 for cells in busy]
+            if weights == failed:
                 continue
-            found = shortest_path(topo, req.source, req.dest, np.where(blocked, math.inf, 1.0))
+            found = shortest_path(topo, req.source, req.dest, weights)
             if found is None:  # no path at all, whatever the weights
                 break
             path, hops = found
             if math.isinf(hops):  # every path crosses a blocked link
-                failed = blocked
+                failed = weights
                 continue
-            busy[list(path.links), s - 1 : s - 1 + req.width] = True
+            for link in path.links:
+                busy[link] |= window
             served.update(req.members)
             routes.setdefault(s, []).append((req, path))
             break

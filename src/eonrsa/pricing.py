@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .instance import Instance
+from .lazy import np
 from .lpsolver import INT_TOL, LpSolution, Model, SolveStatus
 from .master import Configuration, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
@@ -153,7 +152,7 @@ def price_slot(
         rc_lp_star, nu_request, nu_link = inner.solve_lp()
         # a request's link weights depend on the request only through its width
         nu_link = np.maximum(nu_link, 0.0)
-        weights = {w: win + nu_link for w, win in windows.items()}
+        weights = {w: (win + nu_link).tolist() for w, win in windows.items()}
         added = 0
         for request in eligible:
             gain = mu_gain[request.key] - sum(nu_request.get(k, 0.0) for k in request.members)

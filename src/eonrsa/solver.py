@@ -50,9 +50,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .instance import Instance
+from .lazy import np
 from .master import (
     Configuration,
     MasterDuals,

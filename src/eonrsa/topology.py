@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InvariantViolation, ParseError
 
 BUILTIN_TOPOLOGIES = ("spain21", "usa24")
@@ -119,7 +117,7 @@ def shortest_path(
     dest: str,
     weights: Sequence[float],
 ) -> Optional[tuple[Path, float]]:
-    """Minimum-weight simple path under non-negative per-link weights.
+    """Minimum-weight simple path under non-negative per-link weights (NaN is not one).
 
     Ties are broken by fewest hops, then by lexicographically smallest link-id
     sequence. Returns None when dest is unreachable.
@@ -128,10 +126,9 @@ def shortest_path(
         raise ValueError("source and destination must differ")
     if len(weights) != topology.num_links:
         raise ValueError(f"expected {topology.num_links} weights, got {len(weights)}")
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any():
-        raise ValueError("negative link weight (caller must clamp)")
-    cost = w.tolist()  # Python floats add faster than numpy scalars
+    cost = [float(x) for x in weights]  # Python floats add faster than numpy scalars
+    if any(not x >= 0.0 for x in cost):
+        raise ValueError("negative or NaN link weight (caller must clamp)")
     # Labels are (dist, hops, link-seq); Dijkstra finalizes each node once, so
     # the first pop per node is minimal under the full lexicographic order and
     # the resulting path is simple.

@@ -28,14 +28,17 @@ from eonrsa import (
     verify_plan,
 )
 from eonrsa.lpsolver import Model
-from eonrsa.master import slot_set_rows, window_hits
+from eonrsa.master import first_fit, slot_set_rows, window_hits
+from eonrsa.topology import enumerate_simple_paths
 from conftest import (
     column_coefficients,
     column_ids,
     configurations,
+    make_random_tiny_instance,
     model_column,
     reduced_costs,
     signature,
+    widest_first,
 )
 
 
@@ -483,3 +486,38 @@ def test_flow_bound_cut_by_the_deadline_leaves_the_fitting_demand(backend):
     rmp = RestrictedMaster(inst, backend=backend, deadline=time.monotonic() - 1.0)
     assert rmp.solve_lp_and_prune()[0] < 162.0
     assert rmp.upper_bound == 176.0
+
+
+def _first_fit_by_cells(instance, order) -> list[Configuration]:
+    """first_fit's plan from a set of busy (link, slot) cells and every simple path, fewest
+    hops then smallest link sequence first."""
+    topo, slots = instance.topology, instance.spectrum_slots
+    busy: set[tuple[int, int]] = set()
+    served: set[int] = set()
+    routes: dict[int, list] = {}
+    for req in order:
+        if served & set(req.members):
+            continue
+        paths = enumerate_simple_paths(topo, req.source, req.dest, topo.num_nodes - 1)
+        for s in range(1, slots - req.width + 2):
+            window = range(s, s + req.width)
+            blocked = {link for link, t in busy if t in window}
+            free = [path for path in paths if blocked.isdisjoint(path.links)]
+            if free:
+                busy.update((link, t) for link in free[0].links for t in window)
+                served.update(req.members)
+                routes.setdefault(s, []).append((req, free[0]))
+                break
+    return [Configuration(s, tuple(routes[s])) for s in sorted(routes)]
+
+
+def test_first_fit_matches_a_busy_cell_reference():
+    # widest first and one shuffled order on each of tiny 0-199
+    rng = random.Random(0)
+    for seed in range(200):
+        inst = make_random_tiny_instance(seed)
+        requests = [PricingRequest.from_request(r) for r in inst.requests]
+        shuffled = list(requests)
+        rng.shuffle(shuffled)
+        for order in (widest_first(requests), shuffled):
+            assert first_fit(inst, order) == _first_fit_by_cells(inst, order), inst.name

@@ -1,10 +1,15 @@
 import dataclasses
 import itertools
+import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path as FsPath
 
 import pytest
 
+import eonrsa
 import eonrsa.solver as solver_module
 from eonrsa import (
     Configuration,
@@ -28,6 +33,7 @@ from eonrsa import (
     oracle_solve,
     price_slot,
     report_metrics,
+    save_instance,
     solve,
     verify_plan,
 )
@@ -809,6 +815,60 @@ def test_a_short_start_plan_still_solves_its_lps(monkeypatch, backend):
     assert report.z_lp_star_slots == pytest.approx(7.0) and report.z_ub_slots == 7.0
     assert len(ilp_calls) == 1 and report.final_ilp_gap == 0.0
     assert report.z_ilp_slots == plan.throughput_slots == 6
+
+
+_NUMPY_CHECK = """
+import contextlib, io, json, sys
+import eonrsa, eonrsa.cli
+from eonrsa import Instance, Request, SolveConfig, Topology, load_instance, solve
+
+def loaded():  # the lazy module object may sit under "numpy"; a loaded numpy has submodules
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+print(json.dumps(["import", loaded()]))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    eonrsa.cli.main(["--help"])
+print(json.dumps(["help", loaded()]))
+tri = Topology("tri", ("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+requests = (Request(0, "a", "b", 2), Request(1, "b", "c", 1), Request(2, "a", "c", 3))
+for backend in ("bundled", "highs"):
+    triangle = Instance(topology=tri, spectrum_slots=4, requests=requests, name="tri")
+    report, plan = solve(triangle, SolveConfig(backend=backend))
+    print(json.dumps([backend, report.z_lp_star_slots, plan.throughput_slots, loaded()]))
+tiny = load_instance(sys.stdin.read())
+for backend in ("bundled", "highs"):
+    report, plan = solve(tiny, SolveConfig(backend=backend))
+    starts = {k: lp.start_slot for k, lp in plan.assignments.items()}
+    print(json.dumps([backend, report.z_lp_star_slots, plan.throughput_slots, starts, bool(loaded())]))
+"""
+
+
+def test_numpy_loads_only_when_a_run_solves_an_lp():
+    # a fresh interpreter: importing eonrsa, --help and a triangle solve whose start plan
+    # grants all its demand load no numpy module; tiny 9's short start plan solves LPs, which
+    # load it, with the same bound and plan as here
+    tiny = make_random_tiny_instance(9)
+    package_root = str(FsPath(eonrsa.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_CHECK],
+        input=save_instance(tiny).decode(),
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines[:4] == [
+        ["import", []], ["help", []], ["bundled", 6.0, 6, []], ["highs", 6.0, 6, []]
+    ]
+    expected = []
+    for backend in ("bundled", "highs"):
+        report, plan = solve(tiny, SolveConfig(backend=backend))
+        starts = {str(k): lp.start_slot for k, lp in plan.assignments.items()}
+        expected.append([backend, report.z_lp_star_slots, plan.throughput_slots, starts, True])
+    assert lines[4:] == expected
+    assert [line[1:3] for line in expected] == [[7.0, 6], [7.0, 6]]
 
 
 def _counted(patch, owner, name) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -53,6 +54,12 @@ def test_disconnected_returns_none():
 def test_negative_weight_rejected(triangle):
     with pytest.raises(ValueError):
         shortest_path(triangle, "a", "c", [1.0, -0.5, 1.0])
+
+
+def test_nan_weight_rejected(triangle):
+    # a NaN weight is no more a distance than a negative one; the a-c link would win at NaN
+    with pytest.raises(ValueError):
+        shortest_path(triangle, "a", "c", [0.0, 0.0, math.nan])
 
 
 def test_same_source_dest_rejected(triangle):
