@@ -87,9 +87,11 @@ def plan_to_json_obj(instance: Instance, plan: ProvisioningPlan) -> dict:
 
 
 def report_to_json_obj(report: SolveReport) -> dict:
-    """run.json: every report field but `prune_checks`, then the two values in Tbps."""
+    """run.json: every report field, `lp_value_trace` in place of `prune_checks`, then the
+    two values in Tbps."""
     fields = dataclasses.asdict(report)
-    del fields["prune_checks"]  # its second values are `lp_value_trace`
+    del fields["prune_checks"]  # the last field
+    fields["lp_value_trace"] = report.lp_value_trace
     return {
         "instance": fields.pop("instance_name"),
         **fields,

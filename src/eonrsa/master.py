@@ -343,8 +343,7 @@ class RestrictedMaster:
         dual, under which a dropped column would price out again.
 
         The first value that falls short of `upper_bound` lowers it to the flow
-        bound, once, so a run can meet that bound, and its any-order start passes
-        stop at it, before its first priced round.
+        bound, once, so a run can meet that bound before its first priced round.
         """
         sol = self._solve_lp_checked()
         dropped = self.model.prune(sol, self._columns)
@@ -448,9 +447,10 @@ class RestrictedMaster:
     def solve_final_ilp(
         self, relative_gap: float
     ) -> tuple[float, list[Configuration], MipSolution]:
-        """Restrict columns to {0,1} and solve until `deadline`, on the bundled engine from
-        the last LP's basis; y integrality must emerge. A search that ends, by the deadline
-        or a numerical failure, before any incumbent selects no column."""
+        """Restrict columns to {0,1} and solve until `deadline` on the master's backend; only
+        the bundled engine starts from the last LP's basis. y integrality must emerge. A
+        search that ends, by the deadline or a numerical failure, before any incumbent
+        selects no column."""
         mip = self.model.solve_mip(relative_gap, self._columns, self.deadline)
         if mip.status is SolveStatus.INFEASIBLE:  # the zero point is always feasible
             raise RuntimeError(f"final ILP failed: {mip.status}")

@@ -4,17 +4,15 @@ The master starts from the columns of the best of several first-fit plans
 (`master.first_fit`), widest request first: ties by key ascending, then
 descending, then shuffled by `random.Random(0)`. The passes stop at the first
 plan that meets the master's `upper_bound`, once every order of equal widths
-has run, at the deadline, or after FIRST_FIT_PASSES. Where those orders run out
-and the first LP falls short of the bound, the passes left take orders shuffled
-whole, with the same stops. In that step, unless the deadline has passed, the
-master also gets every single-lightpath column (`master.lightpath_columns`) and
-a better plan's columns, and its LP is solved again before any round is priced;
-its prune drops the seeded columns that are not basic. One outer round: solve the
-master LP (pruning dropped columns), snapshot the duals, price every starting
-slot against that snapshot, add every improving configuration, and offer each
-one at the other start slots where it prices too (at most SHARED_PER_SLOT a
-slot). A run is certified, its final LP value a true upper bound, in one of two
-ways:
+has run, at the deadline, or after FIRST_FIT_PASSES. Where the first LP falls
+short of the bound and the deadline has not passed, the master gets every
+single-lightpath column (`master.lightpath_columns`), and its LP is solved again
+before any round is priced; its prune drops the seeded columns that are not
+basic. One outer round: solve the master LP (pruning dropped columns), snapshot
+the duals, price every starting slot against that snapshot, add every improving
+configuration, and offer each one at the other start slots where it prices too
+(at most SHARED_PER_SLOT a slot). A run is certified, its final LP value a true
+upper bound, in one of two ways:
 
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound, computed after the first LP that
@@ -92,13 +90,13 @@ class SolveReport:
     Epsilons are fractions (table display multiplies by 100) against
     `z_lp_star_slots` when certified, else against `z_ub_slots`.
     `outer_iterations` counts priced rounds and `columns_generated` priced
-    columns, shared ones included; the start plans' columns, widest-first or
-    any-order, and the seeded single-lightpath columns are in neither.
+    columns, shared ones included; the start plan's columns and the seeded
+    single-lightpath columns are in neither.
     `final_ilp_gap` and `timings["ilp_phase"]` are the final ILP's proven gap and
     its time with post-processing; 0 where a start plan that meets the bound skips
     it, a gap of 1.0 in 0 s where the deadline does, and a gap of 1.0 where it
     ends with no incumbent.
-    `lp_value_trace` is the second value of each `prune_checks` pair. Where the
+    `lp_value_trace` reads the second value of each `prune_checks` pair. Where the
     start plan grants all the demand that fits, no LP runs: both are empty,
     `z_lp_star_slots` equals `z_ub_slots`, and `timings["lp_phase"]` covers only
     the start passes.
@@ -121,8 +119,11 @@ class SolveReport:
     columns_generated: int
     final_ilp_gap: float
     timings: dict[str, float]
-    lp_value_trace: list[float] = field(default_factory=list)
     prune_checks: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def lp_value_trace(self) -> list[float]:
+        return [after for _, after in self.prune_checks]
 
     @property
     def offered_load_tbps(self) -> float:
@@ -235,15 +236,14 @@ def _shared_columns(
 
 
 def _first_fit_orders(
-    requests: Sequence[PricingRequest], rank: Callable[[PricingRequest], tuple], fixed=(), seen=None
+    requests: Sequence[PricingRequest], rank: Callable[[PricingRequest], tuple], fixed=()
 ) -> Iterator[list[PricingRequest]]:
-    """Distinct request orders by ascending `rank`, none in `seen`: the `fixed` ones, then
-    ties shuffled by random.Random(0). Each order yielded joins `seen` (a new set if None);
-    they stop when it holds FIRST_FIT_PASSES orders, or none is left: there are prod(n!)
-    over the groups of n requests of equal rank."""
+    """Distinct request orders by ascending `rank`: the `fixed` ones, then ties shuffled by
+    random.Random(0). They stop after FIRST_FIT_PASSES orders, or when none is left: there
+    are prod(n!) over the groups of n requests of equal rank."""
     groups = Counter(rank(p) for p in requests).values()
     limit = min(FIRST_FIT_PASSES, math.prod(math.factorial(n) for n in groups))
-    rng, seen = random.Random(0), set() if seen is None else seen
+    rng, seen = random.Random(0), set()
 
     def shuffled() -> Iterator[list[PricingRequest]]:
         while True:
@@ -291,8 +291,7 @@ def solve(
 
     # the start plan: the best of first-fit passes, widest first; its columns seed the master
     by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
-    tried: set[tuple] = set()  # the orders of the start passes, as request keys
-    orders = _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key, tried)
+    orders = _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key)
     starts = (first_fit(instance, order) for order in orders)
     start = best_of(next(starts), starts, rmp.upper_bound)
     for column in start:
@@ -312,15 +311,8 @@ def solve(
         if met_bound or timed_out:
             break
         if len(rmp.prune_checks) == 1 and not past_deadline():
-            # any-order passes in what the widest-first orders left, and every single-lightpath
-            # column; the LP is solved once more, unpriced
-            any_order = _first_fit_orders(slot_requests, lambda p: (), seen=tried)
-            found = best_of(start, (first_fit(instance, o) for o in any_order), rmp.upper_bound)
-            seeded = lightpath_columns(instance, slot_requests)
-            if found is not start:
-                start = found
-                seeded += start
-            for column in seeded:
+            # every single-lightpath column; the LP is solved once more, unpriced
+            for column in lightpath_columns(instance, slot_requests):
                 rmp.add_column(column)
             continue
         outer += 1
@@ -354,10 +346,9 @@ def solve(
         verify_plan(instance, ilp_plan, expected_slots=z)
         grant = {p.key: sum(map(rmp.grants.get, p.members)) / len(p.members) for p in slot_requests}
         by_grant = _first_fit_orders(slot_requests, lambda p: (-round(grant[p.key], 6), -p.width))
-        # a start pass's order would give its plan again
-        untried = (first_fit(instance, o) for o in by_grant if tuple(p.key for p in o) not in tried)
+        passes = (first_fit(instance, o) for o in by_grant)
         # max keeps the first of equal values, so the start plan wins a tie
-        chosen = best_of(max(start, selected, key=rmp.served_slots), untried, bound)
+        chosen = best_of(max(start, selected, key=rmp.served_slots), passes, bound)
     plan = rmp.post_process(chosen)
     if chosen is not selected:
         verify_plan(instance, plan)  # the one scan of the returned plan for reused cells
@@ -382,7 +373,6 @@ def solve(
         columns_generated=columns_generated,
         final_ilp_gap=ilp_gap,
         timings={**timings, "total": time.monotonic() - t0},
-        lp_value_trace=[after for _, after in rmp.prune_checks],
         prune_checks=list(rmp.prune_checks),
     )
     return report, plan

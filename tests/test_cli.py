@@ -141,10 +141,11 @@ def test_run_json_holds_every_report_field_but_the_prune_checks(
     run = json.loads((tmp_path / "run.json").read_text())
     report = solved[0][0]
     names = [f.name for f in dataclasses.fields(SolveReport)]
-    assert names[0] == "instance_name" and "prune_checks" in names
+    assert names[0] == "instance_name" and names[-1] == "prune_checks"
     expected = {
         "instance": report.instance_name,
-        **{name: getattr(report, name) for name in names[1:] if name != "prune_checks"},
+        **{name: getattr(report, name) for name in names[1:-1]},
+        "lp_value_trace": report.lp_value_trace,
         "z_lp_star_tbps": report.z_lp_star_tbps,
         "z_ilp_tbps": report.z_ilp_tbps,
     }
@@ -453,6 +454,7 @@ def _report(**fields) -> SolveReport:
         columns_generated=7,
         final_ilp_gap=0.0,
         timings={"lp_phase": 0.35, "ilp_phase": 0.45, "total": 0.75},
+        prune_checks=[(9.5, 9.5), (10.0, 10.0)],
     )
     return SolveReport(**{**base, **fields})
 
@@ -516,6 +518,50 @@ def test_report_files_are_golden(case, tmp_path, toy_instance_file, monkeypatch,
         "md": md_text,
         "json": (tmp_path / "run.json").read_text(),
     }
+
+
+def test_run_json_is_golden(tmp_path, toy_instance_file, monkeypatch):
+    # copied from CLI output: the LP trace, the second values of the prune checks, is
+    # written after the timings
+    import eonrsa.cli as cli
+
+    plan = ProvisioningPlan(assignments={}, throughput_slots=0, slot_rate_gbps=25.0)
+    monkeypatch.setattr(cli, "solve", lambda instance, config, requests: (_report(), plan))
+    argv = ["solve", "--instance", str(toy_instance_file), "--out-dir", str(tmp_path)]
+    assert main(argv + ["--format", "json"]) == EXIT_OK
+    assert (tmp_path / "run.json").read_text() == RUN_JSON
+
+
+RUN_JSON = """{
+  "instance": "golden",
+  "spectrum_slots": 40,
+  "num_requests": 12,
+  "offered_load_gbps": 250.0,
+  "slot_rate_gbps": 25.0,
+  "z_lp_star_slots": 10.0,
+  "z_ilp_slots": 9.0,
+  "z_ub_slots": 12.0,
+  "epsilon_lp": 0.1,
+  "epsilon_tab": 0.0025,
+  "gos_percent": 2.25,
+  "certified": true,
+  "timed_out": false,
+  "outer_iterations": 3,
+  "columns_generated": 7,
+  "final_ilp_gap": 0.0,
+  "timings": {
+    "lp_phase": 0.35,
+    "ilp_phase": 0.45,
+    "total": 0.75
+  },
+  "lp_value_trace": [
+    9.5,
+    10.0
+  ],
+  "z_lp_star_tbps": 0.25,
+  "z_ilp_tbps": 0.225
+}
+"""
 
 
 def test_result_table_headers_show_the_upper_bound_after_z_lp():

@@ -1024,28 +1024,30 @@ def _widest_first_orders(inst: Instance) -> list[list[PricingRequest]]:
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_any_order_passes_certify_where_widest_first_runs_out(monkeypatch, backend):
-    # tiny-oracle base 33 has 3! 2! = 12 widest-first orders, each giving 6 slots; an
-    # any-order pass finds its optimum of 9, which meets the flow bound after one more LP
+def test_seeded_columns_certify_where_widest_first_runs_out(monkeypatch, backend):
+    # tiny-oracle base 33 has 3! 2! = 12 widest-first orders, each giving 6 slots; the
+    # seeded single-lightpath columns lift the LP to its optimum of 9, which meets the flow
+    # bound, and the final ILP finds a plan of 9
     inst = _tiny_oracle_base(33)
     rmp = RestrictedMaster(inst)
     orders = _widest_first_orders(inst)
     assert len(orders) == 12
     assert {rmp.post_process(first_fit(inst, order)).throughput_slots for order in orders} == {6}
-    ilp_calls = _counted(monkeypatch, RestrictedMaster, "solve_final_ilp")
-    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
-    assert report.certified and report.outer_iterations == 0 and ilp_calls == []
-    assert report.lp_value_trace == pytest.approx([6.0, 9.0])
-    assert report.z_ilp_slots == plan.throughput_slots == 9 == oracle_solve(inst).value_slots
-    # tiny 45: 3 slots from the widest-first orders, its optimum of 4 from an any-order pass
-    inst = make_random_tiny_instance(45)
-    report, plan = solve(inst, SolveConfig(final_ilp_relative_gap=0.0, backend=backend))
-    assert report.certified and report.outer_iterations == 0 and ilp_calls == []
-    assert report.lp_value_trace == pytest.approx([3.0, 4.0]) and plan.throughput_slots == 4
+    config = SolveConfig(final_ilp_relative_gap=0.0, backend=backend)
+    # tiny 45: 3 slots from the widest-first orders, its optimum of 4 from the final ILP
+    for inst, trace, optimum in ((inst, [6.0, 9.0], 9), (make_random_tiny_instance(45), [3.0, 4.0], 4)):
+        with monkeypatch.context() as patch:
+            ilp_calls = _counted(patch, RestrictedMaster, "solve_final_ilp")
+            seeds = _counted(patch, solver_module, "lightpath_columns")
+            report, plan = solve(inst, config)
+        assert report.certified and report.outer_iterations == 0, inst.name
+        assert report.lp_value_trace == pytest.approx(trace), inst.name
+        assert len(ilp_calls) == len(seeds) == 1, inst.name
+        assert report.z_ilp_slots == plan.throughput_slots == optimum == oracle_solve(inst).value_slots
 
 
 @pytest.mark.parametrize("backend", ["bundled", "highs"])
-def test_no_any_order_pass_runs_past_the_deadline(monkeypatch, backend):
+def test_no_column_is_seeded_past_the_deadline(monkeypatch, backend):
     # the deadline passes in base 33's first LP, after its 12 widest-first passes
     inst = _tiny_oracle_base(33)
     clock, solve_lp = _Clock(), RestrictedMaster.solve_lp_and_prune
@@ -1059,8 +1061,9 @@ def test_no_any_order_pass_runs_past_the_deadline(monkeypatch, backend):
         patch.setattr(solver_module, "time", clock)
         patch.setattr(RestrictedMaster, "solve_lp_and_prune", late_lp)
         passes = _recorded_passes(patch, RestrictedMaster(inst))
+        seeds = _counted(patch, solver_module, "lightpath_columns")
         report, _ = solve(inst, config)
-    assert len(passes) == 12 and report.timed_out
+    assert len(passes) == 12 and report.timed_out and seeds == []
     assert [p.throughput_slots for p in passes] == [6] * 12
 
 
