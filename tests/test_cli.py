@@ -309,7 +309,12 @@ def test_cross_process_determinism(tmp_path):
     outputs = []
     for run, hash_seed in (("p1", "0"), ("p2", "12345")):
         out_dir = tmp_path / run
-        env = {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+        env = {
+            "PYTHONHASHSEED": hash_seed,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": package_root,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         proc = subprocess.run(
             args + ["--out-dir", str(out_dir)],
             capture_output=True,
@@ -344,7 +349,7 @@ def test_malformed_instance_exits_1_without_a_traceback(tmp_path):
         [sys.executable, "-m", "eonrsa.cli", "solve", "--instance", str(path)],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         cwd=tmp_path,
         timeout=60,
     )

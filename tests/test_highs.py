@@ -16,7 +16,7 @@ import pytest
 
 import eonrsa
 from eonrsa import Model, SolveStatus
-from eonrsa import lpsolver
+from eonrsa import highs
 from eonrsa.lpsolver import LpSolution, MipSolution
 from test_lpsolver import _random_lp_model
 
@@ -135,13 +135,13 @@ def test_driver_equals_milp_on_random_mips():
 
 def test_lp_reports_its_basis_and_the_next_lp_starts_from_it(monkeypatch):
     starts = []
-    run = lpsolver._highs_run
+    run = highs._highs_run
 
     def recorded(mat, options, deadline, integrality=None, warm=None):
         starts.append(warm)
         return run(mat, options, deadline, integrality, warm)
 
-    monkeypatch.setattr(lpsolver, "_highs_run", recorded)
+    monkeypatch.setattr(highs, "_highs_run", recorded)
     warm = 0
     for seed in range(60):
         m, _ = _random_lp_model(seed, "highs")
@@ -178,13 +178,13 @@ def test_driver_equals_linprog_on_unbounded_and_infeasible_lps():
 
 def test_lp_without_a_presolve_verdict_is_run_again_without_presolve(monkeypatch):
     runs = []
-    run = lpsolver._highs_run
+    run = highs._highs_run
 
     def recorded(mat, options, deadline, integrality=None, **kwargs):
         runs.append(options["presolve"])
         return run(mat, options, deadline, integrality, **kwargs)
 
-    monkeypatch.setattr(lpsolver, "_highs_run", recorded)
+    monkeypatch.setattr(highs, "_highs_run", recorded)
     m, _ = _random_lp_model(998500, "highs")
     new = m.solve_lp()
     assert runs == ["on", "off"] and new.status is SolveStatus.UNBOUNDED
@@ -211,8 +211,8 @@ def test_missing_highs_module_names_the_folder_and_the_scipy_floor(monkeypatch, 
     class NoHighs:
         submodule_search_locations = [str(tmp_path)]
 
-    monkeypatch.delitem(sys.modules, lpsolver._HIGHS_CORE, raising=False)
-    monkeypatch.setattr(lpsolver.importlib.util, "find_spec", lambda name: NoHighs())
+    monkeypatch.delitem(sys.modules, highs._HIGHS_CORE, raising=False)
+    monkeypatch.setattr(highs.importlib.util, "find_spec", lambda name: NoHighs())
     m = Model([1.0], "highs")
     m.add_variable(obj=1.0, hi=1.0, coeffs={0: 1.0})
     with pytest.raises(ImportError) as raised:
@@ -261,7 +261,7 @@ def test_highs_and_scipy_optimize_share_one_highs_module(order, expected):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -294,7 +294,7 @@ def test_a_highs_run_loads_the_highs_module_only_to_solve_an_lp(code, expected):
         [sys.executable, "-c", code + check],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eonrsa import Model, SolveStatus, UnknownId
-from eonrsa.lpsolver import _cold_state, _Factor, _SimplexRun
+from eonrsa.bundled import _cold_state, _Factor, _SimplexRun
 from conftest import model_column, reduced_costs
 
 BACKENDS = ("bundled", "highs")
@@ -445,33 +445,46 @@ def test_import_loads_neither_scipy_sparse_nor_optimize():
 
     package_root = str(Path(eonrsa.__file__).resolve().parents[1])
     # after the import, a bundled solve of a fixed four-node ring loads no scipy module at all,
-    # and HiGHS solves load neither scipy.sparse nor scipy.optimize
+    # and HiGHS solves load neither scipy.sparse nor scipy.optimize; each engine module loads
+    # at its backend's first LP, and the ring's start plan grants all its demand: no LP runs
     code = """
 import sys, eonrsa
-print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules))
+def engines():
+    return [m for m in ('eonrsa.bundled', 'eonrsa.highs') if m in sys.modules]
+print(sorted(m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules), engines())
 from eonrsa import Instance, Request, SolveConfig, Topology, solve
 ring = Topology("ring4", ("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")))
 requests = (Request(0, "a", "c", 2), Request(1, "b", "d", 1), Request(2, "a", "b", 3))
 instance = Instance(topology=ring, spectrum_slots=4, requests=requests, name="ring4")
 report, _ = solve(instance, SolveConfig(backend="bundled"))
-print(report.certified, report.z_lp_star_slots)
+print(report.certified, report.z_lp_star_slots, engines())
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 # a HiGHS LP and a HiGHS solve load HiGHS's compiled module alone
 lp = eonrsa.Model([1.0], "highs")
 lp.add_variable(obj=1.0, coeffs={0: 1.0})
 report, _ = solve(instance, SolveConfig(backend="highs"))
-print(lp.solve_lp().objective, report.certified, report.z_lp_star_slots)
+print(lp.solve_lp().objective, report.certified, report.z_lp_star_slots, engines())
 print(sorted(m for m in ('scipy', 'scipy.sparse', 'scipy.optimize') if m in sys.modules))
+lp = eonrsa.Model([1.0], "bundled")
+lp.add_variable(obj=1.0, coeffs={0: 1.0})
+print(lp.solve_lp().objective, engines())
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True 6.0", "[]", "1.0 True 6.0", "[]"]
+    assert proc.stdout.splitlines() == [
+        "[] []",
+        "True 6.0 []",
+        "[]",
+        "1.0 True 6.0 ['eonrsa.highs']",
+        "[]",
+        "1.0 ['eonrsa.bundled', 'eonrsa.highs']",
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -576,15 +589,15 @@ def _set_packing_mip(backend="bundled"):
 
 @pytest.mark.parametrize("fail_at", ["after_an_incumbent", "first_node"])
 def test_failed_node_lp_keeps_the_incumbent(monkeypatch, fail_at):
-    import eonrsa.lpsolver as lpsolver
+    import eonrsa.bundled as bundled
 
-    original = lpsolver._solve_lp_bundled
+    original = bundled.solve_lp
     bounds, incumbents, failed = {}, [], []  # node LP values by branched ids; integral values
 
     def node_lp(model, overrides=None, deadline=None):
         if overrides and (fail_at == "first_node" or incumbents):
             failed.append(tuple(overrides))
-            return lpsolver.LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
+            return bundled.LpSolution(SolveStatus.NUMERICAL_FAILURE, -math.inf)
         sol = original(model, overrides, deadline)
         bounds[tuple(overrides or {})] = sol.objective
         frac = [v for v in sol.values.values() if 1e-6 < v < 1.0 - 1e-6]
@@ -592,7 +605,7 @@ def test_failed_node_lp_keeps_the_incumbent(monkeypatch, fail_at):
             incumbents.append(sol.objective)
         return sol
 
-    monkeypatch.setattr(lpsolver, "_solve_lp_bundled", node_lp)
+    monkeypatch.setattr(bundled, "solve_lp", node_lp)
     m, ids = _set_packing_mip()
     sol = m.solve_mip(0.0, ids)
     if fail_at == "first_node":

@@ -854,7 +854,7 @@ def test_numpy_loads_only_when_a_run_solves_an_lp():
         input=save_instance(tiny).decode(),
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
