@@ -61,8 +61,8 @@ from eonrsa import (  # noqa: E402
     generate_icton_style,
     solve,
 )
+from eonrsa.lpsolver import BACKENDS  # noqa: E402
 
-BACKENDS = ("bundled", "highs")
 TINY_SEEDS = range(40)
 CHECK_SEEDS = range(1, 11)  # workload seeds of check-oracle and check-desk
 CHECK_SMALL = range(200)  # tiny instances of check-small-<backend>

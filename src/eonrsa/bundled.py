@@ -14,7 +14,8 @@ import time
 from bisect import bisect_left
 from typing import Optional
 
-from .lazy import np
+import numpy as np
+
 from .lpsolver import (
     FEAS_TOL,
     INT_TOL,

@@ -18,7 +18,8 @@ import sys
 import time
 from typing import Optional
 
-from .lazy import np
+import numpy as np
+
 from .lpsolver import FEAS_TOL, LpSolution, MipSolution, Model, ModelArrays, SolveStatus, _WarmState
 
 

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParseError, UnknownNode
+from .errors import InvariantViolation, ParseError, UnknownNode
 from .topology import BUILTIN_TOPOLOGIES, Topology, builtin_topology
 from .topology import _topology_from_dict, _topology_to_dict
 
@@ -57,12 +57,15 @@ class Instance:
             raise ValueError("spectrum_slots must be positive")
         if not 0 < self.slot_rate_gbps < math.inf:
             raise ValueError("slot_rate_gbps must be positive and finite")
-        nodes = set(self.topology.nodes)
+        nodes, ids = set(self.topology.nodes), set()
         for req in self.requests:
             if req.source not in nodes or req.dest not in nodes:
                 raise UnknownNode(
                     f"request {req.id} endpoints ({req.source}, {req.dest}) not in topology"
                 )
+            if req.id in ids:
+                raise InvariantViolation(f"request id {req.id} is repeated")
+            ids.add(req.id)
 
     @property
     def total_demand_slots(self) -> int:

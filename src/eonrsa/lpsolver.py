@@ -3,8 +3,8 @@
 A ``Model`` keeps its columns as plain Python records by id, and its rows, fixed
 from their right-hand sides when it is built, as a list; columns come and go.
 The LP and MIP engines of each backend read one CSC form of them,
-`Model.arrays()`, built on demand and kept until the next edit. numpy is loaded
-then, at the first LP or MIP, and duals come back as one numpy array by row.
+`Model.arrays()`, built on demand and kept until the next edit. Its plain import
+loads numpy at the first LP or MIP, and duals come back as one numpy array by row.
 Each backend in `BACKENDS` names the package module that holds its two engines,
 ``solve_lp`` and ``solve_mip``: `eonrsa.bundled`, a revised simplex and
 branch-and-bound in numpy, and `eonrsa.highs`, HiGHS. A model imports that module
@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import UnknownId
-from .lazy import np
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .bundled import _Factor
 
 BACKENDS = ("bundled", "highs")  # each the name of the package module of its engines
@@ -84,7 +85,7 @@ class LpSolution:
     status: SolveStatus
     objective: float
     values: dict[int, float] = field(default_factory=dict)
-    duals: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by row
+    duals: np.ndarray = field(default_factory=lambda: importlib.import_module("numpy").zeros(0))
     basic_variables: Optional[frozenset[int]] = None
 
 
@@ -179,6 +180,8 @@ class Model:
     def arrays(self) -> ModelArrays:
         """The columns as the arrays both engines read, built once after each edit."""
         if self._arrays is None:
+            import numpy as np
+
             cols = self._columns.values()
             self._arrays = ModelArrays(
                 var_ids=list(self._columns),

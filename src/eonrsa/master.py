@@ -19,13 +19,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import InvalidConfiguration, InvariantViolation
 from .instance import Instance, Request
-from .lazy import np
 from .lpsolver import INT_TOL, Model, MipSolution, SolveStatus
 from .topology import Path, shortest_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def fused_width(demands: Sequence[int]) -> int:
@@ -196,6 +198,8 @@ def lightpath_columns(
 def window_hits(sets: np.ndarray, widths: Sequence[int]) -> np.ndarray:
     """hits_w(T) by set and width: the fewest slots of a set T, one boolean row of
     `sets` over the spectrum, that a window of w slots inside the spectrum covers."""
+    import numpy as np
+
     slots = sets.shape[1]
     covered = np.zeros((len(sets), slots + 1), dtype=np.int64)
     np.cumsum(sets, axis=1, out=covered[:, 1:])
@@ -213,6 +217,8 @@ def slot_set_rows(slots: int, widths: Sequence[int]) -> tuple[np.ndarray, np.nda
     hits_w(T) / |T| another row matches or exceeds at every width is implied by
     that row and left out, and of two rows with equal ratios the later one.
     """
+    import numpy as np
+
     slot = np.arange(slots)
     sets = [(slot >= (slots - n) // 2) & (slot < (slots - n) // 2 + n) for n in range(slots, 0, -1)]
     sets += [(slot >= o) & ((slot - o) % w == 0) for w in widths for o in range(w)]
@@ -241,6 +247,8 @@ class MasterDuals:
     mu_cell: np.ndarray
 
     def clamped(self) -> "MasterDuals":
+        import numpy as np
+
         return MasterDuals(
             mu_request={k: max(v, 0.0) for k, v in self.mu_request.items()},
             mu_cell=np.maximum(self.mu_cell, 0.0),

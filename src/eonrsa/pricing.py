@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .instance import Instance
-from .lazy import np
 from .lpsolver import INT_TOL, LpSolution, Model, SolveStatus
 from .master import Configuration, MasterDuals, PricingRequest
 from .topology import Path, shortest_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IMPROVE_TOL = 1e-6
 
@@ -137,6 +139,8 @@ def price_slot(
     Pure in its inputs: safe to run concurrently for different slots against
     one shared duals snapshot.
     """
+    import numpy as np
+
     duals = master_duals.clamped()
     if pricing_requests is None:
         pricing_requests = [PricingRequest.from_request(r) for r in instance.requests]

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .instance import Instance
-from .lazy import np
 from .master import (
     Configuration,
     MasterDuals,
@@ -209,6 +208,8 @@ def _shared_columns(
     """Each improving configuration at the other start slots where its widest window
     fits and its reduced cost under the clamped `duals` exceeds IMPROVE_TOL; per slot at
     most SHARED_PER_SLOT of them, highest reduced cost first, and no two alike."""
+    import numpy as np
+
     slots = instance.spectrum_slots
     mu = np.zeros((instance.topology.num_links, slots + 1))
     np.cumsum(duals.mu_cell, axis=1, out=mu[:, 1:])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eonrsa import (
     Instance,
+    InvariantViolation,
     ParseError,
     Request,
     Topology,
@@ -141,6 +142,13 @@ def test_generator_names_the_instance_by_its_load(load_tbps, name):
 def test_unknown_node_rejected(triangle):
     with pytest.raises(UnknownNode):
         Instance(topology=triangle, spectrum_slots=4, requests=(Request(0, "a", "zz", 1),))
+
+
+def test_repeated_request_id_rejected(triangle):
+    # solve would misread the two requests as one, and the oracle would serve only one
+    requests = (Request(0, "a", "b", 2), Request(0, "b", "c", 2), Request(5, "a", "c", 1))
+    with pytest.raises(InvariantViolation, match="request id 0 is repeated"):
+        Instance(topology=triangle, spectrum_slots=2, requests=requests)
 
 
 def test_zero_spectrum_is_parse_error(triangle):
