@@ -163,7 +163,7 @@ class _SimplexRun:
 
     # -- pivot loop ---------------------------------------------------------
 
-    def run(self, c, basis, vstat, factor, xb, deadline: Optional[float]):
+    def run(self, c, basis, vstat, factor, xb, deadline: float):
         """Pivot from basic values `xb` to optimality, or until `deadline` passes.
 
         Returns (status, xb, y, d, factor)."""
@@ -175,7 +175,7 @@ class _SimplexRun:
         degen_run = 0
         bland = self.bland
         for it in range(1, self.max_iter + 1):
-            if deadline is not None and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return SolveStatus.TIME_LIMIT, xb, None, None, factor
             if it % self.check_period == 0 and self._residual(basis, vstat, xb) > 1e-8:
                 factor = _Factor(self, basis)
@@ -274,7 +274,7 @@ def _store_warm(model: Model, sx: _SimplexRun, basis, vstat, factor) -> None:
 def solve_lp(
     model: Model,
     overrides: Optional[dict[int, tuple[float, float]]] = None,
-    deadline: Optional[float] = None,
+    deadline: float = math.inf,
 ) -> LpSolution:
     mat = model.arrays()
     lo, hi = mat.lo, mat.hi
@@ -294,9 +294,7 @@ def solve_lp(
     return sol
 
 
-def _simplex_solve(
-    model: Model, sx: _SimplexRun, try_warm: bool, deadline: Optional[float]
-) -> LpSolution:
+def _simplex_solve(model: Model, sx: _SimplexRun, try_warm: bool, deadline: float) -> LpSolution:
     n, m = sx.n, sx.m
     state = _warm_state(model, sx) if try_warm else None
     used_warm = state is not None
@@ -368,10 +366,10 @@ def _simplex_solve(
 
 
 def solve_mip(
-    model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
+    model: Model, binaries: list[int], relative_gap: float, deadline: float
 ) -> MipSolution:
     root = solve_lp(model, deadline=deadline)
-    if root.status is not SolveStatus.OPTIMAL:  # UNBOUNDED: Model.solve_mip probes
+    if root.status is not SolveStatus.OPTIMAL:
         return MipSolution(root.status, -math.inf, {}, math.inf)
 
     inc_val = -math.inf
@@ -391,7 +389,7 @@ def solve_mip(
         return (ub - inc_val) / max(abs(ub), 1e-10)
 
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             timed_out = True
             break
         if inc_val > -math.inf and gap_of(global_ub()) <= relative_gap + 1e-12:

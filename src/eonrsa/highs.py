@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from typing import Optional
 
 import numpy as np
 
@@ -63,12 +62,11 @@ def _native_stdout_silenced():
         os.close(saved)
 
 
-def _highs_run(mat: ModelArrays, options: dict, deadline, integrality=None, warm=None):
+def _highs_run(mat: ModelArrays, options: dict, deadline: float, integrality=None, warm=None):
     """(verdict, solver) of one HiGHS run on `mat`, costs negated, or its MIP by `integrality`,
-    with what is left until `deadline` as its time limit; an LP from the `_WarmState` basis
-    `warm`, without presolve, if HiGHS finds it consistent."""
-    if deadline is not None:
-        options = {**options, "time_limit": max(deadline - time.monotonic(), 0.0)}
+    with what is left until `deadline` as its time limit (inf, HiGHS's default, for none); an
+    LP from the `_WarmState` basis `warm`, without presolve, if HiGHS finds it consistent."""
+    options = {**options, "time_limit": max(deadline - time.monotonic(), 0.0)}
     h = _highs_core()
     lp = h.HighsLp()
     lp.num_col_, lp.num_row_ = mat.n, mat.m
@@ -97,7 +95,7 @@ def _highs_run(mat: ModelArrays, options: dict, deadline, integrality=None, warm
     return _HIGHS_STATUS.get(highs.getModelStatus().name), highs
 
 
-def solve_lp(model: Model, deadline: Optional[float] = None) -> LpSolution:
+def solve_lp(model: Model, deadline: float = math.inf) -> LpSolution:
     mat = model.arrays()
     if mat.n == 0:
         if np.all(mat.b >= -FEAS_TOL):
@@ -123,15 +121,15 @@ def solve_lp(model: Model, deadline: Optional[float] = None) -> LpSolution:
 
 
 def solve_mip(
-    model: Model, binaries: list[int], relative_gap: float, deadline: Optional[float]
+    model: Model, binaries: list[int], relative_gap: float, deadline: float
 ) -> MipSolution:
     mat = model.arrays()
     options: dict = {"log_to_console": False, "mip_rel_gap": relative_gap}
     status, highs = _highs_run(mat, options, deadline, np.isin(mat.var_ids, binaries))
     objective, gap = highs.getInfo().objective_function_value, highs.getInfo().mip_gap
-    # an objective of +inf: no incumbent; no verdict (None) is UNBOUNDED, for solve_mip to probe
+    # an objective of +inf: no incumbent; a bounded MIP with no verdict (None) failed
     if status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT) or objective == math.inf:
-        return MipSolution(status or SolveStatus.UNBOUNDED, -math.inf, {}, math.inf)
+        return MipSolution(status or SolveStatus.NUMERICAL_FAILURE, -math.inf, {}, math.inf)
     values = dict(zip(mat.var_ids, highs.getSolution().col_value))
     if status is SolveStatus.OPTIMAL and gap > 1e-9:
         status = SolveStatus.FEASIBLE

@@ -11,8 +11,8 @@ branch-and-bound in numpy, and `eonrsa.highs`, HiGHS. A model imports that modul
 at its backend's first solve, so a process that solves no LP compiles neither.
 
 Both engines report the basis of an optimal LP and start the model's next LP
-from it, new columns nonbasic at their lower bound. `Model.solve_mip` holds the
-one unboundedness probe that serves both MIP engines.
+from it, new columns nonbasic at their lower bound. A MIP bounds every variable
+it does not hold binary, so no MIP is unbounded.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
@@ -197,24 +197,26 @@ class Model:
 
     # -- solving ----------------------------------------------------------
 
-    def solve_lp(self, deadline: Optional[float] = None) -> LpSolution:
+    def solve_lp(self, deadline: float = math.inf) -> LpSolution:
         """The LP, warm from the last basis; TIME_LIMIT once time.monotonic() passes `deadline`."""
         return _engines(self.backend).solve_lp(self, deadline=deadline)
 
     def solve_mip(
-        self, relative_gap: float, binaries: Iterable[int], deadline: Optional[float] = None
+        self, relative_gap: float, binaries: Iterable[int], deadline: float = math.inf
     ) -> MipSolution:
         """Branch-and-bound over `binaries` to the requested gap, stopped at `deadline`.
 
-        The bounds of `binaries` are cut to [0, 1] in the model, and stay so. The bundled
-        root LP starts from the last basis; HiGHS starts its MIP from none. With no binaries
-        the MIP is its LP, solved to a zero gap on both engines. An UNBOUNDED MIP verdict is
-        probed by re-solving a zero-objective copy, gap 0, on the same engine: OPTIMAL makes
-        it UNBOUNDED, UNBOUNDED (no verdict) INFEASIBLE, and any other status is returned.
+        Every other variable must be bounded above, so the MIP is bounded: ValueError if
+        one is not, before any bound is cut. The bounds of `binaries` are cut to [0, 1] in
+        the model, and stay so. The bundled root LP starts from the last basis; HiGHS starts
+        its MIP from none. With no binaries the MIP is its LP, solved to a zero gap on both.
         """
         if not 0.0 <= relative_gap < 1.0:
             raise ValueError("relative_gap must lie in [0, 1)")
         binaries = self._known(sorted(binaries))
+        held = set(binaries)
+        if any(col[2] == math.inf for vid, col in self._columns.items() if vid not in held):
+            raise ValueError("every variable outside `binaries` must be bounded above")
         for vid in binaries:
             col = self._columns[vid]
             col[1], col[2] = max(col[1], 0.0), min(col[2], 1.0)
@@ -225,14 +227,7 @@ class Model:
             if lp.status is not SolveStatus.OPTIMAL:
                 return MipSolution(lp.status, -math.inf, {}, math.inf)
             return MipSolution(SolveStatus.OPTIMAL, lp.objective, lp.values, 0.0)
-        mip = engines.solve_mip(self, binaries, relative_gap, deadline)
-        if mip.status is not SolveStatus.UNBOUNDED:
-            return mip
-        probe = Model(self._b, self.backend)  # solved by the engine: model calls never nest
-        probe._columns = {vid: [0.0, *col[1:]] for vid, col in self._columns.items()}
-        found = engines.solve_mip(probe, binaries, 0.0, deadline).status
-        verdict = {SolveStatus.OPTIMAL: mip.status, SolveStatus.UNBOUNDED: SolveStatus.INFEASIBLE}
-        return MipSolution(verdict.get(found, found), -math.inf, {}, math.inf)
+        return engines.solve_mip(self, binaries, relative_gap, deadline)
 
 
 def _engines(backend: str):

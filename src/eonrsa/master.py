@@ -276,7 +276,7 @@ class RestrictedMaster:
         instance: Instance,
         pricing_requests: Optional[Sequence[PricingRequest]] = None,
         backend: str = "bundled",
-        deadline: Optional[float] = None,
+        deadline: float = math.inf,
     ):
         self.instance = instance
         self.deadline = deadline  # of the flow-bound LP and the final ILP, a time.monotonic() value

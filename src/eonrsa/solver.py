@@ -26,7 +26,8 @@ upper bound, in one of two ways:
 
 Slots of one round with equal window sums (`pricing_key`) share one inner solve,
 its column moved to each slot; a slot where no request gains needs none. A round
-stops after the slot that ends past the deadline, and then certifies nothing.
+stops after the slot that ends past the deadline, and then certifies nothing; no
+round, and no seeding, starts after a master LP that ends past it.
 
 The returned plan is the first of the greatest value among the start plan, the
 final ILP's plan, and first-fit passes that take first the requests the last LP
@@ -180,7 +181,7 @@ def _price_round(
     instance: Instance,
     duals: MasterDuals,
     slot_requests: Sequence[PricingRequest],
-    deadline: Optional[float],
+    deadline: float,
 ) -> list[PricingResult]:
     """Price the starting slots in order against one clamped duals snapshot, one inner
     solve per distinct pricing key; slot s's result is in place s - 1, its column moved
@@ -197,7 +198,7 @@ def _price_round(
                 res, configuration=dataclasses.replace(res.configuration, start_slot=s)
             )
         results.append(res)
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             break
     return results
 
@@ -268,12 +269,12 @@ def solve(
 ) -> tuple[SolveReport, ProvisioningPlan]:
     """Full run: column generation, certification, then the plan search."""
     t0 = time.monotonic()
-    deadline = t0 + config.max_wall_clock_seconds if config.max_wall_clock_seconds > 0 else None
+    deadline = t0 + (config.max_wall_clock_seconds or math.inf)  # 0 s: no limit
     rmp = RestrictedMaster(instance, pricing_requests, backend=config.backend, deadline=deadline)
     slot_requests = list(rmp.pricing_requests.values())
 
     def past_deadline() -> bool:
-        return deadline is not None and time.monotonic() > deadline
+        return time.monotonic() > deadline
 
     def meets(slots: int, bound: float) -> bool:  # no plan within `bound` grants more
         return slots >= math.floor(bound + 1e-6 * (1.0 + bound))
@@ -309,9 +310,10 @@ def solve(
         z_lp_star, duals = rmp.solve_lp_and_prune()
         # no LP can beat this value, so no column can raise it, time-out or not
         met_bound = rmp.meets_bound(z_lp_star)
+        timed_out = timed_out or past_deadline()  # no round starts past the deadline
         if met_bound or timed_out:
             break
-        if len(rmp.prune_checks) == 1 and not past_deadline():
+        if len(rmp.prune_checks) == 1:
             # every single-lightpath column; the LP is solved once more, unpriced
             for column in lightpath_columns(instance, slot_requests):
                 rmp.add_column(column)
@@ -329,7 +331,6 @@ def solve(
         for column in added:
             rmp.add_column(column)
         columns_generated += len(added)
-        timed_out = timed_out or past_deadline()
 
     certified = met_bound or (not timed_out and certify(results))
     bound = z_lp_star if certified else rmp.upper_bound  # an uncertified z_lp is no bound

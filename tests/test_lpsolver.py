@@ -132,21 +132,25 @@ def test_mip_without_binaries_is_its_lp(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_unbounded_mip_is_reported_unbounded(backend):
-    # max x + y with x binary under x <= 1 and y >= 0 unbounded above
+def test_mip_with_an_unbounded_variable_is_refused(backend):
+    # max x + y with x binary under x <= 1 and y >= 0 unbounded above: a MIP bounds every
+    # variable it does not hold binary, and the refusal comes before x's bounds are cut
     m = Model([1.0], backend)
-    x = m.add_variable(obj=1.0, coeffs={0: 1.0})
+    x = m.add_variable(obj=1.0, lo=-1.0, coeffs={0: 1.0})
     m.add_variable(obj=1.0)
-    assert m.solve_mip(0.0, [x]).status is SolveStatus.UNBOUNDED
+    with pytest.raises(ValueError, match="bounded above"):
+        m.solve_mip(0.0, [x])
+    mat = m.arrays()
+    assert mat.lo.tolist() == [-1.0, 0.0] and mat.hi.tolist() == [math.inf, math.inf]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_mip_without_integral_point_is_infeasible(backend):
-    # max x + y with x binary held at 0.5, and y >= 0 unbounded above: the LP
-    # relaxation is unbounded, but no integral point exists
+    # max x + y with x binary held at 0.5, and y in [0, 3]: the LP relaxation is
+    # feasible, but no integral point exists
     m = Model([0.5, -0.5], backend)
     x = m.add_variable(obj=1.0, coeffs={0: 1.0, 1: -1.0})
-    m.add_variable(obj=1.0)
+    m.add_variable(obj=1.0, hi=3.0)
     assert m.solve_mip(0.0, [x]).status is SolveStatus.INFEASIBLE
 
 
@@ -406,26 +410,24 @@ def test_column_store_follows_random_edits(data):
                 del cols[vid]
         elif op == "mip" and cols:
             binaries = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
-            mips = {backend: m.solve_mip(0.0, binaries) for backend, m in models.items()}
-            for vid in binaries:  # held in [0, 1] from this solve on
-                col = cols[vid]
-                col["lo"], col["hi"] = max(col["lo"], 0.0), min(col["hi"], 1.0)
-            bundled, highs = mips["bundled"], mips["highs"]
-            assert bundled.status in (SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED)
-            if not binaries:  # the MIP is its LP on both engines
-                assert bundled.status is highs.status
-                if bundled.status is SolveStatus.OPTIMAL:
-                    assert bundled.gap == highs.gap == 0.0
-            # x = 0 is feasible, so a MIP that is not solved is unbounded on both engines
-            found = (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-            solved = {backend: mip.status in found for backend, mip in mips.items()}
-            assert solved["bundled"] is solved["highs"]
-            if solved["bundled"]:
+            if any(col["hi"] == math.inf for vid, col in cols.items() if vid not in binaries):
+                for m in models.values():  # refused on both engines, before any bound is cut
+                    with pytest.raises(ValueError, match="bounded above"):
+                        m.solve_mip(0.0, binaries)
+            else:
+                mips = {backend: m.solve_mip(0.0, binaries) for backend, m in models.items()}
+                for vid in binaries:  # held in [0, 1] from this solve on
+                    col = cols[vid]
+                    col["lo"], col["hi"] = max(col["lo"], 0.0), min(col["hi"], 1.0)
+                bundled, highs = mips["bundled"], mips["highs"]
+                # x = 0 is feasible and every variable bounded: both engines solve the MIP
+                found = (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+                assert bundled.status is SolveStatus.OPTIMAL and highs.status in found
+                if not binaries:  # the MIP is its LP on both engines
+                    assert highs.status is SolveStatus.OPTIMAL and bundled.gap == highs.gap == 0.0
                 assert bundled.objective == pytest.approx(highs.objective, abs=1e-6)
                 for mip, vid in itertools.product(mips.values(), binaries):
                     assert min(abs(mip.values[vid]), abs(mip.values[vid] - 1.0)) <= 1e-6
-            else:
-                assert bundled.status is highs.status
         # x = 0 is always feasible (lo = 0, rhs >= 0): each LP is optimal or unbounded
         sols = {backend: m.solve_lp() for backend, m in models.items()}
         for m in models.values():
@@ -573,15 +575,17 @@ def test_kernel_factor_solves_like_the_dense_basis():
     assert mixed  # some bases held structurals, slacks and artificials at once
 
 
-def _set_packing_mip(backend="bundled"):
-    """A 26-column set packing whose branch and bound visits many nodes."""
+def _set_packing_mip(backend="bundled", hi=math.inf):
+    """A 26-column set packing whose branch and bound visits many nodes; columns in [0, hi]."""
     rng = random.Random(5)
     n = 26
     objs = [rng.uniform(0.9, 1.1) for _ in range(n)]
     rows = [rng.sample(range(n), 7) for _ in range(12)]
     m = Model([3.0] * len(rows), backend)
     ids = [
-        m.add_variable(obj=objs[j], coeffs={i: 1.0 for i, picked in enumerate(rows) if j in picked})
+        m.add_variable(
+            obj=objs[j], hi=hi, coeffs={i: 1.0 for i, picked in enumerate(rows) if j in picked}
+        )
         for j in range(n)
     ]
     return m, ids
@@ -636,7 +640,7 @@ def test_lp_stops_at_a_passed_deadline(backend):
 def test_mip_without_binaries_stops_at_a_passed_deadline(backend):
     import time
 
-    m, _ = _set_packing_mip(backend)
+    m, _ = _set_packing_mip(backend, hi=1.0)  # a MIP bounds the variables it does not hold binary
     mip = m.solve_mip(0.0, [], deadline=time.monotonic() - 1.0)
     assert mip.status is SolveStatus.TIME_LIMIT and mip.values == {}
     assert m.solve_mip(0.0, [], deadline=time.monotonic() + 60.0).status is SolveStatus.OPTIMAL

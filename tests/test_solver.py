@@ -177,9 +177,9 @@ def test_time_limit_flags_partial_result(triangle):
         report, _ = solve(inst, dataclasses.replace(config, max_wall_clock_seconds=1e-9), derived)
         assert report.timed_out
         assert not report.certified
-        # the round that passed the deadline added columns; one more LP solve gives the bound
-        assert report.columns_generated > 0
-        assert len(report.lp_value_trace) == report.outer_iterations + 1
+        # the limit passes before the first LP ends, so no round is priced and that LP is the last
+        assert report.outer_iterations == 0 and report.columns_generated == 0
+        assert len(report.lp_value_trace) == report.outer_iterations + 1 == 1
         assert len(report.prune_checks) == len(report.lp_value_trace)
         assert report.z_lp_star_slots == report.lp_value_trace[-1]
 
