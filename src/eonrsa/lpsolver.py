@@ -1,7 +1,8 @@
 """Narrow LP/MIP layer: incremental models, LP duals, MIP with a relative-gap stop.
 
 A ``Model`` keeps its columns as plain Python records by id, and its rows, fixed
-from their right-hand sides when it is built, as a list; columns come and go.
+from their right-hand sides when it is built, as a list. Columns are added one at
+a time and leave only through `Model.prune`, at zero outside the last LP's basis.
 The LP and MIP engines of each backend read one CSC form of them,
 `Model.arrays()`, built on demand and kept until the next edit. Its plain import
 loads numpy at the first LP or MIP, and duals come back as one numpy array by row.
@@ -11,8 +12,8 @@ branch-and-bound in numpy, and `eonrsa.highs`, HiGHS. A model imports that modul
 at its backend's first solve, so a process that solves no LP compiles neither.
 
 Both engines report the basis of an optimal LP and start the model's next LP
-from it, new columns nonbasic at their lower bound. A MIP bounds every variable
-it does not hold binary, so no MIP is unbounded.
+from it, new columns nonbasic at their lower bound; a prune keeps it whole. A
+MIP bounds every variable it does not hold binary, so no MIP is unbounded.
 
 All models maximize, all rows are ``sum a_i x_i <= b`` with finite
 right-hand side, and variables are continuous in [lo, hi] (finite lo); a MIP
@@ -107,7 +108,7 @@ class _WarmState:
 
 
 class Model:
-    """Maximization model over the rows `sum a x <= rhs`; columns come and go by id."""
+    """Maximization model over the rows `sum a x <= rhs`; columns come by id, leave by prune."""
 
     def __init__(self, rhs: Sequence[float], backend: str = "bundled"):
         if backend not in BACKENDS:
@@ -153,22 +154,17 @@ class Model:
                 raise UnknownId(f"variable {vid} does not exist")
         return ids
 
-    def remove_variables(self, ids: Iterable[int]) -> None:
-        ids = self._known(list(ids))
-        for vid in set(ids):
-            del self._columns[vid]
-        self._arrays = None
-        if self._warm is not None and set(ids).isdisjoint(self._warm.basis_keys):
-            self._warm.at_upper.difference_update(ids)
-        else:
-            self._warm = None  # none, or stale: a removed column was basic
-
     def prune(self, sol: LpSolution, candidates: Iterable[int]) -> list[int]:
-        """Remove the candidates that sit at zero outside the basis of `sol`; the removed ids."""
-        basic, values = sol.basic_variables, sol.values
-        drop = [vid for vid in candidates if values.get(vid, 0.0) <= INT_TOL and vid not in basic]
-        if drop:
-            self.remove_variables(drop)
+        """Remove the candidates at zero outside the basis of `sol`, the model's last LP: the
+        removed ids, UnknownId at the first candidate that is no variable. A warm basis kept
+        from `sol` names none of them as basic, and they leave its `at_upper` too."""
+        ids, basic = self._known(list(candidates)), sol.basic_variables
+        drop = [vid for vid in ids if sol.values.get(vid, 0.0) <= INT_TOL and vid not in basic]
+        for vid in drop:
+            del self._columns[vid]
+            self._arrays = None
+        if self._warm is not None:
+            self._warm.at_upper.difference_update(drop)
         return drop
 
     # -- introspection ----------------------------------------------------

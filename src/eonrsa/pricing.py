@@ -102,9 +102,12 @@ class _InnerProblem:
         self._lp = None
         return vid
 
-    def solve_lp(self) -> tuple[float, dict[int, float], np.ndarray]:
-        """The LP value, then the duals of the atomic rows by request id and of the link rows."""
-        sol = self.model.solve_lp()
+    def solve_lp(self, deadline: float) -> Optional[tuple[float, dict[int, float], np.ndarray]]:
+        """The LP value, then the duals of the atomic rows by request id and of the link rows;
+        None when `deadline` cuts the LP."""
+        sol = self.model.solve_lp(deadline)
+        if sol.status is SolveStatus.TIME_LIMIT:
+            return None
         if sol.status is not SolveStatus.OPTIMAL:
             raise RuntimeError(f"pricing LP failed: {sol.status}")
         for vid in self.model.prune(sol, self._columns):
@@ -114,13 +117,14 @@ class _InnerProblem:
         nu_request = dict(zip(self._row_atomic, sol.duals[:atomics].tolist()))
         return sol.objective, nu_request, sol.duals[atomics:]
 
-    def solve_ilp(self) -> tuple[float, list[tuple[PricingRequest, Path]]]:
+    def solve_ilp(self, deadline: float) -> tuple[float, list[tuple[PricingRequest, Path]]]:
         """The ILP value and the chosen (request, path) routes, by column id; an
-        integral LP of the current columns is the optimum, without branch and bound."""
+        integral LP of the current columns is the optimum, without branch and bound.
+        A search cut by `deadline` gives its incumbent, or -inf and no route."""
         sol = self._lp
         if sol is None or any(INT_TOL < sol.values[vid] < 1 - INT_TOL for vid in self._columns):
-            sol = self.model.solve_mip(0.0, self._columns)
-            if sol.status is not SolveStatus.OPTIMAL:
+            sol = self.model.solve_mip(0.0, self._columns, deadline)
+            if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.TIME_LIMIT):
                 raise RuntimeError(f"pricing ILP failed: {sol.status}")
         chosen = [
             route for vid, route in sorted(self._columns.items()) if sol.values.get(vid, 0.0) > 0.5
@@ -133,11 +137,13 @@ def price_slot(
     s: int,
     master_duals: MasterDuals,
     pricing_requests: Optional[Sequence[PricingRequest]] = None,
+    deadline: float = math.inf,
 ) -> PricingResult:
-    """Inner column generation for one starting slot.
+    """Inner column generation for one starting slot; its LPs and ILP stop at `deadline`.
 
-    Pure in its inputs: safe to run concurrently for different slots against
-    one shared duals snapshot.
+    An inner LP cut there ends the slot with no column and an infinite LP bound; a cut
+    ILP gives its incumbent, if it has one. Pure in its inputs, the deadline aside: safe
+    to run concurrently for different slots against one shared duals snapshot.
     """
     import numpy as np
 
@@ -153,7 +159,10 @@ def price_slot(
     rc_lp_star = 0.0
     converged = False
     for _ in range(MAX_INNER_ROUNDS):
-        rc_lp_star, nu_request, nu_link = inner.solve_lp()
+        lp = inner.solve_lp(deadline)
+        if lp is None:  # no bound, and so no column either
+            return PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=math.inf)
+        rc_lp_star, nu_request, nu_link = lp
         # a request's link weights depend on the request only through its width
         nu_link = np.maximum(nu_link, 0.0)
         weights = {w: (win + nu_link).tolist() for w, win in windows.items()}
@@ -175,7 +184,7 @@ def price_slot(
     if not converged:
         rc_lp_star = math.inf  # inner CG failed to settle; slot cannot certify
 
-    rc_ilp, chosen = inner.solve_ilp()
+    rc_ilp, chosen = inner.solve_ilp(deadline)
     if rc_ilp <= IMPROVE_TOL:
         return PricingResult(configuration=None, rc_ilp=max(rc_ilp, 0.0), rc_lp_star=rc_lp_star)
     config = Configuration(start_slot=s, routes=tuple(chosen))

@@ -1,18 +1,19 @@
 """Outer column-generation loop, optimality certification, and reporting.
 
-The master starts from the columns of the best of several first-fit plans
-(`master.first_fit`), widest request first: ties by key ascending, then
-descending, then shuffled by `random.Random(0)`. The passes stop at the first
-plan that meets the master's `upper_bound`, once every order of equal widths
-has run, at the deadline, or after FIRST_FIT_PASSES. Where the first LP falls
-short of the bound and the deadline has not passed, the master gets every
-single-lightpath column (`master.lightpath_columns`), and its LP is solved again
-before any round is priced; its prune drops the seeded columns that are not
-basic. One outer round: solve the master LP (pruning dropped columns), snapshot
-the duals, price every starting slot against that snapshot, add every improving
-configuration, and offer each one at the other start slots where it prices too
-(at most SHARED_PER_SLOT a slot). A run is certified, its final LP value a true
-upper bound, in one of two ways:
+The start plan is the best of several first-fit plans (`master.first_fit`),
+widest request first: ties by key ascending, then descending, then shuffled by
+`random.Random(0)`. The passes stop at the first plan that meets the master's
+`upper_bound`, once every order of equal widths has run, at the deadline, or
+after FIRST_FIT_PASSES. Its columns seed the master before the first LP, only on
+the path that solves one; a plan that meets the bound has them only validated.
+Where the first LP falls short of the bound and the deadline has not passed, the
+master gets every single-lightpath column (`master.lightpath_columns`), and its
+LP is solved again before any round is priced; its prune drops the seeded columns
+that are not basic. One outer round: solve the master LP (pruning dropped
+columns), snapshot the duals, price every starting slot against that snapshot,
+add every improving configuration, and offer each one at the other start slots
+where it prices too (at most SHARED_PER_SLOT a slot). A run is certified, its
+final LP value a true upper bound, in one of two ways:
 
 - the LP value meets the master's `upper_bound` (the demand that fits the
   spectrum, or the multicommodity-flow bound, computed after the first LP that
@@ -25,8 +26,9 @@ upper bound, in one of two ways:
   slot's pricing LP bound is zero too.
 
 Slots of one round with equal window sums (`pricing_key`) share one inner solve,
-its column moved to each slot; a slot where no request gains needs none. A round
-stops after the slot that ends past the deadline, and then certifies nothing; no
+its column moved to each slot; a slot where no request gains needs none. Its inner
+LPs and ILP stop at the deadline, and the round after the slot that ends past it,
+and then certifies nothing; a cut inner LP leaves its slot's LP bound infinite. No
 round, and no seeding, starts after a master LP that ends past it.
 
 The returned plan is the first of the greatest value among the start plan, the
@@ -58,6 +60,7 @@ from .master import (
     RestrictedMaster,
     first_fit,
     lightpath_columns,
+    validate_configuration,
 )
 from .oracle import verify_plan
 from .pricing import IMPROVE_TOL, PricingResult, price_slot, pricing_key
@@ -185,13 +188,16 @@ def _price_round(
 ) -> list[PricingResult]:
     """Price the starting slots in order against one clamped duals snapshot, one inner
     solve per distinct pricing key; slot s's result is in place s - 1, its column moved
-    to slot s. The round stops after the first slot that ends past `deadline`."""
+    to slot s. The inner solves stop at `deadline`, and the round after the first slot
+    that ends past it."""
     priced: dict[tuple, PricingResult] = {}
     results = []
     for s in range(1, instance.spectrum_slots + 1):
         key = pricing_key(instance, s, duals, slot_requests)
         if key not in priced:
-            priced[key] = price_slot(instance, s, duals, pricing_requests=slot_requests)
+            priced[key] = price_slot(
+                instance, s, duals, pricing_requests=slot_requests, deadline=deadline
+            )
         res = priced[key]
         if res.configuration is not None:
             res = dataclasses.replace(
@@ -291,19 +297,21 @@ def solve(
                 best, value = candidate, slots
         return best
 
-    # the start plan: the best of first-fit passes, widest first; its columns seed the master
+    # the start plan: the best of first-fit passes, widest first
     by_key = [sorted(slot_requests, key=lambda p: (-p.width, sign * p.key)) for sign in (1, -1)]
     orders = _first_fit_orders(slot_requests, lambda p: (-p.width,), by_key)
     starts = (first_fit(instance, order) for order in orders)
     start = best_of(next(starts), starts, rmp.upper_bound)
-    for column in start:
-        rmp.add_column(column)
-
     columns_generated = outer = 0
     timed_out = False
     # plan value <= LP <= the demand that fits: a start plan that meets it fixes the LP value
     z_lp_star = rmp.upper_bound
     met_bound = meets(rmp.served_slots(start), z_lp_star)
+    for column in start:  # checked as the master checks a column; added only if an LP runs
+        if met_bound:
+            validate_configuration(column, instance.spectrum_slots, rmp.pricing_requests)
+        else:
+            rmp.add_column(column)
 
     while not met_bound:
         # after a timed-out round, this solve gives the bound of the final RMP

@@ -48,9 +48,9 @@ def test_add_then_remove_is_identity():
     base = Model([1.0])
     base.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
     edited = Model([1.0])
-    edited.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
-    z = edited.add_variable(obj=3.0, hi=1.0, coeffs={0: 2.0})
-    edited.remove_variables([z])
+    x = edited.add_variable(obj=1.0, lo=0.0, hi=1.0, coeffs={0: 1.0})
+    z = edited.add_variable(obj=-3.0, hi=1.0, coeffs={0: 2.0})  # at zero, nonbasic
+    assert edited.prune(edited.solve_lp(), [x, z]) == [z]
     a, b = edited.arrays(), base.arrays()
     assert a.var_ids == b.var_ids
     for name in ("data", "indices", "indptr", "b", "c", "lo", "hi"):
@@ -58,9 +58,12 @@ def test_add_then_remove_is_identity():
 
 
 def test_remove_unknown_id():
-    m = Model([])
+    m = Model([1.0])
+    z = m.add_variable(obj=-1.0, coeffs={0: 1.0})
+    sol = m.solve_lp()
     with pytest.raises(UnknownId):
-        m.remove_variables([17])
+        m.prune(sol, [z, 17])
+    assert m.arrays().var_ids == [z]  # nothing is removed before the unknown id raises
 
 
 def test_column_into_missing_constraint():
@@ -387,13 +390,14 @@ def test_column_store_follows_random_edits(data):
     models = {backend: Model(rhs, backend) for backend in BACKENDS}
     cols: dict[int, dict] = {}
     coef = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.5])
+    sols: dict = {}  # each model's last LP
     for _ in range(data.draw(st.integers(1, 14), label="edits")):
-        op = data.draw(st.sampled_from(["variable", "remove", "mip"]))
+        op = data.draw(st.sampled_from(["variable", "prune", "mip"]))
         if op == "variable":
             rows = data.draw(st.lists(st.sampled_from(range(len(rhs))), unique=True)) if rhs else []
             coeffs = {cid: data.draw(coef) for cid in rows}
             obj = data.draw(st.sampled_from([0.0, 1.0, 2.0, -1.0]))
-            hi = data.draw(st.sampled_from([1.0, 3.0, math.inf]))
+            hi = data.draw(st.sampled_from([0.0, 1.0, 3.0, math.inf]))
             ids = {m.add_variable(obj=obj, hi=hi, coeffs=coeffs) for m in models.values()}
             (vid,) = ids
             cols[vid] = {
@@ -402,10 +406,18 @@ def test_column_store_follows_random_edits(data):
                 "hi": hi,
                 "coeffs": {cid: a for cid, a in coeffs.items() if a != 0.0},
             }
-        elif op == "remove" and cols:
-            gone = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
-            for m in models.values():
-                m.remove_variables(gone)
+        elif op == "prune" and cols and sols["bundled"].status is SolveStatus.OPTIMAL:
+            candidates = data.draw(st.lists(st.sampled_from(sorted(cols)), unique=True))
+            # only what both engines' last LPs leave at zero outside their bases, so that
+            # both prunes drop the same columns and the models stay equal
+            gone = [
+                vid
+                for vid in candidates
+                if all(sol.values[vid] <= 1e-6 for sol in sols.values())
+                and not any(vid in sol.basic_variables for sol in sols.values())
+            ]
+            for backend, m in models.items():
+                assert m.prune(sols[backend], gone) == gone
             for vid in gone:
                 del cols[vid]
         elif op == "mip" and cols:
@@ -428,6 +440,10 @@ def test_column_store_follows_random_edits(data):
                 assert bundled.objective == pytest.approx(highs.objective, abs=1e-6)
                 for mip, vid in itertools.product(mips.values(), binaries):
                     assert min(abs(mip.values[vid]), abs(mip.values[vid] - 1.0)) <= 1e-6
+        for m in models.values():  # the warm basis names live columns only
+            if m._warm is not None:
+                assert {k for k in m._warm.basis_keys if k >= 0} <= cols.keys()
+                assert {k for k in m._warm.at_upper if k >= 0} <= cols.keys()
         # x = 0 is always feasible (lo = 0, rhs >= 0): each LP is optimal or unbounded
         sols = {backend: m.solve_lp() for backend, m in models.items()}
         for m in models.values():

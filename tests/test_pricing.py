@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from eonrsa import (
     validate_configuration,
 )
 import eonrsa.pricing as pricing_module
-from eonrsa.lpsolver import Model
+from eonrsa.lpsolver import MipSolution, Model, SolveStatus
 from eonrsa.pricing import IMPROVE_TOL, _slot_input, pricing_key
 from conftest import (
     make_four_node_instance,
@@ -138,8 +139,7 @@ def test_price_slot_single_request(tri_instance):
     validate_configuration(res.configuration, tri_instance.spectrum_slots)
 
 
-def test_price_slot_resolves_link_contention(triangle):
-    # both requests want the shared node b; ILP must pick a link-disjoint set
+def _contention_duals(triangle) -> tuple[Instance, MasterDuals]:
     inst = Instance(
         topology=triangle,
         spectrum_slots=6,
@@ -147,8 +147,13 @@ def test_price_slot_resolves_link_contention(triangle):
         name="contend",
     )
     duals = _zero_duals(inst)
-    duals.mu_request[0] = 8.0
-    duals.mu_request[1] = 4.0
+    duals.mu_request[0], duals.mu_request[1] = 8.0, 4.0
+    return inst, duals
+
+
+def test_price_slot_resolves_link_contention(triangle):
+    # both requests want the shared node b; ILP must pick a link-disjoint set
+    inst, duals = _contention_duals(triangle)
     res = price_slot(inst, 1, duals)
     assert res.configuration is not None
     # brute force over all path subsets satisfying the one-per-request and
@@ -164,6 +169,42 @@ def test_price_slot_resolves_link_contention(triangle):
             best = max(best, value)
     assert abs(res.rc_ilp - best) < 1e-9
     assert abs(res.rc_ilp - 12.0) < 1e-9  # both fit on disjoint paths
+
+
+def test_an_inner_lp_cut_by_the_deadline_ends_the_slot_uncertified(triangle):
+    inst, duals = _contention_duals(triangle)
+    assert price_slot(inst, 1, duals, deadline=time.monotonic() + 60.0).rc_lp_star < math.inf
+    res = price_slot(inst, 1, duals, deadline=time.monotonic() - 1.0)
+    assert res == PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=math.inf)
+
+
+@pytest.mark.parametrize("incumbent", [True, False])
+def test_an_inner_ilp_cut_by_the_deadline_keeps_its_incumbent(monkeypatch, triangle, incumbent):
+    inst, duals = _contention_duals(triangle)
+    solve_ilp, solve_mip = pricing_module._InnerProblem.solve_ilp, Model.solve_mip
+    deadlines = []
+
+    def branched(inner, deadline):
+        inner._lp = None  # forces branch and bound
+        return solve_ilp(inner, deadline)
+
+    def cut_mip(model, relative_gap, binaries, deadline=math.inf):
+        deadlines.append(deadline)
+        mip = solve_mip(model, relative_gap, binaries, deadline)
+        if incumbent:  # stopped with the optimum found, the gap still open
+            return MipSolution(SolveStatus.TIME_LIMIT, mip.objective, mip.values, 0.5)
+        return MipSolution(SolveStatus.TIME_LIMIT, -math.inf, {}, math.inf)
+
+    full = price_slot(inst, 1, duals)
+    monkeypatch.setattr(pricing_module._InnerProblem, "solve_ilp", branched)
+    monkeypatch.setattr(Model, "solve_mip", cut_mip)
+    deadline = time.monotonic() + 60.0
+    res = price_slot(inst, 1, duals, deadline=deadline)
+    assert deadlines == [deadline]
+    if incumbent:
+        assert res == full and res.configuration is not None
+    else:
+        assert res == PricingResult(configuration=None, rc_ilp=0.0, rc_lp_star=full.rc_lp_star)
 
 
 def test_price_slot_reduced_cost_recomputation(tri_instance):
@@ -313,12 +354,12 @@ def test_integral_inner_lp_equals_the_inner_ilp(monkeypatch):
 
     compared = {"skipped": 0, "branched": 0}
 
-    def compared_ilp(inner):
+    def compared_ilp(inner, deadline):
         before = len(mip_calls)
-        value, chosen = solve_ilp(inner)
+        value, chosen = solve_ilp(inner, deadline)
         compared["skipped" if len(mip_calls) == before else "branched"] += 1
         inner._lp = None  # forces branch and bound on the same model
-        mip_value, mip_chosen = solve_ilp(inner)
+        mip_value, mip_chosen = solve_ilp(inner, deadline)
         assert value == pytest.approx(mip_value, abs=1e-9) and chosen == mip_chosen
         return value, chosen
 

@@ -1213,3 +1213,78 @@ def test_a_round_cut_before_any_improving_slot_is_not_certified(monkeypatch, bac
     # the first LP and the seeded one; no column, so no further LP
     assert len(report.lp_value_trace) == 2
     verify_plan(inst, plan, expected_slots=report.z_ilp_slots)
+
+
+@pytest.mark.parametrize("seconds", [1000.0, 0.0])
+def test_inner_solves_stop_at_the_runs_deadline(monkeypatch, seconds):
+    # spain21 with 8 pairs and 8 slots, seed 2, prices 5 rounds on HiGHS; its inner
+    # problems solve LPs and run branch and bound
+    inst = generate_icton_style(builtin_topology("spain21"), num_pairs=8, seed=2, spectrum_slots=8)
+    price, solve_lp, solve_mip = solver_module.price_slot, Model.solve_lp, Model.solve_mip
+    pricing, seen = [False], []  # the deadlines of the Model solves under price_slot
+
+    def priced(*args, **kwargs):
+        pricing[0] = True
+        try:
+            return price(*args, **kwargs)
+        finally:
+            pricing[0] = False
+
+    def lp(model, deadline=math.inf):
+        if pricing[0]:
+            seen.append(("lp", deadline))
+        return solve_lp(model, deadline)
+
+    def mip(model, relative_gap, binaries, deadline=math.inf):
+        if pricing[0]:
+            seen.append(("mip", deadline))
+        return solve_mip(model, relative_gap, binaries, deadline)
+
+    monkeypatch.setattr(solver_module, "price_slot", priced)
+    monkeypatch.setattr(Model, "solve_lp", lp)
+    monkeypatch.setattr(Model, "solve_mip", mip)
+    before = time.monotonic()
+    report, _ = solve(inst, SolveConfig(backend="highs", max_wall_clock_seconds=seconds))
+    after = time.monotonic()
+    assert report.certified and report.outer_iterations == 5 and not report.timed_out
+    assert {kind for kind, _ in seen} == {"lp", "mip"}
+    for _, deadline in seen:
+        if seconds:  # the deadline of the run: its start plus the limit
+            assert before + seconds <= deadline <= after + seconds
+        else:
+            assert deadline == math.inf
+
+
+def test_a_start_plan_that_meets_the_bound_is_validated_not_added(monkeypatch):
+    # the 12 spain21 instances of 15 pairs and 20 slots, generator seeds 1-12: each start
+    # plan grants all the demand that fits, so no LP reads its columns
+    validated = _counted(monkeypatch, solver_module, "validate_configuration")
+    added = _counted(monkeypatch, RestrictedMaster, "add_column")
+    topology = builtin_topology("spain21")
+    for g in range(1, 13):
+        inst = generate_icton_style(topology, num_pairs=15, seed=g, spectrum_slots=20)
+        validated.clear()
+        report, plan = solve(inst, SolveConfig(backend="highs"))
+        assert report.lp_value_trace == [] and added == [], inst.name
+        # one check per start column: the start plan, which is the plan returned
+        columns = [config for config, *_ in validated]
+        assert len(set(columns)) == len(columns) > 0, inst.name
+        assert RestrictedMaster(inst).post_process(columns) == plan, inst.name
+
+
+def test_a_short_start_plan_seeds_the_master_before_its_first_lp(monkeypatch):
+    # tiny 9's start plan, the first widest-first pass, grants 6 of its bound of 7
+    inst = make_random_tiny_instance(9)
+    rmp = RestrictedMaster(inst)
+    start = first_fit(inst, widest_first(rmp.pricing_requests.values()))
+    assert rmp.served_slots(start) == 6
+    added = _counted(monkeypatch, RestrictedMaster, "add_column")
+    solve_lp, lps = RestrictedMaster.solve_lp_and_prune, []
+
+    def first_lp(master):
+        lps.append(len(added))
+        return solve_lp(master)
+
+    monkeypatch.setattr(RestrictedMaster, "solve_lp_and_prune", first_lp)
+    solve(inst, SolveConfig(final_ilp_relative_gap=0.0))
+    assert [config for _, config in added[: lps[0]]] == start
